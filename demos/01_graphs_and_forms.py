@@ -15,7 +15,7 @@ print("parity:", g.parity)
 
 cls = classify(g)
 print("\nclass:", cls.kind, cls.name)
-print("radical generator delta:", [int(v) for v in cls.delta])
+print("radical generator delta:", list(cls.delta))
 print("q(delta) =", tits_form(g, cls.delta))
 print("extending vertices (delta = 1):", cls.extending)
 

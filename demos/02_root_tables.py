@@ -16,7 +16,7 @@ cls = classify(g)
 table = fundamental_roots(g, cls)
 print(f"fundamental table: {len(table)} positive representatives")
 for row in table:
-    print("  ", [int(v) for v in row])
+    print("  ", list(row))
 
 print("\norbits of the three seed types (up to branch symmetry):")
 for label, seed in (("K1 (leaf seed)", 0), ("K2 (inner seed)", 1),
@@ -24,12 +24,12 @@ for label, seed in (("K1 (leaf seed)", 0), ("K2 (inner seed)", 1),
     orbit = coxeter_series(g, cls, unit_vector(g, seed))
     print(f"  {label}: {len(orbit)} series")
     for s in orbit.series:
-        print("     ", [int(v) for v in s.base])
+        print("     ", list(s.base))
 
 singular, regular = singular_and_regular_series(g, cls)
 print(f"\nof all {len(singular) + len(regular)} signed series, "
       f"{len(singular)} reduce to a simple root and {len(regular)} stall:")
 for b in sorted(regular):
-    print("  stalled:", [int(v) for v in b])
+    print("  stalled:", list(b))
 print("stalled series never carry the non-degenerate representations; the")
 print("feasibility scan skips them.")

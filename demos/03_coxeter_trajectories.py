@@ -26,7 +26,7 @@ for fam in FAMILIES.values():
           f"period {fam.period}, closed-form range k >= {fam.min_k}")
     for k in range(1, fam.period + 2):
         d = trajectory_dim(g, fam, k)
-        print(f"   k={k:2}  d = {[int(v) for v in d]}")
+        print(f"   k={k:2}  d = {list(d)}")
     print()
 
 # Powers of the composite Coxeter matrix: exact versus the period-six

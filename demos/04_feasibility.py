@@ -50,6 +50,6 @@ print("  solve:", verdict.status, "via", verdict.branch_taken)
 k = 6
 d = trajectory_dim(g, FAMILY_ROOT, k)
 f = char_from_chi(g, off)
-print(f"\nroot-family dimension k={k}: d = {[int(x) for x in d]}")
+print(f"\nroot-family dimension k={k}: d = {list(d)}")
 print("  closed form :", closed_form_e6(off, FAMILY_ROOT, k).status)
 print("  iterative   :", iterative_feasible(g, d, f).status)

@@ -35,7 +35,7 @@ rng = random.Random(12)
 k = 9
 d = trajectory_dim(g, FAMILY_INNER, k)
 sched = reduction_schedule(g, d)
-print("target dimension:", [int(v) for v in d], " terminal vertex:",
+print("target dimension:", list(d), " terminal vertex:",
       sched.terminal, " steps:", len(sched.steps))
 
 # sample a feasible character: positive terminal data transported upward

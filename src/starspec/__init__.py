@@ -94,5 +94,3 @@ from .verify import (
     verify_algebra_rep,
     verify_graph_rep,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

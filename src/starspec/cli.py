@@ -30,6 +30,7 @@ from .io import (
     gvec_in,
     gvec_out,
     instance_from_dict,
+    int_in,
     verdict_to_dict,
     JSON_SCHEMAS,
 )
@@ -69,7 +70,7 @@ def cmd_classify(args) -> int:
     if cls.name:
         out["name"] = cls.name
     if cls.delta is not None:
-        out["delta"] = [int(v) for v in cls.delta]
+        out["delta"] = list(cls.delta)
         out["extending"] = list(cls.extending or ())
     if cls.witness is not None:
         out["witness"] = gvec_out(cls.witness)
@@ -146,7 +147,7 @@ def cmd_construct(args) -> int:
             n = gen_dim_from_dict(ddata)
             d = dim_from_n(graph, n)
         else:
-            d = gvec_in(graph, ddata)
+            d = gvec_in(graph, ddata, int_in)
     else:
         verdict = solve(graph, inst, scan_bound=args.scan_bound or 60)
         if not verdict.feasible:
@@ -156,7 +157,7 @@ def cmd_construct(args) -> int:
         d = dim_from_n(graph, verdict.witness_dimension)
     cls = classify(graph)
     meta: dict = {"seed": seed, "dimension": gvec_out(d)}
-    if cls.delta is not None and tuple(d) == tuple(cls.delta):
+    if d == cls.delta:
         arep = build_hyperplane_rep(inst, seed=seed)
         resid = float(np.abs(arep.weighted_sum()
                              - float(inst.gamma) * np.eye(arep.n0)).max())

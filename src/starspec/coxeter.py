@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .graph import EVEN, ODD, GVec, GraphError, Parity, StarGraph
-from .rational import Q, QMat, mat_pow, qmat
+from .graph import EVEN, ODD, GVec, GraphError, IVec, Parity, StarGraph
+from .rational import Q, QMat, mat_mul, mat_pow, qmat
 
 Token = Parity
 CoxeterWord = tuple[Token, ...]
@@ -114,7 +114,7 @@ class ReductionSchedule:
     ``terminal`` is the vertex carrying the final one-dimensional space.
     """
 
-    steps: tuple[tuple[GVec, Token], ...]
+    steps: tuple[tuple[IVec, Token], ...]
     terminal: int
 
     def tokens(self) -> tuple[Token, ...]:
@@ -128,13 +128,16 @@ def reduction_schedule(graph: StarGraph, d: GVec) -> Optional[ReductionSchedule]
     Tries both starting parities; a valid direction must strictly decrease
     the total dimension every two steps and end at a unit vector.  Imaginary
     roots and the finitely many 'stalled' real roots admit no schedule.
+    The schedule's dimensions are ints whatever numeric type d arrives in:
+    the cache answers every equal d with the same schedule.
     """
+    d = tuple(int(v) for v in d)
     for first in (EVEN, ODD):
         dd = d
         token: Token = first
-        steps: list[tuple[GVec, Token]] = []
-        prev2: Optional[Fraction] = None
-        limit = 2 * int(sum(d)) + 4
+        steps: list[tuple[IVec, Token]] = []
+        prev2: Optional[int] = None
+        limit = 2 * sum(d) + 4
         for n in range(limit + 1):
             total = sum(dd)
             if total == 1 and max(dd) == 1:
@@ -209,18 +212,10 @@ def elementary_coxeter_matrix(graph: StarGraph, order: str = "odd_after_even") -
     ce = parity_matrix(graph, EVEN)
     co = parity_matrix(graph, ODD)
     if order == "odd_after_even":
-        return _mm(co, ce)
+        return mat_mul(co, ce)
     if order == "even_after_odd":
-        return _mm(ce, co)
+        return mat_mul(ce, co)
     raise ValueError(f"unknown order {order!r}")
-
-
-def _mm(a: QMat, b: QMat) -> QMat:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def coxeter_power_matrix_e6(graph: StarGraph, k: int) -> QMat:

@@ -25,6 +25,7 @@ from typing import Literal, Optional
 from .coxeter import (
     EVEN,
     ODD,
+    ReductionSchedule,
     Token,
     coxeter_dim,
     parity_matrix,
@@ -33,6 +34,7 @@ from .coxeter import (
 from .graph import (
     GraphClass,
     GVec,
+    IVec,
     StarGraph,
     build_star,
     classify,
@@ -79,7 +81,7 @@ class Hyperplane:
     """
 
     graph_name: str
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int, ...]
 
     def evaluate(self, inst: SpectralInstance) -> Fraction:
         chi = inst.chi()
@@ -108,7 +110,7 @@ def hyperplane(graph: StarGraph, cls: Optional[GraphClass] = None) -> Hyperplane
     if cls.kind != "ExtendedDynkin" or cls.delta is None:
         raise FeasibilityError("hyperplane requires an extended Dynkin graph")
     n = n_from_dim(graph, cls.delta)
-    coeffs = [Q(v) for v in n.flat()]
+    coeffs = list(n.flat())
     coeffs[-1] = -coeffs[-1]
     return Hyperplane(graph_name=cls.name or "", coefficients=tuple(coeffs))
 
@@ -157,7 +159,7 @@ def horn_check_e6(inst: SpectralInstance) -> FeasibilityVerdict:
     n_neg = 0
     n_zero = 0
     for name, coeffs in HORN_E6:
-        margin = sum(Q(c) * x for c, x in zip(coeffs, chi6))
+        margin = sum(c * x for c, x in zip(coeffs, chi6))
         ok = margin > 0
         n_neg += margin < 0
         n_zero += margin == 0
@@ -254,7 +256,7 @@ def e6_graph() -> StarGraph:
     return build_star([2, 2, 2])
 
 
-def trajectory_dim(graph: StarGraph, family: SeriesFamily, k: int) -> GVec:
+def trajectory_dim(graph: StarGraph, family: SeriesFamily, k: int) -> IVec:
     """k-th dimension of a family: alternating reflections of the seed."""
     if k < 1:
         raise FeasibilityError("trajectory index starts at 1")
@@ -355,14 +357,34 @@ def iterative_feasible(
             "dimension does not reduce to a simple root (imaginary or "
             "stalled); the hyperplane route applies instead"
         )
-    # all conditions are homogeneous: clear denominators once and walk the
-    # schedule in plain integer arithmetic
+    fint, scale = _scaled_character(f)
+    return _check_schedule(graph, d, schedule, fint, scale, collect_trajectory)
+
+
+def _scaled_character(f: GVec) -> tuple[list[int], int]:
+    """Integer character and the common denominator it was scaled by.
+
+    Every condition is homogeneous in f, so clearing denominators once lets
+    the walk run in plain integer arithmetic.
+    """
     fq = [Fraction(v) for v in f]
     scale = _lcm(*(v.denominator for v in fq))
-    fcur = [v.numerator * (scale // v.denominator) for v in fq]
+    return [v.numerator * (scale // v.denominator) for v in fq], scale
+
+
+def _check_schedule(
+    graph: StarGraph,
+    d: GVec,
+    schedule: ReductionSchedule,
+    fcur: list[int],
+    scale: int,
+    collect_trajectory: bool,
+) -> FeasibilityVerdict:
+    """The checks of ``iterative_feasible`` on a validated dimension, its
+    schedule and the character as ``fcur / scale``."""
     g_term = schedule.terminal
     eps = [1 if p == ODD else -1 for p in graph.parity]
-    eq = sum(e * int(x) * y for e, x, y in zip(eps, d, fcur))
+    eq = sum(e * x * y for e, x, y in zip(eps, d, fcur))
     eq *= eps[g_term] * (-1) ** len(schedule.steps)
     if eq != 0 and not collect_trajectory:
         return FeasibilityVerdict(
@@ -401,8 +423,7 @@ def iterative_feasible(
         steps_entry = (
             "steps",
             tuple(
-                ([int(x) for x in dd], tok,
-                 [fraction_str(Q(x, scale)) for x in ff])
+                (list(dd), tok, [fraction_str(Q(x, scale)) for x in ff])
                 for dd, tok, ff in traj
             ),
         )
@@ -423,26 +444,19 @@ def iterative_feasible(
 # Orchestration
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def candidate_dimensions(
     graph: StarGraph, cls: GraphClass, bound: int
-) -> list[GVec]:
+) -> list[IVec]:
     """Positive real roots with nondegenerate chains and root entry <= bound,
     sorted by root entry then lexicographically."""
     if cls.kind != "ExtendedDynkin" or cls.delta is None:
         raise FeasibilityError("candidate scan requires an extended Dynkin graph")
-    return _candidate_dimensions_cached(graph, cls.delta, bound)
-
-
-@functools.lru_cache(maxsize=64)
-def _candidate_dimensions_cached(
-    graph: StarGraph, delta: GVec, bound: int
-) -> list[GVec]:
-    cls = classify(graph)
     out = set()
     for base in all_series_bases(graph, cls):
         k = 0
         while True:
-            member = tuple(b + k * d for b, d in zip(base, delta))
+            member = tuple(b + k * d for b, d in zip(base, cls.delta))
             if member[graph.root] > bound:
                 break
             if is_positive_vector(member) and nondegenerate_dim(graph, member):
@@ -483,7 +497,8 @@ def solve(
             False,
         )
     candidates = candidate_dimensions(graph, cls, scan_bound)
-    delta_n0 = int(cls.delta[graph.root]) if cls.delta else 0
+    delta_n0 = cls.delta[graph.root]
+    fint, scale = _scaled_character(f)
     scanned = 0
     boundary_seen = False
     for d in candidates:
@@ -492,15 +507,17 @@ def solve(
                 return horn
             boundary_seen = boundary_seen or horn.status == "degenerate"
             horn = None
-        try:
-            verdict = iterative_feasible(graph, d, f, collect_trajectory=False)
-        except FeasibilityError:
+        # every candidate b + k*delta is a positive real root, since delta
+        # spans the radical; the stalled ones have no schedule
+        schedule = reduction_schedule(graph, d)
+        if schedule is None:
             continue
+        verdict = _check_schedule(graph, d, schedule, fint, scale, False)
         scanned += 1
         if verdict.feasible:
             return FeasibilityVerdict(
                 status="feasible",
-                branch_taken=f"iterative(d={[int(x) for x in d]})",
+                branch_taken=f"iterative(d={list(d)})",
                 witness_dimension=verdict.witness_dimension,
                 certificate=verdict.certificate,
             )

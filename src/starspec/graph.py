@@ -3,19 +3,20 @@
 A star graph is a tree with one root of degree n and n simple paths
 (branches) attached.  Vertices are integers in a fixed canonical order:
 branch 1 from leaf to innermost vertex, then branch 2, and so on, with the
-root last.  All vectors on the graph ("G-vectors") are tuples of rationals
-in that order.
+root last.  All vectors on the graph ("G-vectors") are tuples in that
+order: dimension vectors and roots hold ints, characters hold rationals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Literal, Optional, Sequence
 
-from .rational import Q, QMat, QVec, is_positive_definite, nullspace, qvec
+from .rational import Q, QMat, QVec, qvec
 
 GVec = QVec
+IVec = tuple[int, ...]
 
 ODD = "odd"
 EVEN = "even"
@@ -32,8 +33,9 @@ class StarGraph:
 
     ``branches[b]`` lists vertex indices of branch ``b`` from the leaf
     inward; ``root`` is the last index.  ``parity[v]`` alternates along each
-    branch so that every edge joins an odd and an even vertex; ``edges``
-    lists each edge once, branch by branch, the root edge last.
+    branch so that every edge joins an odd and an even vertex; ``odd`` and
+    ``even`` list the two parity classes in vertex order; ``edges`` lists
+    each edge once, branch by branch, the root edge last.
     """
 
     branch_lengths: tuple[int, ...]
@@ -41,6 +43,8 @@ class StarGraph:
     root: int = field(repr=False)
     neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
     parity: tuple[Parity, ...] = field(repr=False)
+    odd: tuple[int, ...] = field(repr=False)
+    even: tuple[int, ...] = field(repr=False)
     edges: tuple[tuple[int, int], ...] = field(repr=False)
 
     @property
@@ -48,10 +52,10 @@ class StarGraph:
         return self.root + 1
 
     def odd_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n_vertices) if self.parity[v] == ODD)
+        return self.odd
 
     def even_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n_vertices) if self.parity[v] == EVEN)
+        return self.even
 
     def vertex_label(self, v: int) -> str:
         if v == self.root:
@@ -94,6 +98,8 @@ def build_star(branch_lengths: Sequence[int]) -> StarGraph:
         root=root,
         neighbors=tuple(tuple(ns) for ns in nbr),
         parity=tuple(parity),
+        odd=tuple(v for v, p in enumerate(parity) if p == ODD),
+        even=tuple(v for v, p in enumerate(parity) if p == EVEN),
         edges=tuple(edges),
     )
 
@@ -107,8 +113,8 @@ def gvector(graph: StarGraph, entries: Sequence) -> GVec:
     return v
 
 
-def unit_vector(graph: StarGraph, v: int) -> GVec:
-    return tuple(Q(int(i == v)) for i in range(graph.n_vertices))
+def unit_vector(graph: StarGraph, v: int) -> IVec:
+    return tuple(int(i == v) for i in range(graph.n_vertices))
 
 
 def is_positive_vector(x: GVec) -> bool:
@@ -116,17 +122,18 @@ def is_positive_vector(x: GVec) -> bool:
     return any(e != 0 for e in x) and all(e >= 0 for e in x)
 
 
-def tits_form(graph: StarGraph, x: GVec) -> Fraction:
-    """q(x) = sum x_i^2 - sum over edges x_i x_j (each edge once)."""
+def tits_form(graph: StarGraph, x: GVec) -> int | Fraction:
+    """q(x) = sum x_i^2 - sum over edges x_i x_j (each edge once); an int on
+    integer vectors."""
     if len(x) != graph.n_vertices:
         raise GraphError("vector/graph mismatch")
     s = sum(e * e for e in x)
     for a, b in graph.edges:
         s -= x[a] * x[b]
-    return Fraction(s)
+    return s
 
 
-def bilinear_form(graph: StarGraph, x: GVec, y: GVec) -> Fraction:
+def bilinear_form(graph: StarGraph, x: GVec, y: GVec) -> int | Fraction:
     """(x, y) = q(x+y) - q(x) - q(y); symmetric, with (x,x) = 2 q(x)."""
     if len(x) != graph.n_vertices or len(y) != graph.n_vertices:
         raise GraphError("vector/graph mismatch")
@@ -159,9 +166,9 @@ class GraphClass:
 
     kind: Literal["Dynkin", "ExtendedDynkin", "Wild"]
     name: Optional[str] = None
-    delta: Optional[GVec] = None
+    delta: Optional[IVec] = None
     extending: Optional[tuple[int, ...]] = None
-    witness: Optional[GVec] = None
+    witness: Optional[IVec] = None
 
 
 def _dynkin_name(lengths: tuple[int, ...]) -> str:
@@ -193,59 +200,41 @@ def _extended_name(lengths: tuple[int, ...]) -> str:
     raise GraphError(f"unexpected extended Dynkin arm profile {arms}")
 
 
-def _ramp_witness(graph: StarGraph) -> GVec:
-    """Nonnegative integer vector with q < 0 on every wild star.
+def _ramp(graph: StarGraph) -> tuple[IVec, int]:
+    """Ramp vector and N (2 - n + sum 1/p_j), which has the sign of its
+    form value.
 
     The root gets N = lcm of the arm lengths p_j = m_j + 1; each branch
-    ramps linearly down toward the leaf.  A direct computation gives
-    q = (N^2/2) (2 - n + sum 1/p_j), negative exactly in the wild range.
+    ramps linearly down toward the leaf, N (p_j - t) / p_j at distance t
+    from the root.  A direct computation gives
+    q = (N^2/2) (2 - n + sum 1/p_j), the finite / affine / indefinite
+    trichotomy of Kac, Infinite Dimensional Lie Algebras, ch. 4.
     """
     ps = [m + 1 for m in graph.branch_lengths]
-    big = 1
-    for p in ps:
-        big = big * p // gcd(big, p)
-    x = [Q(0)] * graph.n_vertices
-    x[graph.root] = Q(big)
+    big = lcm(*ps)
+    x = [0] * graph.n_vertices
+    x[graph.root] = big
     for path, p in zip(graph.branches, ps):
-        for t, v in enumerate(path):
-            dist = len(path) - t
-            x[v] = Q(big * (p - dist), p)
-    return tuple(x)
+        for dist, v in enumerate(reversed(path), 1):
+            x[v] = big // p * (p - dist)
+    return tuple(x), (2 - len(ps)) * big + sum(big // p for p in ps)
 
 
 def classify(graph: StarGraph) -> GraphClass:
-    """Classify by exact positive (semi)definiteness of the form."""
-    m = form_matrix(graph)
-    if is_positive_definite(m):
+    """Classify by the sign of 2 - n + sum 1/p_j on the ramp vector.
+
+    Positive: the form is positive definite.  Zero: the ramp vector spans
+    the radical and is delta (its gcd is 1 on the four extended stars).
+    Negative: the ramp vector is a nonnegative witness with q < 0.
+    """
+    ramp, sign = _ramp(graph)
+    if sign > 0:
         return GraphClass(kind="Dynkin", name=_dynkin_name(graph.branch_lengths))
-    kernel = nullspace(m)
-    if len(kernel) == 1:
-        v = kernel[0]
-        denom = 1
-        for e in v:
-            denom = denom * e.denominator // gcd(denom, e.denominator)
-        ints = [int(e * denom) for e in v]
-        g = 0
-        for e in ints:
-            g = gcd(g, abs(e))
-        ints = [e // g for e in ints]
-        if ints[graph.root] < 0:
-            ints = [-e for e in ints]
-        delta = tuple(Q(e) for e in ints)
-        # semidefinite iff definite on a complement of the radical
-        pivot = next(i for i, e in enumerate(delta) if e != 0)
-        keep = [i for i in range(graph.n_vertices) if i != pivot]
-        sub = tuple(tuple(m[i][j] for j in keep) for i in keep)
-        if is_positive_vector(delta) and is_positive_definite(sub):
-            extending = tuple(i for i, e in enumerate(delta) if e == 1)
-            return GraphClass(
-                kind="ExtendedDynkin",
-                name=_extended_name(graph.branch_lengths),
-                delta=delta,
-                extending=extending,
-            )
-    witness = _ramp_witness(graph)
-    q = tits_form(graph, witness)
-    if q >= 0:
-        raise GraphError("classification failed: no wild witness found")
-    return GraphClass(kind="Wild", witness=witness)
+    if sign == 0:
+        return GraphClass(
+            kind="ExtendedDynkin",
+            name=_extended_name(graph.branch_lengths),
+            delta=ramp,
+            extending=tuple(i for i, e in enumerate(ramp) if e == 1),
+        )
+    return GraphClass(kind="Wild", witness=ramp)

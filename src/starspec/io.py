@@ -34,14 +34,26 @@ def rational_in(v) -> Fraction:
     return parse_fraction(v)
 
 
+def int_in(v) -> int:
+    """An integer, as a JSON integer or an integral 'p/q' string; bools,
+    floats and non-integral values are rejected."""
+    try:
+        x = rational_in(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise IOError_(f"expected an integer, got {v!r}") from None
+    if x.denominator != 1:
+        raise IOError_(f"expected an integer, got {v!r}")
+    return int(x)
+
+
 def gvec_out(x: GVec) -> list:
     return [rational_out(v) for v in x]
 
 
-def gvec_in(graph: StarGraph, data) -> GVec:
+def gvec_in(graph: StarGraph, data, read=rational_in) -> GVec:
     if not isinstance(data, list) or len(data) != graph.n_vertices:
         raise IOError_("vector must be an array in canonical vertex order")
-    return tuple(rational_in(v) for v in data)
+    return tuple(read(v) for v in data)
 
 
 def instance_to_dict(inst: SpectralInstance) -> dict:
@@ -84,8 +96,8 @@ def gen_dim_to_dict(n: GeneralizedDimension) -> dict:
 def gen_dim_from_dict(data: dict) -> GeneralizedDimension:
     try:
         return GeneralizedDimension(
-            n0=int(data["n0"]),
-            branches=tuple(tuple(int(v) for v in b) for b in data["branches"]),
+            n0=int_in(data["n0"]),
+            branches=tuple(tuple(int_in(v) for v in b) for b in data["branches"]),
         )
     except (KeyError, TypeError, ValueError):
         raise IOError_("dimension file needs integer 'n0' and 'branches'")
@@ -130,7 +142,7 @@ def algebra_rep_to_dict(rep: AlgebraRep, metadata: Optional[dict] = None) -> dic
 def algebra_rep_from_dict(data: dict) -> AlgebraRep:
     try:
         inst = instance_from_dict(data["instance"])
-        n0 = int(data["n0"])
+        n0 = int_in(data["n0"])
         projections = tuple(
             tuple(matrix_in(p) for p in branch) for branch in data["projections"]
         )
@@ -158,7 +170,7 @@ def graph_rep_to_dict(rep: GraphRep, metadata: Optional[dict] = None) -> dict:
 def graph_rep_from_dict(data: dict) -> GraphRep:
     try:
         graph = build_star(data["branches"])
-        dims = tuple(int(v) for v in data["dims"])
+        dims = tuple(int_in(v) for v in data["dims"])
         ops = {}
         for key, mat in data["edges"].items():
             far, near = (int(p) for p in key.split(","))

@@ -1,8 +1,9 @@
 """Exact rational linear algebra on small dense matrices.
 
-Everything in the classification and feasibility layers runs over
-``fractions.Fraction`` so that verdicts are exact.  Matrices are tuples of
-tuples; vectors are tuples.  Sizes here are tiny (the number of graph
+Characters, spectra and the condition matrices of the closed-form route are
+``fractions.Fraction`` so that verdicts are exact; dimension vectors and
+roots are plain ints and need none of this.  Matrices are tuples of tuples;
+vectors are tuples.  Sizes here are tiny (the number of graph
 vertices), so no attempt is made to be clever.
 """
 from __future__ import annotations
@@ -93,50 +94,6 @@ def determinant(a: QMat) -> Fraction:
                 f = m[r][c] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return det
-
-
-def nullspace(a: QMat) -> list[QVec]:
-    """Basis of the right kernel, via reduced row echelon form."""
-    if not a:
-        return []
-    rows, cols = len(a), len(a[0])
-    m = [list(r) for r in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        d = m[r][c]
-        m[r] = [v / d for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Q(0)] * cols
-        v[fc] = Q(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def is_positive_definite(a: QMat) -> bool:
-    """Sylvester criterion on a symmetric rational matrix."""
-    n = len(a)
-    for k in range(1, n + 1):
-        minor = tuple(tuple(a[i][j] for j in range(k)) for i in range(k))
-        if determinant(minor) <= 0:
-            return False
-    return True
 
 
 def parse_fraction(s) -> Fraction:

@@ -25,13 +25,11 @@ from .coxeter import (
     DimCharPair,
     Token,
     char_transport_down,
-    char_transport_up,
     coxeter_char,
     reduction_schedule,
 )
-from .feasibility import FeasibilityError, horn_check_e6, iterative_feasible, on_hyperplane
-from .graph import GVec, StarGraph
-from .rational import Q
+from .feasibility import FeasibilityError, horn_check_e6, iterative_feasible
+from .graph import GVec, IVec, StarGraph
 from .transfer import (
     GeneralizedDimension,
     SpectralInstance,
@@ -79,8 +77,8 @@ class GraphRep:
             out += m @ m.conj().T
         return out
 
-    def dimension_vector(self) -> GVec:
-        return tuple(Q(d) for d in self.dims)
+    def dimension_vector(self) -> IVec:
+        return self.dims
 
     def copy(self) -> "GraphRep":
         return GraphRep(
@@ -134,14 +132,15 @@ def reflect_rep(
     locally scalar with the transformed pair.
     """
     d, f = pair
-    if tuple(int(v) for v in d) != tuple(rep.dims):
+    if tuple(d) != rep.dims:
         raise RepError("pair dimension does not match the representation")
-    new_pair = coxeter_char(graph, token, pair)  # validates the domain
+    # validates the domain; rep.dims equals d and keeps the new dims ints
+    new_pair = coxeter_char(graph, token, DimCharPair(rep.dims, f))
     act = graph.even_vertices() if token == EVEN else graph.odd_vertices()
-    new_dims = [int(v) for v in new_pair.d]
+    new_dims = new_pair.d
     new_rep = GraphRep(
         graph=graph,
-        dims=tuple(new_dims),
+        dims=new_dims,
         ops={},
         character=new_pair.f,
     )
@@ -179,28 +178,16 @@ def build_graph_rep(graph: StarGraph, d: GVec, f: GVec) -> GraphRep:
     """
     verdict = iterative_feasible(graph, d, f, collect_trajectory=False)
     if not verdict.feasible:
-        raise FeasibilityError(
-            f"({[int(x) for x in d]}, f) is not feasible: {verdict.status}"
-        )
+        raise FeasibilityError(f"({list(d)}, f) is not feasible: {verdict.status}")
     schedule = reduction_schedule(graph, d)
     assert schedule is not None
     f_term = char_transport_down(graph, schedule, f)
-    chars = char_transport_up(graph, schedule, f_term)  # ascending
     rep = simple_rep(graph, schedule.terminal, character=f_term)
-    for i, (dcur, token) in enumerate(reversed(schedule.steps)):
-        low_d = _dim_after(graph, dcur, token)
-        pair = DimCharPair(low_d, chars[i])
-        rep = reflect_rep(graph, token, rep, pair)
-        if tuple(int(v) for v in dcur) != rep.dims:
+    for dcur, token in reversed(schedule.steps):
+        rep = reflect_rep(graph, token, rep, DimCharPair(rep.dims, rep.character))
+        if dcur != rep.dims:
             raise RepError("upward replay left the expected trajectory")
-        rep.character = chars[i + 1]
     return rep
-
-
-def _dim_after(graph: StarGraph, dcur: GVec, token: Token) -> GVec:
-    from .coxeter import coxeter_dim
-
-    return coxeter_dim(graph, token, dcur)
 
 
 def canonicalize(graph: StarGraph, rep: GraphRep) -> GraphRep:
@@ -284,11 +271,10 @@ def to_algebra_rep(
         raise RepError("to_algebra_rep needs the representation character")
     if inst is None:
         inst = chi_from_char(graph, rep.character)
-    dvec = rep.dimension_vector()
-    if not nondegenerate_dim(graph, dvec):
+    if not nondegenerate_dim(graph, rep.dims):
         raise RepError("representation dimension is degenerate")
-    n = n_from_dim(graph, dvec)
-    n0 = int(dvec[graph.root])
+    n = n_from_dim(graph, rep.dims)
+    n0 = rep.dims[graph.root]
     branch_projs: list[tuple[np.ndarray, ...]] = []
     for j, path in enumerate(graph.branches):
         inner = path[-1]
@@ -438,11 +424,6 @@ def build_hyperplane_rep(
     """
     if inst.branch_lengths != (2, 2, 2):
         raise FeasibilityError("hyperplane constructor applies to the (2,2,2) star")
-    from .feasibility import e6_graph
-
-    graph = e6_graph()
-    if not on_hyperplane(graph, inst):
-        raise FeasibilityError("instance is off the hyperplane")
     check = horn_check_e6(inst)
     if not check.feasible:
         raise FeasibilityError(f"instance is not Horn-feasible: {check.status}")

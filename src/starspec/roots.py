@@ -19,11 +19,11 @@ from .graph import (
     GraphClass,
     GraphError,
     GVec,
+    IVec,
     StarGraph,
     is_positive_vector,
     tits_form,
 )
-from .rational import Q
 
 
 class RootError(ValueError):
@@ -32,7 +32,7 @@ class RootError(ValueError):
 
 @dataclass(frozen=True)
 class Root:
-    vector: GVec
+    vector: IVec
     kind: Literal["real", "imaginary"]
     sign: Literal["positive", "negative"]
 
@@ -65,7 +65,7 @@ def classify_root(graph: StarGraph, x: GVec) -> Root:
         sign = "negative"
     else:
         raise RootError(f"root {x} is neither positive nor negative")
-    return Root(vector=tuple(Q(e) for e in x), kind=kind, sign=sign)
+    return Root(vector=tuple(int(e) for e in x), kind=kind, sign=sign)
 
 
 def default_extending_vertex(cls: GraphClass) -> int:
@@ -80,7 +80,7 @@ def fundamental_roots(
     extending: Optional[int] = None,
     include_negative: bool = False,
     include_zero: bool = False,
-) -> list[GVec]:
+) -> list[IVec]:
     """All coset representatives with zero entry at the extending vertex.
 
     Returns the positive representatives (componentwise bounded by delta) in
@@ -95,15 +95,11 @@ def fundamental_roots(
         raise RootError(f"vertex {e} is not an extending vertex")
     ranges = []
     for i, dmax in enumerate(cls.delta):
-        ranges.append([0] if i == e else range(int(dmax) + 1))
-    out = []
-    for cand in itertools.product(*ranges):
-        if tits_form(graph, cand) == 1:
-            out.append(tuple(Q(v) for v in cand))
-    out.sort()
-    result: list[GVec] = []
+        ranges.append([0] if i == e else range(dmax + 1))
+    out = [c for c in itertools.product(*ranges) if tits_form(graph, c) == 1]
+    result: list[IVec] = []
     if include_zero:
-        result.append(tuple(Q(0) for _ in range(graph.n_vertices)))
+        result.append((0,) * graph.n_vertices)
     result.extend(out)
     if include_negative:
         result.extend(tuple(-v for v in x) for x in out)
@@ -173,7 +169,7 @@ def branch_permutation(graph: StarGraph, x: GVec, perm: Sequence[int]) -> GVec:
     """Push a G-vector along a permutation of equal-length branches."""
     if sorted(graph.branch_lengths[p] for p in perm) != sorted(graph.branch_lengths):
         raise GraphError("permutation does not preserve branch lengths")
-    out = [Q(0)] * graph.n_vertices
+    out = [0] * graph.n_vertices
     out[graph.root] = x[graph.root]
     for b, src in enumerate(perm):
         if graph.branch_lengths[b] != graph.branch_lengths[src]:
@@ -206,7 +202,7 @@ def singular_and_regular_series(
         hit = False
         # a series is singular iff some member (shifted into the positive
         # cone) admits a reduction schedule
-        for k in range(-3, int(sum(cls.delta)) + 3):
+        for k in range(-3, sum(cls.delta) + 3):
             member = tuple(b + k * d for b, d in zip(base, cls.delta))
             if not is_positive_vector(member):
                 continue

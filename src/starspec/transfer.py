@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graph import GVec, StarGraph
+from .graph import GVec, IVec, StarGraph
 from .rational import Q, QMat, parse_fraction
 
 
@@ -181,15 +181,15 @@ def _dim_windows(m: int) -> list[tuple[int, int]]:
     return windows
 
 
-def dim_from_n(graph: StarGraph, n: GeneralizedDimension) -> GVec:
+def dim_from_n(graph: StarGraph, n: GeneralizedDimension) -> IVec:
     """Graph dimension from ranks: nested alternating-ends window sums."""
     _check_graph(graph, [len(b) for b in n.branches])
-    d = [Q(0)] * graph.n_vertices
-    d[graph.root] = Q(n.n0)
+    d = [0] * graph.n_vertices
+    d[graph.root] = n.n0
     for path, ranks in zip(graph.branches, n.branches):
         m = len(ranks)
         for i, (lo, hi) in enumerate(_dim_windows(m)):
-            d[path[m - 1 - i]] = Q(sum(ranks[lo:hi + 1]))
+            d[path[m - 1 - i]] = sum(ranks[lo:hi + 1])
     return tuple(d)
 
 
@@ -234,7 +234,7 @@ def nondegenerate_dim(graph: StarGraph, d: GVec) -> bool:
     if d0 <= 0:
         return False
     for path in graph.branches:
-        prev = Q(0)
+        prev = 0
         for v in path:
             if d[v] <= prev:
                 return False

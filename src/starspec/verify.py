@@ -39,8 +39,8 @@ def verify_graph_rep(
     """Dimension match and scalarity of every vertex operator."""
     checks = []
     if d is not None:
-        ok = tuple(int(v) for v in d) == tuple(rep.dims)
-        checks.append(("dimension", ok, f"{rep.dims} vs {tuple(int(v) for v in d)}"))
+        ok = tuple(d) == rep.dims
+        checks.append(("dimension", ok, f"{rep.dims} vs {tuple(d)}"))
     f = f if f is not None else rep.character
     if f is None:
         checks.append(("character", False, "no character available"))

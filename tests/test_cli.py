@@ -132,6 +132,36 @@ def test_construct_with_dimension_file(capsys, tmp_path, e6, rng):
     assert json.loads(out)["overall"] is True
 
 
+@pytest.mark.parametrize("dimension", [
+    ["1/2", 1, 1, 1, 1, 1, 1],
+    {"n0": 3.9, "branches": [[1, 1], [1, 1], [1, 1]]},
+    {"n0": True, "branches": [[1, 1], [1, 1], [1, 1]]},
+    {"n0": 3, "branches": [[1, 1], [1, 1.0], [1, 1]]},
+])
+def test_construct_rejects_non_integer_dimension(capsys, tmp_path, dimension):
+    inst = write_instance(tmp_path, "inst.json", [[5, 2], [5, 2], [5, 2]], 7)
+    dim = tmp_path / "dim.json"
+    dim.write_text(json.dumps(dimension))
+    code, out, err = run_cli(capsys, "construct", "--instance", inst,
+                             "--dimension", str(dim))
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "IOError_"
+
+
+def test_verify_rejects_non_integer_n0(capsys, tmp_path):
+    inst = write_instance(tmp_path, "inst.json", [[2, 1], [2, 1], [2, 1]], 3)
+    rep = tmp_path / "rep.json"
+    run_cli(capsys, "construct", "--instance", inst, "-o", str(rep))
+    data = json.loads(rep.read_text())
+    data["n0"] = 3.5
+    rep.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--rep", str(rep))
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "IOError_"
+
+
 def test_solve_batch(capsys, tmp_path):
     write_instance(tmp_path, "a.json", [[2, 1], [2, 1], [2, 1]], 3)
     write_instance(tmp_path, "b.json", [[10, 1], [2, 1], [2, 1]], "17/3")

@@ -413,3 +413,81 @@ def test_solve_witnesses_are_constructible(e6, rng):
             arep = to_algebra_rep(e6, build_graph_rep(e6, d, f), inst)
         assert verify_algebra_rep(arep).overall
         assert arep.generalized_dimension() == verdict.witness_dimension
+
+
+def _solve_by_public_checks(g, inst, bound):
+    """Off-hyperplane scan through the public ``iterative_feasible``: every
+    candidate in order, skipping those it rejects for lack of a schedule.
+    This is the loop ``solve`` ran before it scaled the character once."""
+    from starspec import FeasibilityVerdict, classify
+
+    f = char_from_chi(g, inst)
+    scanned = 0
+    boundary_seen = False
+    for d in candidate_dimensions(g, classify(g), bound):
+        try:
+            v = iterative_feasible(g, d, f, collect_trajectory=False)
+        except FeasibilityError:
+            continue
+        scanned += 1
+        if v.feasible:
+            return FeasibilityVerdict(
+                status="feasible", branch_taken=f"iterative(d={[int(x) for x in d]})",
+                witness_dimension=v.witness_dimension, certificate=v.certificate,
+            )
+        boundary_seen = boundary_seen or v.status == "degenerate"
+    return FeasibilityVerdict(
+        status="degenerate" if boundary_seen else "infeasible",
+        branch_taken="exhausted",
+        certificate=((
+            "exhausted_scan",
+            f"no feasible real-root dimension with root entry <= {bound} "
+            f"({scanned} candidates tested)",
+            True,
+        ),),
+    )
+
+
+def test_solve_matches_public_check_loop(rng):
+    """solve gives the verdict JSON of the public per-candidate loop on
+    random and built-feasible off-hyperplane instances of all four stars."""
+    from starspec import char_transport_up, chi_from_char, classify
+    from starspec.io import dumps, verdict_to_dict
+
+    bound = 10
+    feasible = 0
+    for lengths in ([1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]):
+        g = build_star(lengths)
+        cands = [
+            d for d in candidate_dimensions(g, classify(g), bound)
+            if reduction_schedule(g, d) is not None
+        ]
+        instances = []
+        while len(instances) < 8:
+            vals = sorted({rng.randint(1, 60) for _ in range(sum(lengths) + 3)},
+                          reverse=True)
+            if len(vals) < sum(lengths):
+                continue
+            spectra, i = [], 0
+            for m in lengths:
+                spectra.append(vals[i:i + m])
+                i += m
+            instances.append(make_instance(spectra, rng.randint(1, 90)))
+        while len(instances) < 16:
+            d = rng.choice(cands)
+            sched = reduction_schedule(g, d)
+            f_term = [Q(rng.randint(1, 30), rng.choice((1, 2))) for _ in d]
+            f_term[sched.terminal] = Q(0)
+            try:
+                instances.append(
+                    chi_from_char(g, char_transport_up(g, sched, tuple(f_term))[-1]))
+            except Exception:
+                continue
+        for inst in instances:
+            if on_hyperplane(g, inst):
+                continue
+            got = verdict_to_dict(solve(g, inst, scan_bound=bound))
+            want = verdict_to_dict(_solve_by_public_checks(g, inst, bound))
+            assert dumps(got) == dumps(want), (lengths, inst)
+            feasible += got["feasible"]
+    assert feasible >= 20

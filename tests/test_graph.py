@@ -151,3 +151,71 @@ def test_delta_minus_extending_is_highest_root(e6, e6_class):
     for v in e6_class.extending:
         x = tuple(d - e for d, e in zip(e6_class.delta, unit_vector(e6, v)))
         assert tits_form(e6, x) == 1
+
+
+def _sylvester_kind(g):
+    """Reference classification from the leading principal minors of the
+    form matrix.  The first n-1 vertices are disjoint paths, so those minors
+    are always positive and the sign of the full determinant decides:
+    positive definite, semidefinite with a one-dimensional radical, or
+    indefinite."""
+    from starspec.graph import form_matrix
+    from starspec.rational import determinant
+
+    m = form_matrix(g)
+    minors = [
+        determinant(tuple(row[:k] for row in m[:k])) for k in range(1, len(m) + 1)
+    ]
+    assert all(v > 0 for v in minors[:-1])
+    if minors[-1] > 0:
+        return "Dynkin"
+    return "ExtendedDynkin" if minors[-1] == 0 else "Wild"
+
+
+def test_classify_matches_sylvester_reference():
+    """Closed-form classify agrees with the exact Sylvester test on every
+    star with 1-5 branches of length 1-5, and its delta and witness carry
+    their certificates."""
+    from itertools import combinations_with_replacement
+    from math import gcd
+
+    from starspec.graph import form_matrix
+    from starspec.rational import mat_vec
+
+    shapes = [
+        s for k in range(1, 6) for s in combinations_with_replacement(range(1, 6), k)
+    ]
+    assert len(shapes) == 251
+    seen = set()
+    for shape in shapes:
+        g = build_star(shape)
+        cls = classify(g)
+        assert cls.kind == _sylvester_kind(g), shape
+        seen.add(cls.kind)
+        if cls.kind == "ExtendedDynkin":
+            delta = cls.delta
+            assert all(type(v) is int and v > 0 for v in delta)
+            assert gcd(*delta) == 1
+            assert mat_vec(form_matrix(g), delta) == (0,) * g.n_vertices
+            assert cls.extending == tuple(i for i, v in enumerate(delta) if v == 1)
+        if cls.kind == "Wild":
+            assert is_positive_vector(cls.witness)
+            assert tits_form(g, cls.witness) < 0
+    assert seen == {"Dynkin", "ExtendedDynkin", "Wild"}
+
+
+def test_integer_vectors_are_ints():
+    """Dimension-side vectors are ints, not integral Fractions."""
+    from starspec import fundamental_roots
+    from starspec.feasibility import candidate_dimensions
+
+    for lengths in ([1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]):
+        g = build_star(lengths)
+        cls = classify(g)
+        vectors = (
+            [cls.delta, unit_vector(g, 0)]
+            + fundamental_roots(g, cls, include_negative=True, include_zero=True)
+            + candidate_dimensions(g, cls, 12)
+        )
+        for v in vectors:
+            assert all(type(e) is int for e in v), (lengths, v)

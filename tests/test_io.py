@@ -14,6 +14,7 @@ from starspec.io import (
     graph_rep_to_dict,
     instance_from_dict,
     instance_to_dict,
+    int_in,
     matrix_in,
     matrix_out,
     rational_in,
@@ -30,6 +31,27 @@ def test_rational_io():
         rational_in(0.5)
     with pytest.raises(IOError_):
         rational_in(True)
+
+
+def test_int_io():
+    assert int_in(4) == 4 and type(int_in(4)) is int
+    assert int_in("6/2") == 3
+    for bad in (True, 3.0, 3.9, "1/2", "x", None, [1]):
+        with pytest.raises(IOError_):
+            int_in(bad)
+
+
+def test_integer_fields_reject_non_integers():
+    g = build_star([2, 2, 2])
+    data = json.loads(dumps(graph_rep_to_dict(simple_rep(g, g.root))))
+    for bad in ([0, 0, 0, 0, 0, 0, 1.0], [0, 0, 0, 0, 0, 0, True]):
+        with pytest.raises(IOError_):
+            graph_rep_from_dict(dict(data, dims=bad))
+    inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
+    rep = algebra_rep_to_dict(build_hyperplane_rep(inst, seed=0))
+    for bad in (3.0, True, "7/2"):
+        with pytest.raises(IOError_):
+            algebra_rep_from_dict(dict(rep, n0=bad))
 
 
 def test_instance_roundtrip():

@@ -29,18 +29,22 @@ def rational_out(x: Fraction):
 
 
 def rational_in(v) -> Fraction:
+    """A rational, as a JSON integer or a 'p/q' string; bools, floats,
+    other types, malformed strings and zero denominators are rejected."""
     if isinstance(v, bool) or isinstance(v, float):
         raise IOError_(f"rationals must be integers or 'p/q' strings, got {v!r}")
-    return parse_fraction(v)
+    try:
+        return parse_fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise IOError_(
+            f"rationals must be integers or 'p/q' strings, got {v!r}"
+        ) from None
 
 
 def int_in(v) -> int:
     """An integer, as a JSON integer or an integral 'p/q' string; bools,
     floats and non-integral values are rejected."""
-    try:
-        x = rational_in(v)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise IOError_(f"expected an integer, got {v!r}") from None
+    x = rational_in(v)
     if x.denominator != 1:
         raise IOError_(f"expected an integer, got {v!r}")
     return int(x)

@@ -2,8 +2,15 @@
 
 Everything here recomputes properties from the raw matrices: scalarity of
 vertex operators, projection axioms, spectra, the exact rank-level trace
-identity, and irreducibility via the dimension of the commutant (the
-solution space of the full intertwining system).
+identity, and irreducibility via the dimension of the commutant.
+
+For a tuple of projections the commutant (X with PX = XP for every given P)
+is found on a shrinking basis instead of one stacked k n0^2 x n0^2 system:
+it starts from the block-diagonal matrices in the first projection's
+eigenbasis, or from all n0^2 matrix units when that matrix is not
+Hermitian, and each further P cuts the basis to the nullspace of
+X -> PX - XP.  Graph representations solve the full commuting-square
+system in one SVD.  Every rank uses the same relative floor (`_rank`).
 """
 from __future__ import annotations
 
@@ -190,26 +197,50 @@ def hom_dimension(rep1: GraphRep, rep2: GraphRep, tol: float = 1e-8) -> int:
         return 0
     if system.shape[0] == 0:
         return total
-    s = np.linalg.svd(system, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * max(smax, 1.0)))
-    return total - rank
+    return total - _rank(np.linalg.svd(system, compute_uv=False), tol)
 
 
 def commutant_dimension(
     rep: Union[AlgebraRep, GraphRep], tol: float = 1e-8
 ) -> int:
-    """Dimension of the self-intertwiner space; 1 means irreducible."""
+    """Dimension of the self-intertwiner space; 1 means irreducible.
+
+    For an AlgebraRep this is the dimension of the space of X with
+    PX = XP for every given matrix P, found on a basis of candidate X that
+    shrinks as each matrix is imposed.  When the first matrix is Hermitian
+    within ``tol``, its eigendecomposition gives the start: eigenvalues are
+    cut into clusters wherever neighbours differ by more than
+    ``tol * max(|lambda|_max, 1)``, and X commuting with it is
+    block-diagonal over the clusters, so the start has sum r_i^2 matrix
+    units (r_i the cluster sizes) in its eigenbasis.  Otherwise the start
+    is all n0^2 matrix units and the first matrix is imposed like the rest.
+    Each further P maps the basis through X -> PX - XP, and the basis
+    becomes the nullspace of that n0^2 x m image (singular values at or
+    below ``tol * max(s_max, 1)`` count as zero).  The result is the number
+    of basis matrices left.
+    """
     if isinstance(rep, GraphRep):
         return hom_dimension(rep, rep, tol)
-    mats = [p for branch in rep.projections for p in branch]
     n = rep.n0
-    rows = []
-    eye = np.eye(n)
+    mats = [p for branch in rep.projections for p in branch]
+    same_block = np.ones((n, n), bool)
+    if mats and np.abs(mats[0] - mats[0].conj().T).max() <= tol:
+        w, v = np.linalg.eigh(mats[0])
+        cut = tol * max(np.abs(w).max(), 1.0)
+        cluster = np.cumsum(np.r_[0, np.diff(w) > cut])
+        same_block = cluster[:, None] == cluster[None, :]
+        # the commutant dimension does not change under a unitary change of
+        # basis, so the rest is imposed in the first matrix's eigenbasis
+        mats = [v.conj().T @ m @ v for m in mats[1:]]
+    basis = np.eye(n * n)[same_block.ravel()].reshape(-1, n, n)
     for m in mats:
-        rows.append(np.kron(m.T, eye) - np.kron(eye, m))
-    system = np.vstack(rows)
-    s = np.linalg.svd(system, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * max(smax, 1.0)))
-    return n * n - rank
+        image = (m @ basis - basis @ m).reshape(len(basis), n * n).T
+        _, s, vh = np.linalg.svd(image, full_matrices=False)
+        basis = np.tensordot(vh[_rank(s, tol):].conj(), basis, axes=1)
+    return len(basis)
+
+
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Numerical rank from singular values sorted in descending order: the
+    count above ``tol * max(s_max, 1)``."""
+    return int(np.sum(s > tol * max(s[0] if s.size else 0.0, 1.0)))

@@ -24,12 +24,18 @@ def e6_class(e6):
 
 
 def random_feasible_instance(graph, family, k, rng):
-    """Instance feasible in the family's k-th dimension, by construction.
+    """Instance feasible in the family's k-th dimension, by construction."""
+    d = trajectory_dim(graph, family, k)
+    f, inst = feasible_character(graph, d, rng)
+    return d, f, inst
+
+
+def feasible_character(graph, d, rng):
+    """Character and instance feasible in dimension d, by construction.
 
     Draws positive terminal character data, transports it up the schedule,
     and rejects draws whose top character is not a valid instance.
     """
-    d = trajectory_dim(graph, family, k)
     sched = reduction_schedule(graph, d)
     assert sched is not None
     for _ in range(500):
@@ -41,7 +47,7 @@ def random_feasible_instance(graph, family, k, rng):
             inst = chi_from_char(graph, f)
         except Exception:
             continue
-        return d, f, inst
+        return f, inst
     raise AssertionError("could not sample a feasible instance")
 
 

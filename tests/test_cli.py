@@ -162,6 +162,25 @@ def test_verify_rejects_non_integer_n0(capsys, tmp_path):
     assert json.loads(err)["error"] == "IOError_"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("gamma", None),
+    ("spectrum", "abc"),
+    ("spectrum", "1/0"),
+])
+def test_feasible_rejects_bad_rational(capsys, tmp_path, field, value):
+    data = {"branches": [[2, 1], [2, 1], [2, 1]], "gamma": 3}
+    if field == "gamma":
+        data["gamma"] = value
+    else:
+        data["branches"][1][0] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "feasible", "--instance", str(path))
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "IOError_"
+
+
 def test_solve_batch(capsys, tmp_path):
     write_instance(tmp_path, "a.json", [[2, 1], [2, 1], [2, 1]], 3)
     write_instance(tmp_path, "b.json", [[10, 1], [2, 1], [2, 1]], "17/3")

@@ -31,6 +31,11 @@ def test_rational_io():
         rational_in(0.5)
     with pytest.raises(IOError_):
         rational_in(True)
+    for bad in (None, "abc", "1/0", [1]):
+        with pytest.raises(IOError_):
+            rational_in(bad)
+    with pytest.raises(IOError_):
+        instance_from_dict({"branches": [[2, 1], [2, "x"], [2, 1]], "gamma": 3})
 
 
 def test_int_io():

@@ -1,9 +1,14 @@
+import random
+
 import numpy as np
+import pytest
 
 from starspec import (
     FAMILY_ROOT,
     build_graph_rep,
     build_hyperplane_rep,
+    build_star,
+    canonicalize,
     make_instance,
     simple_rep,
     to_algebra_rep,
@@ -13,13 +18,124 @@ from starspec import (
 from starspec.reps import AlgebraRep, GraphRep
 from starspec.verify import commutant_dimension, hom_dimension
 
-from conftest import random_feasible_instance
+from conftest import feasible_character, random_feasible_instance
 
 
 def _unitary(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, _ = np.linalg.qr(z)
     return q
+
+
+def stacked_commutant_dimension(rep: AlgebraRep, tol: float = 1e-8) -> int:
+    """Reference: nullity of the stacked system of PX - XP = 0 over every
+    given matrix P, one dense SVD of k n0^2 x n0^2 (column-major vec)."""
+    n = rep.n0
+    eye = np.eye(n)
+    system = np.vstack([
+        np.kron(p.T, eye) - np.kron(eye, p)
+        for branch in rep.projections for p in branch
+    ])
+    s = np.linalg.svd(system, compute_uv=False)
+    return n * n - int(np.sum(s > tol * max(s[0], 1.0)))
+
+
+# Real-root dimensions with a reduction schedule and strict branch chains,
+# small and medium root entries on each extended star, one with n0 = 15.
+ORACLE_DIMS = {
+    (1, 1, 1, 1): [(2, 1, 1, 1, 3), (5, 4, 4, 4, 9)],
+    (2, 2, 2): [(2, 3, 1, 3, 1, 3, 5), (3, 7, 3, 6, 3, 6, 10)],
+    (1, 3, 3): [(3, 2, 3, 4, 2, 3, 4, 6), (5, 3, 5, 7, 3, 5, 7, 10)],
+    (1, 2, 5): [(2, 2, 4, 1, 2, 3, 4, 5, 6), (5, 3, 7, 2, 4, 5, 7, 9, 11),
+                (7, 5, 10, 2, 5, 8, 10, 12, 15)],
+}
+
+
+def _construction(branches, d, seed=5):
+    g = build_star(branches)
+    f, inst = feasible_character(g, d, random.Random(seed))
+    return to_algebra_rep(g, canonicalize(g, build_graph_rep(g, d, f)), inst)
+
+
+def _direct_sum(inst, *reps):
+    def block(mats):
+        n = sum(m.shape[0] for m in mats)
+        out = np.zeros((n, n), complex)
+        i = 0
+        for m in mats:
+            out[i:i + m.shape[0], i:i + m.shape[0]] = m
+            i += m.shape[0]
+        return out
+
+    return AlgebraRep(
+        instance=inst,
+        n0=sum(r.n0 for r in reps),
+        projections=tuple(
+            tuple(block(ps) for ps in zip(*branches))
+            for branches in zip(*(r.projections for r in reps))
+        ),
+    )
+
+
+ORACLE_CASES = [(b, d) for b, dims in ORACLE_DIMS.items() for d in dims]
+
+
+@pytest.mark.parametrize(
+    "branches,d", ORACLE_CASES,
+    ids=[f"{''.join(map(str, b))}-n0={d[-1]}" for b, d in ORACLE_CASES],
+)
+def test_commutant_matches_stacked_oracle(branches, d):
+    rep = _construction(branches, d)
+    assert rep.n0 == d[-1]
+    assert verify_algebra_rep(rep).overall
+    assert commutant_dimension(rep) == stacked_commutant_dimension(rep) == 1
+
+
+def test_commutant_oracle_reducible_and_rotated():
+    small = _construction((2, 2, 2), (2, 3, 1, 3, 1, 3, 5))
+    other = _construction((2, 2, 2), (3, 7, 3, 6, 3, 6, 10))
+    u = _unitary(small.n0 + other.n0, np.random.default_rng(3))
+    summed = _direct_sum(small.instance, small, other)
+    rotated = AlgebraRep(
+        instance=summed.instance,
+        n0=summed.n0,
+        projections=tuple(
+            tuple(u @ p @ u.conj().T for p in branch)
+            for branch in summed.projections
+        ),
+    )
+    doubled = _direct_sum(other.instance, other, other)
+    for rep, expected in ((summed, 2), (rotated, 2), (doubled, 4)):
+        assert commutant_dimension(rep) == stacked_commutant_dimension(rep)
+        assert commutant_dimension(rep) == expected
+
+
+@pytest.mark.parametrize("shift_first", [False, True])
+def test_commutant_imposes_every_matrix(shift_first):
+    """Each matrix cuts the commutant: the two diagonal projections leave the
+    diagonal matrices, and the shift E_01 then forces x0 == x1.  A shift
+    first is not Hermitian, so the start is the full basis."""
+    inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
+    p1 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    p2 = np.diag([0.0, 1.0, 0.0]).astype(complex)
+    shift = np.zeros((3, 3), complex)
+    shift[0, 1] = 1.0
+    mats = ((shift, p2), (p1,)) if shift_first else ((p1, p2), (shift,))
+    rep = AlgebraRep(instance=inst, n0=3, projections=mats)
+    assert commutant_dimension(rep) == stacked_commutant_dimension(rep) == 2
+
+
+def test_commutant_non_hermitian_first_matrix():
+    """A construction whose first matrix is skewed off Hermitian."""
+    rep = _construction((1, 3, 3), (5, 3, 5, 7, 3, 5, 7, 10))
+    first = rep.projections[0][0]
+    skewed = first + 1e-3 * np.triu(np.ones_like(first), 1)
+    broken = AlgebraRep(
+        instance=rep.instance,
+        n0=rep.n0,
+        projections=((skewed,) + rep.projections[0][1:],) + rep.projections[1:],
+    )
+    assert commutant_dimension(broken) == stacked_commutant_dimension(broken)
 
 
 def test_simple_rep_commutant(e6):
@@ -122,3 +238,4 @@ def test_rank_threshold_flips_with_fault():
         instance=inst, n0=3, projections=((p1, p2), (p1, p2), (p1, p2))
     )
     assert commutant_dimension(flat) == 3
+    assert stacked_commutant_dimension(flat) == 3

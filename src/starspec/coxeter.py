@@ -93,12 +93,9 @@ def check_pair_domain(graph: StarGraph, token: Token, pair: DimCharPair) -> None
             )
 
 
-def coxeter_char(
-    graph: StarGraph, token: Token, pair: DimCharPair, *, check: bool = True
-) -> DimCharPair:
+def coxeter_char(graph: StarGraph, token: Token, pair: DimCharPair) -> DimCharPair:
     """One reflection-functor step on a (dimension, character) pair."""
-    if check:
-        check_pair_domain(graph, token, pair)
+    check_pair_domain(graph, token, pair)
     d, f = pair
     new_d = coxeter_dim(graph, token, d)
     moved = [g for g in _parity_set(graph, _other(token)) if d[g] != 0]

@@ -41,7 +41,7 @@ from .graph import (
     is_positive_vector,
     unit_vector,
 )
-from .rational import Q, QMat, fraction_str, mat_mul, mat_vec
+from .rational import Q, QMat, mat_mul, mat_vec
 from .roots import all_series_bases, is_root
 from .transfer import (
     GeneralizedDimension,
@@ -95,8 +95,8 @@ class Hyperplane:
         for c, nm in zip(self.coefficients[:-1], names[:-1]):
             if c == 0:
                 continue
-            parts.append(nm if c == 1 else f"{fraction_str(c)}*{nm}")
-        rhs = fraction_str(-self.coefficients[-1])
+            parts.append(nm if c == 1 else f"{c}*{nm}")
+        rhs = str(-self.coefficients[-1])
         return " + ".join(parts) + f" = {rhs}*gamma"
 
 
@@ -163,7 +163,7 @@ def horn_check_e6(inst: SpectralInstance) -> FeasibilityVerdict:
         ok = margin > 0
         n_neg += margin < 0
         n_zero += margin == 0
-        cert.append((name, fraction_str(margin), bool(ok)))
+        cert.append((name, str(margin), bool(ok)))
     witness = GeneralizedDimension(n0=3, branches=((1, 1), (1, 1), (1, 1)))
     if n_neg:
         return FeasibilityVerdict(
@@ -307,8 +307,8 @@ def closed_form_e6(
     f = char_from_chi(graph, inst)
     vals = mat_vec(rows, f)
     cert = tuple(
-        (f"condition {i + 1}", fraction_str(v), bool(v > 0)) for i, v in enumerate(vals[:6])
-    ) + (("terminal", fraction_str(vals[6]), vals[6] == 0),)
+        (f"condition {i + 1}", str(v), bool(v > 0)) for i, v in enumerate(vals[:6])
+    ) + (("terminal", str(vals[6]), vals[6] == 0),)
     branch = f"closed_form({family.name}, k={k})"
     if vals[6] != 0 or any(v < 0 for v in vals[:6]):
         return FeasibilityVerdict(status="infeasible", branch_taken=branch,
@@ -372,6 +372,16 @@ def _scaled_character(f: GVec) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in fq], scale
 
 
+def _terminal_value(
+    graph: StarGraph, d: GVec, schedule: ReductionSchedule, fint: list[int]
+) -> int:
+    """Terminal character value of the walk, from the trace identity in
+    ``iterative_feasible``, without walking."""
+    eps = [1 if p == ODD else -1 for p in graph.parity]
+    eq = sum(e * x * y for e, x, y in zip(eps, d, fint))
+    return eq * eps[schedule.terminal] * (-1) ** len(schedule.steps)
+
+
 def _check_schedule(
     graph: StarGraph,
     d: GVec,
@@ -383,13 +393,11 @@ def _check_schedule(
     """The checks of ``iterative_feasible`` on a validated dimension, its
     schedule and the character as ``fcur / scale``."""
     g_term = schedule.terminal
-    eps = [1 if p == ODD else -1 for p in graph.parity]
-    eq = sum(e * x * y for e, x, y in zip(eps, d, fcur))
-    eq *= eps[g_term] * (-1) ** len(schedule.steps)
+    eq = _terminal_value(graph, d, schedule, fcur)
     if eq != 0 and not collect_trajectory:
         return FeasibilityVerdict(
             status="infeasible", branch_taken="iterative",
-            certificate=(("terminal_value", fraction_str(Q(eq, scale)), False),),
+            certificate=(("terminal_value", str(Q(eq, scale)), False),),
         )
     neighbors = graph.neighbors
     odd, even = graph.odd_vertices(), graph.even_vertices()
@@ -417,13 +425,13 @@ def _check_schedule(
     if collect_trajectory:
         traj.append((unit_vector(graph, g_term), "terminal", fcur))
     cert: tuple = (
-        ("terminal_value", fraction_str(Q(eq, scale)), eq == 0),
+        ("terminal_value", str(Q(eq, scale)), eq == 0),
     )
     if collect_trajectory:
         steps_entry = (
             "steps",
             tuple(
-                (list(dd), tok, [fraction_str(Q(x, scale)) for x in ff])
+                (list(dd), tok, [str(Q(x, scale)) for x in ff])
                 for dd, tok, ff in traj
             ),
         )
@@ -512,8 +520,10 @@ def solve(
         schedule = reduction_schedule(graph, d)
         if schedule is None:
             continue
-        verdict = _check_schedule(graph, d, schedule, fint, scale, False)
         scanned += 1
+        if _terminal_value(graph, d, schedule, fint) != 0:
+            continue
+        verdict = _check_schedule(graph, d, schedule, fint, scale, False)
         if verdict.feasible:
             return FeasibilityVerdict(
                 status="feasible",

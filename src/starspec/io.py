@@ -14,7 +14,7 @@ import numpy as np
 
 from .feasibility import FeasibilityVerdict
 from .graph import GVec, StarGraph, build_star
-from .rational import fraction_str, parse_fraction
+from .rational import parse_fraction
 from .reps import AlgebraRep, GraphRep
 from .transfer import GeneralizedDimension, SpectralInstance, make_instance
 
@@ -24,8 +24,7 @@ class IOError_(ValueError):
 
 
 def rational_out(x: Fraction):
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else fraction_str(x)
+    return int(x) if x.denominator == 1 else str(x)
 
 
 def rational_in(v) -> Fraction:
@@ -81,7 +80,8 @@ def instance_from_dict(data: dict) -> SpectralInstance:
 
 
 def matrix_out(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, complex)]
+    m = np.asarray(m, complex)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def matrix_in(data) -> np.ndarray:

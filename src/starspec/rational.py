@@ -105,8 +105,3 @@ def parse_fraction(s) -> Fraction:
     if isinstance(s, str):
         return Fraction(s)
     raise TypeError(f"cannot parse rational from {type(s).__name__}: {s!r}")
-
-
-def fraction_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

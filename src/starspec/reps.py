@@ -33,6 +33,7 @@ from .graph import GVec, IVec, StarGraph
 from .transfer import (
     GeneralizedDimension,
     SpectralInstance,
+    _windows,
     char_from_chi,
     chi_from_char,
     n_from_dim,
@@ -201,12 +202,9 @@ def canonicalize(graph: StarGraph, rep: GraphRep) -> GraphRep:
     """
     if rep.character is None:
         raise RepError("canonicalize needs the representation character")
-    from .transfer import _dim_windows
-
     out = rep.copy()
     for path in graph.branches:
         m = len(path)
-        windows = _dim_windows(m)  # indexed by position from the inner end
         # slot bases at the previously processed (outer) vertex, as an
         # ordered list of orthonormal column blocks in current coordinates
         prev_slots: list[np.ndarray] = [np.eye(out.dims[path[0]], dtype=complex)]
@@ -215,11 +213,10 @@ def canonicalize(graph: StarGraph, rep: GraphRep) -> GraphRep:
             mat = out.gamma(u_vtx, v_vtx)  # H_v -> H_u
             k_basis = _kernel_basis(mat)
             cols: list[np.ndarray] = []
-            # the inward window gains one spectral index at one end; the new
-            # kernel slot sits at that end
-            lo_v, _ = windows[m - 1 - t]
-            lo_u, _ = windows[m - t]
-            drop_front = lo_v < lo_u
+            # v sits at position m - 1 - t and its window holds the one
+            # spectral index that position drops; the new kernel slot sits
+            # at that end, the low end when the position is even
+            drop_front = (m - 1 - t) % 2 == 0
             if drop_front:
                 cols.append(k_basis)
             for slot in prev_slots:
@@ -308,13 +305,11 @@ def from_algebra_rep(graph: StarGraph, arep: "AlgebraRep") -> GraphRep:
     """Forward matrix construction: graph representation from projections.
 
     Branch spaces are direct sums of the projection images grouped by the
-    alternating-ends windows; non-root edge maps are block-diagonal scaled
+    transfer windows; non-root edge maps are block-diagonal scaled
     identities (scalars are spectrum differences against the index the next
     window drops), and root edges stack the image isometries weighted by
     the square roots of the spectrum.
     """
-    from .transfer import _dim_windows, char_from_chi
-
     inst = arep.instance
     if inst.branch_lengths != graph.branch_lengths:
         raise RepError("representation does not match the graph")
@@ -324,37 +319,26 @@ def from_algebra_rep(graph: StarGraph, arep: "AlgebraRep") -> GraphRep:
     ops: dict[tuple[int, int], np.ndarray] = {}
     for j, path in enumerate(graph.branches):
         spec = [float(a) for a in inst.branches[j]]
-        projs = arep.projections[j]
         m = len(path)
+        outward = path[::-1]
         # isometries onto the projection images
         isos = []
-        ranks = []
-        for p in projs:
+        for p in arep.projections[j]:
             evals, evecs = np.linalg.eigh(p)
-            cols = evecs[:, evals > 0.5]
-            isos.append(cols)
-            ranks.append(cols.shape[1])
-        windows = _dim_windows(m)
-        slot_dims = [
-            [ranks[s] for s in range(lo, hi + 1)] for lo, hi in windows
-        ]
-        for i, sd in enumerate(slot_dims):
-            dims[path[m - 1 - i]] = sum(sd)
-        # root edge: H at position 0 (the innermost vertex) into H_0
-        lo0, hi0 = windows[0]
-        blocks = [
-            np.sqrt(spec[s]) * isos[s] for s in range(lo0, hi0 + 1)
-        ]
-        inner = path[-1]
-        ops[(inner, graph.root)] = np.hstack(blocks) if blocks else np.zeros(
-            (n0, 0), complex
+            isos.append(evecs[:, evals > 0.5])
+        ranks = [iso.shape[1] for iso in isos]
+        windows = _windows(m)
+        for v, (lo, hi) in zip(outward, windows):
+            dims[v] = sum(ranks[lo:hi + 1])
+        # root edge: the innermost vertex, window [0, m - 1], into H_0
+        ops[(outward[0], graph.root)] = np.hstack(
+            [np.sqrt(spec[s]) * isos[s] for s in range(m)]
         )
-        # branch edges: position i (near the root) vs position i+1
+        # branch edges: position i (near the root) vs position i + 1
         for i in range(m - 1):
             lo_v, hi_v = windows[i]
             lo_u, hi_u = windows[i + 1]
-            v_vtx = path[m - 1 - i]
-            u_vtx = path[m - 2 - i]
+            v_vtx, u_vtx = outward[i], outward[i + 1]
             mat = np.zeros((dims[u_vtx], dims[v_vtx]), complex)
             row = 0
             for s in range(lo_u, hi_u + 1):
@@ -362,7 +346,7 @@ def from_algebra_rep(graph: StarGraph, arep: "AlgebraRep") -> GraphRep:
                     scal = np.sqrt(spec[lo_v] - spec[s])
                 else:            # the high spectral index was dropped
                     scal = np.sqrt(spec[s] - spec[hi_v])
-                col = sum(ranks[t] for t in range(lo_v, s))
+                col = sum(ranks[lo_v:s])
                 mat[row:row + ranks[s], col:col + ranks[s]] = (
                     scal * np.eye(ranks[s])
                 )
@@ -407,14 +391,15 @@ class AlgebraRep:
         return GeneralizedDimension(n0=self.n0, branches=ranks)
 
 
-def build_hyperplane_rep(
-    inst: SpectralInstance,
-    seed: int = 0,
-    restarts: int = 32,
-    max_iters: int = 10_000,
-    target_residual: float = 1e-10,
-    accept_residual: float = 1e-8,
-) -> AlgebraRep:
+# optimizer budget and residuals of build_hyperplane_rep: a restart stops
+# iterating below the target and is accepted below the acceptance residual
+_RESTARTS = 32
+_MAX_ITERS = 10_000
+_TARGET_RESIDUAL = 1e-10
+_ACCEPT_RESIDUAL = 1e-8
+
+
+def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     """Numerical constructor for the minimal imaginary-root dimension.
 
     Minimizes the Frobenius distance of the weighted projection sum from
@@ -431,7 +416,7 @@ def build_hyperplane_rep(
     diags = [np.array([float(a) for a in spec] + [0.0]) for spec in inst.branches]
     n = 3
     best = None
-    for r in range(restarts):
+    for r in range(_RESTARTS):
         rng = np.random.default_rng((seed, r))
         units = []
         for _ in range(3):
@@ -440,7 +425,7 @@ def build_hyperplane_rep(
             units.append(q)
         ops = [u @ np.diag(dg) @ u.conj().T for u, dg in zip(units, diags)]
         res = np.inf
-        for it in range(max_iters):
+        for it in range(_MAX_ITERS):
             for j in range(3):
                 target = gamma * np.eye(n) - sum(ops[i] for i in range(3) if i != j)
                 target = (target + target.conj().T) / 2
@@ -450,9 +435,9 @@ def build_hyperplane_rep(
                 units[j] = u
                 ops[j] = u @ np.diag(diags[j]) @ u.conj().T
             res = float(np.linalg.norm(sum(ops) - gamma * np.eye(n)))
-            if res < target_residual:
+            if res < _TARGET_RESIDUAL:
                 break
-        if res < accept_residual:
+        if res < _ACCEPT_RESIDUAL:
             projections = tuple(
                 tuple(
                     np.outer(units[j][:, i], units[j][:, i].conj())
@@ -468,7 +453,7 @@ def build_hyperplane_rep(
             best = best or "reducible"
     detail = (
         "every converged restart was reducible" if best else
-        f"no restart reached residual {accept_residual}"
+        f"no restart reached residual {_ACCEPT_RESIDUAL}"
     )
     raise ConstructionError(
         f"construction failed: {detail} (existence is asserted by the "

@@ -77,11 +77,11 @@ def default_extending_vertex(cls: GraphClass) -> int:
 def fundamental_roots(
     graph: StarGraph,
     cls: GraphClass,
-    extending: Optional[int] = None,
     include_negative: bool = False,
     include_zero: bool = False,
 ) -> list[IVec]:
-    """All coset representatives with zero entry at the extending vertex.
+    """All coset representatives with zero entry at the default extending
+    vertex.
 
     Returns the positive representatives (componentwise bounded by delta) in
     lexicographic order; optionally adds their negatives and/or the zero
@@ -90,8 +90,8 @@ def fundamental_roots(
     """
     if cls.kind != "ExtendedDynkin":
         raise RootError("fundamental roots require an extended Dynkin graph")
-    e = default_extending_vertex(cls) if extending is None else extending
-    if cls.delta is None or cls.delta[e] != 1:
+    e = default_extending_vertex(cls)
+    if cls.delta is None:
         raise RootError(f"vertex {e} is not an extending vertex")
     ranges = []
     for i, dmax in enumerate(cls.delta):
@@ -136,18 +136,13 @@ def series_base(x: GVec, delta: GVec, extending: int) -> GVec:
     return tuple(a - k * d for a, d in zip(x, delta))
 
 
-def coxeter_series(
-    graph: StarGraph,
-    cls: GraphClass,
-    seed: GVec,
-    extending: Optional[int] = None,
-) -> CSeries:
+def coxeter_series(graph: StarGraph, cls: GraphClass, seed: GVec) -> CSeries:
     """Closure of the seed's delta-series under both parity maps."""
     if cls.kind != "ExtendedDynkin" or cls.delta is None:
         raise RootError("Coxeter series require an extended Dynkin graph")
     if is_root(graph, seed) is None:
         raise RootError(f"seed {seed} is not a root")
-    e = default_extending_vertex(cls) if extending is None else extending
+    e = default_extending_vertex(cls)
     delta = cls.delta
     seen = {series_base(seed, delta, e)}
     frontier = [seed]

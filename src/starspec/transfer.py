@@ -6,8 +6,15 @@ it is the parameter vector chi.  On the graph side the same data appears as
 a character f, and generalized dimensions n (ranks of the spectral
 projections plus the ambient dimension) appear as dimension vectors d.
 
-Both directions are alternating-ends resummations along each branch; their
-matrices are unimodular over the integers.
+Every map rests on one window rule.  Number the vertices of a branch with m
+spectral points by position, 0 at the innermost vertex and m - 1 at the
+leaf.  Position i carries a window [lo, hi] of spectrum indices: position 0
+carries [0, m - 1], and stepping outward from position i drops lo when i is
+even and hi when i is odd, giving [0, m-1], [1, m-1], [1, m-2], [2, m-2], ...
+The dimension at position i is the rank sum over its window; the rank at the
+index position i drops is its dimension minus the next one out.  The
+character is a_1 at position 0 and a_lo - a_hi over window i - 1 at
+position i >= 1.  Both directions are unimodular over the integers.
 """
 from __future__ import annotations
 
@@ -93,27 +100,10 @@ def _check_graph(graph: StarGraph, lengths: Sequence[int]) -> None:
         )
 
 
-def _char_index_pairs(m: int) -> list[tuple[int, int]]:
-    """(plus, minus) spectrum indices for branch positions inner to outer.
-
-    Position 0 is the bare top value; afterwards the minus index starts at
-    the bottom and the walk alternates bumping the plus index and shrinking
-    the minus index: (0,-), (0,m-1), (1,m-1), (1,m-2), (2,m-2), ...
-    """
-    pairs = [(0, -1)]
-    if m == 1:
-        return pairs
-    lo, hi = 0, m - 1
-    pairs.append((lo, hi))
-    bump_lo = True
-    for _ in range(m - 2):
-        if bump_lo:
-            lo += 1
-        else:
-            hi -= 1
-        bump_lo = not bump_lo
-        pairs.append((lo, hi))
-    return pairs
+def _windows(m: int) -> tuple[tuple[int, int], ...]:
+    """Window [lo, hi] of spectrum indices per branch position, innermost
+    first; position i drops lo when i is even and hi when i is odd."""
+    return tuple(((i + 1) // 2, m - 1 - i // 2) for i in range(m))
 
 
 def char_from_chi(graph: StarGraph, inst: SpectralInstance) -> GVec:
@@ -127,20 +117,19 @@ def char_from_chi(graph: StarGraph, inst: SpectralInstance) -> GVec:
     f = [Q(0)] * graph.n_vertices
     f[graph.root] = inst.gamma
     for path, spec in zip(graph.branches, inst.branches):
-        m = len(spec)
-        for i, (p, q) in enumerate(_char_index_pairs(m)):
-            val = spec[p] - (spec[q] if q >= 0 else Q(0))
-            f[path[m - 1 - i]] = val
+        outward = path[::-1]
+        f[outward[0]] = spec[0]
+        for v, (lo, hi) in zip(outward[1:], _windows(len(spec))):
+            f[v] = spec[lo] - spec[hi]
     return tuple(f)
 
 
 def chi_from_char(graph: StarGraph, f: GVec) -> SpectralInstance:
     """Left inverse of char_from_chi; rejects characters of invalid shape.
 
-    Along one branch with values x_1 (leaf) .. x_m (inner) the spectrum
-    comes back as alternating partial sums x_m, x_m - x_{m-1},
-    x_m - x_{m-1} + x_{m-2}, ... distributed to the two ends of the
-    spectrum in turns.
+    Along one branch, walking outward from the inner vertex, the alternating
+    partial sums x_inner, x_inner - x_next, ... are the spectrum values at
+    the indices the positions drop, negated at odd positions.
     """
     if len(f) != graph.n_vertices:
         raise TransferError("character/graph mismatch")
@@ -149,16 +138,13 @@ def chi_from_char(graph: StarGraph, f: GVec) -> SpectralInstance:
         m = len(path)
         x = [Fraction(f[v]) for v in path]  # leaf .. inner
         spec = [Q(0)] * m
-        lo, hi = 0, m - 1
         acc = Q(0)
-        for t in range(m):
+        for t, (lo, hi) in enumerate(_windows(m)):
             acc = x[m - 1 - t] - acc  # (-1)^t times the t-th partial sum
-            if t % 2 == 0:
-                spec[lo] = acc
-                lo += 1
-            else:
+            if t % 2:
                 spec[hi] = -acc
-                hi -= 1
+            else:
+                spec[lo] = acc
         branches.append(tuple(spec))
     try:
         return SpectralInstance(branches=tuple(branches), gamma=Fraction(f[graph.root]))
@@ -166,38 +152,22 @@ def chi_from_char(graph: StarGraph, f: GVec) -> SpectralInstance:
         raise TransferError(f"character does not define a valid instance: {exc}")
 
 
-def _dim_windows(m: int) -> list[tuple[int, int]]:
-    """Rank-window [lo, hi] per branch position inner to outer."""
-    windows = [(0, m - 1)]
-    lo, hi = 0, m - 1
-    drop_lo = True
-    for _ in range(m - 1):
-        if drop_lo:
-            lo += 1
-        else:
-            hi -= 1
-        drop_lo = not drop_lo
-        windows.append((lo, hi))
-    return windows
-
-
 def dim_from_n(graph: StarGraph, n: GeneralizedDimension) -> IVec:
-    """Graph dimension from ranks: nested alternating-ends window sums."""
+    """Graph dimension from ranks: rank sums over the windows."""
     _check_graph(graph, [len(b) for b in n.branches])
     d = [0] * graph.n_vertices
     d[graph.root] = n.n0
     for path, ranks in zip(graph.branches, n.branches):
-        m = len(ranks)
-        for i, (lo, hi) in enumerate(_dim_windows(m)):
-            d[path[m - 1 - i]] = sum(ranks[lo:hi + 1])
+        for v, (lo, hi) in zip(path[::-1], _windows(len(ranks))):
+            d[v] = sum(ranks[lo:hi + 1])
     return tuple(d)
 
 
 def n_from_dim(graph: StarGraph, d: GVec) -> GeneralizedDimension:
     """Ranks from a graph dimension; rejects negative differences.
 
-    n_1 = d_m - d_{m-1}, n_m = d_{m-1} - d_{m-2}, n_2 = d_{m-2} - d_{m-3},
-    and so on from the two ends in turns (indices below 1 read as zero).
+    The rank at the index position t drops is d at position t minus d at
+    position t + 1 (zero beyond the leaf).
     """
     if len(d) != graph.n_vertices:
         raise TransferError("dimension/graph mismatch")
@@ -207,23 +177,15 @@ def n_from_dim(graph: StarGraph, d: GVec) -> GeneralizedDimension:
     branches: list[tuple[int, ...]] = []
     for path in graph.branches:
         m = len(path)
-        x = [int(d[v]) for v in path]  # d_1 .. d_m, leaf .. inner
+        x = [int(d[v]) for v in path[::-1]] + [0]  # inner .. leaf, then zero
         ranks = [0] * m
-        lo, hi = 0, m - 1
-        for t in range(m):
-            upper = x[m - 1 - t]
-            lower = x[m - 2 - t] if m - 2 - t >= 0 else 0
-            diff = upper - lower
+        for t, (lo, hi) in enumerate(_windows(m)):
+            diff = x[t] - x[t + 1]
             if diff < 0:
                 raise TransferError(
                     "negative rank difference: not a valid generalized dimension"
                 )
-            if t % 2 == 0:
-                ranks[lo] = diff
-                lo += 1
-            else:
-                ranks[hi] = diff
-                hi -= 1
+            ranks[hi if t % 2 else lo] = diff
         branches.append(tuple(ranks))
     return GeneralizedDimension(n0=int(d[graph.root]), branches=tuple(branches))
 
@@ -262,11 +224,11 @@ def mf_matrix(graph: StarGraph) -> QMat:
     rows[graph.root][n - 1] = Q(1)
     offset = 0
     for path, m in zip(graph.branches, graph.branch_lengths):
-        for i, (p, q) in enumerate(_char_index_pairs(m)):
-            v = path[m - 1 - i]
-            rows[v][offset + p] += 1
-            if q >= 0:
-                rows[v][offset + q] -= 1
+        outward = path[::-1]
+        rows[outward[0]][offset] = Q(1)
+        for v, (lo, hi) in zip(outward[1:], _windows(m)):
+            rows[v][offset + lo] = Q(1)
+            rows[v][offset + hi] = Q(-1)
         offset += m
     return tuple(tuple(r) for r in rows)
 
@@ -279,16 +241,12 @@ def md_matrix(graph: StarGraph) -> QMat:
     rows[n - 1][graph.root] = Q(1)
     offset = 0
     for path, m in zip(graph.branches, graph.branch_lengths):
-        lo, hi = 0, m - 1
-        for t in range(m):
-            row = offset + (lo if t % 2 == 0 else hi)
-            rows[row][path[m - 1 - t]] += 1
-            if m - 2 - t >= 0:
-                rows[row][path[m - 2 - t]] -= 1
-            if t % 2 == 0:
-                lo += 1
-            else:
-                hi -= 1
+        outward = path[::-1]
+        for t, (lo, hi) in enumerate(_windows(m)):
+            row = rows[offset + (hi if t % 2 else lo)]
+            row[outward[t]] = Q(1)
+            if t + 1 < m:
+                row[outward[t + 1]] = Q(-1)
         offset += m
     return tuple(tuple(r) for r in rows)
 

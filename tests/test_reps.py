@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -28,7 +29,7 @@ from starspec import (
 from starspec.reps import RepError
 from starspec.verify import commutant_dimension, hom_dimension
 
-from conftest import random_feasible_instance
+from conftest import feasible_character, random_feasible_instance
 
 
 def test_simple_rep(e6):
@@ -175,6 +176,37 @@ def test_long_branch_pipeline(rng):
         assert commutant_dimension(arep) == 1
         return
     pytest.skip("no valid long-branch sample drawn")
+
+
+def test_canonical_form_matches_forward_construction():
+    """canonicalize and from_algebra_rep lay out the non-root edges by the
+    same window table, so the two agree entrywise in absolute value; long
+    branches (E7~, E8~ in both branch orders) reach deep windows."""
+    from starspec import classify, from_algebra_rep
+    from starspec.feasibility import candidate_dimensions
+
+    n_edges = 0
+    for lengths in ([1, 1, 1, 1], [2, 2, 2], [3, 3, 1], [2, 5, 1], [5, 2, 1]):
+        g = build_star(lengths)
+        # the first schedulable candidate at each root entry up to 12
+        dims = {}
+        for d in candidate_dimensions(g, classify(g), 12):
+            if reduction_schedule(g, d) is not None:
+                dims.setdefault(d[g.root], d)
+        rng = random.Random(7)
+        for d in dims.values():
+            f, inst = feasible_character(g, d, rng)
+            rep = build_graph_rep(g, d, f)
+            can = canonicalize(g, rep)
+            fwd = from_algebra_rep(g, to_algebra_rep(g, rep, inst))
+            assert fwd.dims == can.dims
+            for key, mat in can.ops.items():
+                if g.root in key:
+                    continue
+                assert np.abs(np.abs(mat) - np.abs(fwd.ops[key])).max() < 1e-10, (
+                    lengths, d, key)
+                n_edges += 1
+    assert n_edges > 100
 
 
 def test_to_algebra_rep(e6, rng):

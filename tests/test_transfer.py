@@ -1,7 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starspec import (
@@ -18,10 +18,53 @@ from starspec import (
     nondegenerate_char,
     nondegenerate_dim,
 )
+from starspec.graph import ODD
 from starspec.rational import determinant, mat_inv, mat_vec
 from starspec.transfer import trace_pairing
 
 DELTA = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 3))
+
+# stars with 1-5 branches of length 1-8: long branches walk deep into the
+# alternating windows
+star_lengths = st.lists(st.integers(1, 8), min_size=1, max_size=5)
+
+
+@st.composite
+def instances(draw, lengths=star_lengths):
+    """(branch lengths, instance): strictly decreasing positive spectra."""
+    lengths = draw(lengths)
+    branches = []
+    for m in lengths:
+        steps = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+        den = draw(st.integers(1, 3))
+        branches.append([Q(sum(steps[i:]), den) for i in range(m)])
+    return lengths, make_instance(branches, draw(st.integers(1, 60)))
+
+
+@st.composite
+def rank_vectors(draw, lengths=star_lengths):
+    """(branch lengths, generalized dimension) with ranks 0-5."""
+    lengths = draw(lengths)
+    branches = tuple(
+        tuple(draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)))
+        for m in lengths
+    )
+    return lengths, GeneralizedDimension(n0=draw(st.integers(0, 40)), branches=branches)
+
+
+@st.composite
+def graph_dimensions(draw):
+    """(branch lengths, d) with d nondecreasing from each leaf inward, so
+    every rank difference is >= 0."""
+    g = build_star(draw(star_lengths))
+    d = [0] * g.n_vertices
+    d[g.root] = draw(st.integers(0, 40))
+    for path in g.branches:
+        level = 0
+        for v in path:
+            level += draw(st.integers(0, 4))
+            d[v] = level
+    return g.branch_lengths, tuple(d)
 
 
 def test_char_example_branch(e6):
@@ -68,23 +111,10 @@ def test_chi_from_char_rejects(e6):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 8),
-    st.data(),
-)
-def test_chi_roundtrip_long_branches(m, data):
-    g = build_star([m])
-    decrements = data.draw(
-        st.lists(st.integers(1, 9), min_size=m, max_size=m)
-    )
-    spec = []
-    acc = 0
-    for d in decrements:
-        acc += d
-        spec.append(acc)
-    spec = list(reversed(spec))
-    gamma = data.draw(st.integers(1, 40))
-    inst = make_instance([spec], gamma)
+@given(instances())
+def test_chi_roundtrip_long_branches(case):
+    lengths, inst = case
+    g = build_star(lengths)
     f = char_from_chi(g, inst)
     assert nondegenerate_char(g, f)
     assert chi_from_char(g, f) == inst
@@ -120,12 +150,10 @@ def test_n_from_dim_rejects_negative(e6):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 8), st.data())
-def test_n_roundtrip_long_branches(m, data):
-    g = build_star([m])
-    ranks = data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
-    n0 = data.draw(st.integers(1, 40))
-    n = GeneralizedDimension(n0=n0, branches=(tuple(ranks),))
+@given(rank_vectors())
+def test_n_roundtrip_long_branches(case):
+    lengths, n = case
+    g = build_star(lengths)
     assert n_from_dim(g, dim_from_n(g, n)) == n
 
 
@@ -150,16 +178,38 @@ def test_transfer_matrices_unimodular(e6):
         assert all(v.denominator == 1 for row in inv for v in row)
 
 
-def test_mf_matrix_matches_function(e6):
-    inst = make_instance([[9, 4], [8, 3], [7, 2]], 11)
-    f = char_from_chi(e6, inst)
-    assert mat_vec(mf_matrix(e6), inst.chi()) == f
+@settings(max_examples=60, deadline=None)
+@given(instances())
+@example(([2, 2, 2], make_instance([[9, 4], [8, 3], [7, 2]], 11)))
+def test_mf_matrix_matches_function(case):
+    lengths, inst = case
+    g = build_star(lengths)
+    f = char_from_chi(g, inst)
+    assert mat_vec(mf_matrix(g), inst.chi()) == f
 
 
-def test_md_matrix_matches_function(e6):
-    d = DELTA
-    n = n_from_dim(e6, d)
-    assert mat_vec(md_matrix(e6), d) == tuple(Q(v) for v in n.flat())
+@settings(max_examples=60, deadline=None)
+@given(graph_dimensions())
+@example(((2, 2, 2), DELTA))
+def test_md_matrix_matches_function(case):
+    lengths, d = case
+    g = build_star(lengths)
+    n = n_from_dim(g, d)
+    assert mat_vec(md_matrix(g), d) == tuple(Q(v) for v in n.flat())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_trace_pairing_is_graph_pairing(data):
+    """trace_pairing(inst, n) = -sum eps_v f_v d_v with eps = +1 on odd and
+    -1 on even vertices: ties chi <-> f to n <-> d without the window table."""
+    lengths, inst = data.draw(instances())
+    _, n = data.draw(rank_vectors(st.just(lengths)))
+    g = build_star(lengths)
+    f = char_from_chi(g, inst)
+    d = dim_from_n(g, n)
+    eps = [1 if p == ODD else -1 for p in g.parity]
+    assert trace_pairing(inst, n) == -sum(e * x * y for e, x, y in zip(eps, f, d))
 
 
 def test_trace_pairing(e6):

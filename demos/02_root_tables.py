@@ -28,8 +28,9 @@ for label, seed in (("K1 (leaf seed)", 0), ("K2 (inner seed)", 1),
 
 singular, regular = singular_and_regular_series(g, cls)
 print(f"\nof all {len(singular) + len(regular)} signed series, "
-      f"{len(singular)} reduce to a simple root and {len(regular)} stall:")
+      f"{len(singular)} reduce to a simple root and {len(regular)} are "
+      "regular (zero defect):")
 for b in sorted(regular):
-    print("  stalled:", list(b))
-print("stalled series never carry the non-degenerate representations; the")
-print("feasibility scan skips them.")
+    print("  regular:", list(b))
+print("regular series never reduce to a simple root; the feasibility scan")
+print("leaves them out.")

@@ -39,7 +39,7 @@ print("target dimension:", list(d), " terminal vertex:",
       sched.terminal, " steps:", len(sched.steps))
 
 # sample a feasible character: positive terminal data transported upward
-while True:
+for _ in range(500):
     f_term = [Q(rng.randint(1, 12)) for _ in range(7)]
     f_term[sched.terminal] = Q(0)
     f = char_transport_up(g, sched, tuple(f_term))[-1]
@@ -48,6 +48,8 @@ while True:
         break
     except Exception:
         continue
+else:
+    raise SystemExit("no valid instance among 500 sampled characters")
 print("instance spectra:", [[str(a) for a in b] for b in inst.branches],
       " gamma:", inst.gamma)
 

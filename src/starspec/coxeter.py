@@ -10,15 +10,21 @@ odd vertices inside the current support, and requires the character to be
 strictly positive on the even part of the support.  The 'odd' step is the
 mirror image.  This pairing is what keeps every vertex operator scalar at
 the matrix level.
+
+The defect of Dlab and Ringel, sum eps_i delta_i d_i with eps = +1 on odd
+and -1 on even vertices, decides which positive real roots walk down to a
+simple root.  Each parity step negates it, since delta spans the radical.
+A root of defect 0 is regular and never reduces; otherwise the walk starts
+even when the defect is negative and odd when it is positive.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .graph import EVEN, ODD, GVec, GraphError, IVec, Parity, StarGraph
+from .graph import EVEN, ODD, GVec, GraphError, IVec, Parity, StarGraph, classify
 from .rational import Q, QMat, mat_mul, mat_pow, qmat
 
 Token = Parity
@@ -50,7 +56,7 @@ def reflect(graph: StarGraph, g: int, x: GVec) -> GVec:
 
 
 def _parity_set(graph: StarGraph, token: Token) -> tuple[int, ...]:
-    return graph.even_vertices() if token == EVEN else graph.odd_vertices()
+    return graph.even if token == EVEN else graph.odd
 
 
 def _other(token: Token) -> Token:
@@ -103,6 +109,44 @@ def coxeter_char(graph: StarGraph, token: Token, pair: DimCharPair) -> DimCharPa
     return DimCharPair(new_d, new_f)
 
 
+def pairing(graph: StarGraph, x: GVec, y: GVec):
+    """sum eps_i x_i y_i with eps = +1 on odd and -1 on even vertices."""
+    return (sum(x[i] * y[i] for i in graph.odd)
+            - sum(x[i] * y[i] for i in graph.even))
+
+
+def defect(graph: StarGraph, d: GVec) -> int:
+    """Defect of d on an extended Dynkin star: its pairing with delta."""
+    delta = classify(graph).delta
+    if delta is None:
+        raise GraphError("the defect needs an extended Dynkin graph")
+    return pairing(graph, delta, d)
+
+
+def descent(graph: StarGraph, d: IVec) -> Iterator[tuple[IVec, Optional[Token]]]:
+    """Lazy defect-directed walk from a positive real root.
+
+    Yields the (dimension, token) state before each step and, when the walk
+    reaches a unit vector, that vector with token None.  It yields nothing
+    for defect 0, and stops without the unit vector when an entry turns
+    negative or after 2*sum(d) + 4 steps.
+    """
+    dfc = defect(graph, d)
+    token: Token = EVEN if dfc < 0 else ODD
+    limit = 2 * sum(d) + 4
+    for n in range(limit + 1 if dfc else 0):
+        if min(d) < 0:
+            return
+        if sum(d) == 1:
+            yield d, None
+            return
+        if n == limit:
+            return
+        yield d, token
+        d = coxeter_dim(graph, token, d)
+        token = _other(token)
+
+
 @dataclass(frozen=True)
 class ReductionSchedule:
     """Alternating functor schedule taking a dimension down to a simple one.
@@ -114,41 +158,19 @@ class ReductionSchedule:
     steps: tuple[tuple[IVec, Token], ...]
     terminal: int
 
-    def tokens(self) -> tuple[Token, ...]:
-        return tuple(t for _, t in self.steps)
-
 
 @functools.lru_cache(maxsize=8192)
 def reduction_schedule(graph: StarGraph, d: GVec) -> Optional[ReductionSchedule]:
-    """Descending alternating schedule for a positive real root, or None.
+    """The whole ``descent`` of a positive real root, or None when it misses
+    a unit vector (imaginary and regular roots).
 
-    Tries both starting parities; a valid direction must strictly decrease
-    the total dimension every two steps and end at a unit vector.  Imaginary
-    roots and the finitely many 'stalled' real roots admit no schedule.
     The schedule's dimensions are ints whatever numeric type d arrives in:
     the cache answers every equal d with the same schedule.
     """
-    d = tuple(int(v) for v in d)
-    for first in (EVEN, ODD):
-        dd = d
-        token: Token = first
-        steps: list[tuple[IVec, Token]] = []
-        prev2: Optional[int] = None
-        limit = 2 * sum(d) + 4
-        for n in range(limit + 1):
-            total = sum(dd)
-            if total == 1 and max(dd) == 1:
-                return ReductionSchedule(tuple(steps), list(dd).index(1))
-            if any(v < 0 for v in dd) or n == limit:
-                break
-            if n % 2 == 0:
-                if prev2 is not None and total >= prev2:
-                    break
-                prev2 = total
-            steps.append((dd, token))
-            dd = coxeter_dim(graph, token, dd)
-            token = _other(token)
-    return None
+    states = list(descent(graph, tuple(int(v) for v in d)))
+    if not states or states[-1][1] is not None:
+        return None
+    return ReductionSchedule(tuple(states[:-1]), states[-1][0].index(1))
 
 
 def char_transport_down(
@@ -200,19 +222,10 @@ def parity_matrix(graph: StarGraph, token: Token) -> QMat:
     return tuple(rows)
 
 
-def elementary_coxeter_matrix(graph: StarGraph, order: str = "odd_after_even") -> QMat:
-    """Composite Coxeter matrix; both factor orders are exposed.
-
-    'odd_after_even' applies the even map first (matrix product odd * even),
-    the order used by the closed-form power tables below.
-    """
-    ce = parity_matrix(graph, EVEN)
-    co = parity_matrix(graph, ODD)
-    if order == "odd_after_even":
-        return mat_mul(co, ce)
-    if order == "even_after_odd":
-        return mat_mul(ce, co)
-    raise ValueError(f"unknown order {order!r}")
+def elementary_coxeter_matrix(graph: StarGraph) -> QMat:
+    """Composite Coxeter matrix: the even map first, then the odd one
+    (matrix product odd * even), the order of the power tables below."""
+    return mat_mul(parity_matrix(graph, ODD), parity_matrix(graph, EVEN))
 
 
 def coxeter_power_matrix_e6(graph: StarGraph, k: int) -> QMat:

@@ -25,9 +25,11 @@ from typing import Literal, Optional
 from .coxeter import (
     EVEN,
     ODD,
-    ReductionSchedule,
     Token,
     coxeter_dim,
+    defect,
+    descent,
+    pairing,
     parity_matrix,
     reduction_schedule,
 )
@@ -331,34 +333,48 @@ def iterative_feasible(
 ) -> FeasibilityVerdict:
     """Reduce (d, f) along the alternating schedule and check every step.
 
-    d must be a positive real root that the schedule takes to a simple one;
-    the pair is feasible iff the character stays strictly positive on every
-    active support and off-support vertex along the way and vanishes at the
-    terminal vertex.  Zero margins are reported as degenerate.
+    d must be a positive real root of nonzero defect, which the schedule
+    takes to a simple one; the pair is feasible iff the character stays
+    strictly positive on every active support and off-support vertex along
+    the way and vanishes at the terminal vertex.  Zero margins are reported
+    as degenerate.
 
     The terminal value needs no walk.  Let P(d, f) = sum eps_i d_i f_i with
-    eps = +1 on odd and -1 on even vertices.  A step of either parity
-    reflects d at one parity class and f at the other, on the support of d
-    only; f entries off the support meet d_g = 0 and do not count.  Expanding
-    P after the step, the two cross terms over each edge cancel and what is
-    left is -P.  The terminal dimension is the unit vector at the terminal
-    vertex t, so the terminal value is (-1)^len(steps) * eps_t * P(d, f).
-    This is the trace identity behind ``Hyperplane``: a representation in
-    dimension d forces a linear condition on the character.  When it is
-    nonzero the pair is infeasible whatever the stepwise margins, so without
-    a requested trajectory the walk is skipped.
+    eps = +1 on odd and -1 on even vertices (``coxeter.pairing``).  A step
+    of either parity reflects d at one parity class and f at the other, on
+    the support of d only; f entries off the support meet d_g = 0 and do not
+    count.  Expanding P after the step, the two cross terms over each edge
+    cancel and what is left is -P.  The terminal dimension is the unit
+    vector at the terminal vertex t, so the terminal value is
+    (-1)^len(steps) * eps_t * P(d, f).  This is the trace identity behind
+    ``Hyperplane``: a representation in dimension d forces a linear
+    condition on the character.  When it is nonzero the pair is infeasible
+    whatever the stepwise margins, so without a requested trajectory the
+    character is not walked.
     """
-    kind = is_root(graph, d)
-    if kind != "real" or not is_positive_vector(d):
+    if is_root(graph, d) != "real" or not is_positive_vector(d):
         raise FeasibilityError(f"dimension {d} is not a positive real root")
+    if defect(graph, d) == 0:
+        raise FeasibilityError(f"dimension {list(d)} is a regular (zero defect) "
+                               "root; the hyperplane route applies instead")
+    fint, scale = _scaled_character(f)
+    value = pairing(graph, d, fint)
+    if value == 0 or collect_trajectory:
+        return _check_walk(graph, d, fint, scale, collect_trajectory)
     schedule = reduction_schedule(graph, d)
     if schedule is None:
-        raise FeasibilityError(
-            "dimension does not reduce to a simple root (imaginary or "
-            "stalled); the hyperplane route applies instead"
-        )
-    fint, scale = _scaled_character(f)
-    return _check_schedule(graph, d, schedule, fint, scale, collect_trajectory)
+        raise _missed(d)
+    eps_t = 1 if graph.parity[schedule.terminal] == ODD else -1
+    value *= eps_t * (-1) ** len(schedule.steps)  # the trace identity
+    return FeasibilityVerdict(
+        status="infeasible", branch_taken="iterative",
+        certificate=(("terminal_value", str(Q(value, scale)), False),),
+    )
+
+
+def _missed(d: GVec) -> FeasibilityError:
+    return FeasibilityError(f"dimension {list(d)} has nonzero defect but "
+                            "its walk misses a unit vector")
 
 
 def _scaled_character(f: GVec) -> tuple[list[int], int]:
@@ -372,62 +388,46 @@ def _scaled_character(f: GVec) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in fq], scale
 
 
-def _terminal_value(
-    graph: StarGraph, d: GVec, schedule: ReductionSchedule, fint: list[int]
-) -> int:
-    """Terminal character value of the walk, from the trace identity in
-    ``iterative_feasible``, without walking."""
-    eps = [1 if p == ODD else -1 for p in graph.parity]
-    eq = sum(e * x * y for e, x, y in zip(eps, d, fint))
-    return eq * eps[schedule.terminal] * (-1) ** len(schedule.steps)
-
-
-def _check_schedule(
+def _check_walk(
     graph: StarGraph,
     d: GVec,
-    schedule: ReductionSchedule,
     fcur: list[int],
     scale: int,
     collect_trajectory: bool,
 ) -> FeasibilityVerdict:
-    """The checks of ``iterative_feasible`` on a validated dimension, its
-    schedule and the character as ``fcur / scale``."""
-    g_term = schedule.terminal
-    eq = _terminal_value(graph, d, schedule, fcur)
-    if eq != 0 and not collect_trajectory:
-        return FeasibilityVerdict(
-            status="infeasible", branch_taken="iterative",
-            certificate=(("terminal_value", str(Q(eq, scale)), False),),
-        )
+    """The checks of ``iterative_feasible`` on a nonzero-defect root d and
+    the character ``fcur / scale``, walked along ``descent``.  Without a
+    trajectory the caller has found P(d, f) = 0, so the walk stops at the
+    first negative margin with the full walk's verdict and certificate."""
     neighbors = graph.neighbors
-    odd, even = graph.odd_vertices(), graph.even_vertices()
     strict: list[int] = []
     traj = []
-    for dcur, token in schedule.steps:
-        act, other = (even, odd) if token == EVEN else (odd, even)
-        for g in range(graph.n_vertices):
-            if dcur[g] == 0:
-                strict.append(fcur[g])
-        for g in act:
-            if dcur[g] != 0:
-                strict.append(fcur[g])
+    for dcur, token in descent(graph, tuple(int(v) for v in d)):
+        if token is None:
+            break
+        act, other = ((graph.even, graph.odd) if token == EVEN
+                      else (graph.odd, graph.even))
+        margins = [fcur[g] for g in range(graph.n_vertices) if dcur[g] == 0]
+        margins += [fcur[g] for g in act if dcur[g] != 0]
         if collect_trajectory:
             traj.append((dcur, token, list(fcur)))
+        elif min(margins, default=0) < 0:
+            return FeasibilityVerdict(status="infeasible", branch_taken="iterative",
+                                      certificate=(("terminal_value", "0", True),))
+        strict += margins
         nf = list(fcur)
         for g in other:
             if dcur[g] != 0:
                 nf[g] = -fcur[g] + sum(fcur[h] for h in neighbors[g])
         fcur = nf
+    else:
+        raise _missed(d)
+    g_term = dcur.index(1)
     eq = fcur[g_term]
-    for g in range(graph.n_vertices):
-        if g != g_term:
-            strict.append(fcur[g])
+    strict += [fcur[g] for g in range(graph.n_vertices) if g != g_term]
+    cert: tuple = (("terminal_value", str(Q(eq, scale)), eq == 0),)
     if collect_trajectory:
-        traj.append((unit_vector(graph, g_term), "terminal", fcur))
-    cert: tuple = (
-        ("terminal_value", str(Q(eq, scale)), eq == 0),
-    )
-    if collect_trajectory:
+        traj.append((dcur, "terminal", fcur))
         steps_entry = (
             "steps",
             tuple(
@@ -456,12 +456,15 @@ def _check_schedule(
 def candidate_dimensions(
     graph: StarGraph, cls: GraphClass, bound: int
 ) -> list[IVec]:
-    """Positive real roots with nondegenerate chains and root entry <= bound,
-    sorted by root entry then lexicographically."""
+    """Positive real roots of nonzero defect (constant along each series
+    b + k*delta) with nondegenerate chains and root entry <= bound, sorted
+    by root entry then lexicographically."""
     if cls.kind != "ExtendedDynkin" or cls.delta is None:
         raise FeasibilityError("candidate scan requires an extended Dynkin graph")
     out = set()
     for base in all_series_bases(graph, cls):
+        if defect(graph, base) == 0:
+            continue
         k = 0
         while True:
             member = tuple(b + k * d for b, d in zip(base, cls.delta))
@@ -515,15 +518,12 @@ def solve(
                 return horn
             boundary_seen = boundary_seen or horn.status == "degenerate"
             horn = None
-        # every candidate b + k*delta is a positive real root, since delta
-        # spans the radical; the stalled ones have no schedule
-        schedule = reduction_schedule(graph, d)
-        if schedule is None:
-            continue
+        # every candidate b + k*delta is a positive real root of nonzero
+        # defect; a nonzero pairing settles it without a walk
         scanned += 1
-        if _terminal_value(graph, d, schedule, fint) != 0:
+        if pairing(graph, d, fint) != 0:
             continue
-        verdict = _check_schedule(graph, d, schedule, fint, scale, False)
+        verdict = _check_walk(graph, d, fint, scale, False)
         if verdict.feasible:
             return FeasibilityVerdict(
                 status="feasible",

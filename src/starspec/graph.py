@@ -51,12 +51,6 @@ class StarGraph:
     def n_vertices(self) -> int:
         return self.root + 1
 
-    def odd_vertices(self) -> tuple[int, ...]:
-        return self.odd
-
-    def even_vertices(self) -> tuple[int, ...]:
-        return self.even
-
     def vertex_label(self, v: int) -> str:
         if v == self.root:
             return "g0"

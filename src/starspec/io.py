@@ -152,6 +152,8 @@ def algebra_rep_from_dict(data: dict) -> AlgebraRep:
         )
     except (KeyError, TypeError):
         raise IOError_("not a valid algebra representation file")
+    if tuple(map(len, projections)) != inst.branch_lengths:
+        raise IOError_("projection counts do not match the instance spectra")
     return AlgebraRep(instance=inst, n0=n0, projections=projections)
 
 

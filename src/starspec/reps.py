@@ -29,7 +29,7 @@ from .coxeter import (
     reduction_schedule,
 )
 from .feasibility import FeasibilityError, horn_check_e6, iterative_feasible
-from .graph import GVec, IVec, StarGraph
+from .graph import GVec, StarGraph
 from .transfer import (
     GeneralizedDimension,
     SpectralInstance,
@@ -77,9 +77,6 @@ class GraphRep:
             m = self.gamma(g, h)
             out += m @ m.conj().T
         return out
-
-    def dimension_vector(self) -> IVec:
-        return self.dims
 
     def copy(self) -> "GraphRep":
         return GraphRep(
@@ -137,7 +134,7 @@ def reflect_rep(
         raise RepError("pair dimension does not match the representation")
     # validates the domain; rep.dims equals d and keeps the new dims ints
     new_pair = coxeter_char(graph, token, DimCharPair(rep.dims, f))
-    act = graph.even_vertices() if token == EVEN else graph.odd_vertices()
+    act = graph.even if token == EVEN else graph.odd
     new_dims = new_pair.d
     new_rep = GraphRep(
         graph=graph,
@@ -313,6 +310,8 @@ def from_algebra_rep(graph: StarGraph, arep: "AlgebraRep") -> GraphRep:
     inst = arep.instance
     if inst.branch_lengths != graph.branch_lengths:
         raise RepError("representation does not match the graph")
+    if tuple(map(len, arep.projections)) != inst.branch_lengths:
+        raise RepError("projection counts do not match the instance spectra")
     n0 = arep.n0
     dims = [0] * graph.n_vertices
     dims[graph.root] = n0

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
-from .coxeter import coxeter_dim, reduction_schedule
+from .coxeter import coxeter_dim, defect
 from .graph import (
     EVEN,
     ODD,
@@ -183,26 +183,16 @@ def all_series_bases(graph: StarGraph, cls: GraphClass) -> set[GVec]:
 def singular_and_regular_series(
     graph: StarGraph, cls: GraphClass
 ) -> tuple[set[GVec], set[GVec]]:
-    """Split series bases into functor-reachable (singular) and stalled
-    (regular) parts.
+    """Split series bases into singular (nonzero defect) and regular (zero
+    defect) parts.
 
-    Singular bases are those whose orbit under the parity maps reaches a
-    simple root modulo delta; equivalently, the symmetry images of the
-    orbits seeded at one vertex of each symmetry class.
+    The defect is constant along a series, since delta has defect 0.  The
+    positive members of a singular series walk down to a simple root; those
+    of a regular series never do.  The singular bases are the symmetry
+    images of the orbits seeded at one vertex of each symmetry class.
     """
     singular: set[GVec] = set()
     regular: set[GVec] = set()
-    assert cls.delta is not None
     for base in all_series_bases(graph, cls):
-        hit = False
-        # a series is singular iff some member (shifted into the positive
-        # cone) admits a reduction schedule
-        for k in range(-3, sum(cls.delta) + 3):
-            member = tuple(b + k * d for b, d in zip(base, cls.delta))
-            if not is_positive_vector(member):
-                continue
-            if reduction_schedule(graph, member) is not None:
-                hit = True
-                break
-        (singular if hit else regular).add(base)
+        (regular if defect(graph, base) == 0 else singular).add(base)
     return singular, regular

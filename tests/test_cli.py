@@ -162,6 +162,24 @@ def test_verify_rejects_non_integer_n0(capsys, tmp_path):
     assert json.loads(err)["error"] == "IOError_"
 
 
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_verify_rejects_projection_count(capsys, tmp_path, change):
+    inst = write_instance(tmp_path, "inst.json", [[2, 1], [2, 1], [2, 1]], 3)
+    rep = tmp_path / "rep.json"
+    run_cli(capsys, "construct", "--instance", inst, "-o", str(rep))
+    data = json.loads(rep.read_text())
+    branch = data["projections"][0]
+    if change == "missing":
+        branch.pop()
+    else:
+        branch.append(branch[0])
+    rep.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--rep", str(rep))
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "IOError_"
+
+
 @pytest.mark.parametrize("field,value", [
     ("gamma", None),
     ("spectrum", "abc"),

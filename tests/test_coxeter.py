@@ -5,6 +5,8 @@ import pytest
 from starspec import (
     CoxeterDomainError,
     DimCharPair,
+    build_star,
+    classify,
     coxeter_char,
     coxeter_dim,
     coxeter_power_matrix_e6,
@@ -15,9 +17,16 @@ from starspec import (
     tits_form,
     unit_vector,
 )
-from starspec.coxeter import char_transport_down, char_transport_up, signed_delta_e6
+from starspec.coxeter import (
+    char_transport_down,
+    char_transport_up,
+    defect,
+    parity_matrix,
+    signed_delta_e6,
+)
 from starspec.feasibility import FAMILIES, trajectory_dim
 from starspec.rational import mat_mul, mat_pow, mat_vec, identity, transpose
+from starspec.roots import all_series_bases
 
 DELTA = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 3))
 
@@ -58,7 +67,7 @@ def test_coxeter_dim_is_simultaneous_reflection(e6, rng):
     for _ in range(10):
         x = tuple(Q(rng.randint(-4, 4)) for _ in range(7))
         expected = x
-        for g in e6.even_vertices():
+        for g in e6.even:
             expected = reflect(e6, g, expected)
         assert coxeter_dim(e6, "even", x) == expected
 
@@ -115,7 +124,7 @@ def test_coxeter_char_iterated_matches_manual(e6, rng):
         for t in tokens:
             moved = [
                 g
-                for g in (e6.odd_vertices() if t == "even" else e6.even_vertices())
+                for g in (e6.odd if t == "even" else e6.even)
                 if manual_d[g] != 0
             ]
             nf = list(manual_f)
@@ -127,8 +136,8 @@ def test_coxeter_char_iterated_matches_manual(e6, rng):
 
 
 def test_elementary_matrix_orders(e6):
-    ce = elementary_coxeter_matrix(e6, "odd_after_even")
-    co = elementary_coxeter_matrix(e6, "even_after_odd")
+    ce = elementary_coxeter_matrix(e6)
+    co = mat_mul(parity_matrix(e6, "even"), parity_matrix(e6, "odd"))
     assert ce != co
     assert mat_mul(ce, co) == identity(7)  # inverse factor orders
     assert mat_vec(ce, DELTA) == DELTA
@@ -219,3 +228,52 @@ def test_char_transport_roundtrip(e6, rng):
         down = char_transport_down(e6, sched, f)
         chars = char_transport_up(e6, sched, down)
         assert chars[-1] == f
+
+
+def relaxed_walk(graph, d, first):
+    """Alternate parity maps from d, starting with ``first``, until a unit
+    vector (its schedule) or a negative entry (None), within 2*sum(d) + 4
+    steps and with no test on how the total moves."""
+    token, steps = first, []
+    for _ in range(2 * sum(d) + 5):
+        if min(d) < 0:
+            return None
+        if sum(d) == 1:
+            return tuple(steps), d.index(1)
+        steps.append((d, token))
+        d = coxeter_dim(graph, token, d)
+        token = "odd" if token == "even" else "even"
+    return None
+
+
+@pytest.mark.parametrize("lengths", [[1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]])
+def test_schedule_matches_relaxed_walk(lengths):
+    """Every positive real root with root entry <= 30, simple roots aside,
+    reduces in exactly the direction its defect picks (even first when
+    negative, odd first when positive) and in neither when the defect is 0;
+    the schedule is that walk."""
+    g = build_star(lengths)
+    cls = classify(g)
+    seen = {-1: 0, 0: 0, 1: 0}
+    for base in all_series_bases(g, cls):
+        k = max(-v // dv for v, dv in zip(base, cls.delta))
+        while True:
+            d = tuple(b + k * dv for b, dv in zip(base, cls.delta))
+            if d[g.root] > 30:
+                break
+            k += 1
+            if min(d) < 0 or not any(d):
+                continue
+            sign = (defect(g, d) > 0) - (defect(g, d) < 0)
+            seen[sign] += 1
+            walks = {t: relaxed_walk(g, d, t) for t in ("even", "odd")}
+            sched = reduction_schedule(g, d)
+            if sign == 0:
+                assert walks == {"even": None, "odd": None}, d
+                assert sched is None, d
+                continue
+            first, other = ("even", "odd") if sign < 0 else ("odd", "even")
+            assert walks[first] == (sched.steps, sched.terminal), d
+            # a simple root is its own schedule from either side
+            assert walks[other] is None or sum(d) == 1, d
+    assert min(seen.values()) > 50, seen

@@ -140,7 +140,7 @@ def test_anchor_matrices_rederived(e6):
         for dcur, token in sched.steps:
             moved = [
                 g
-                for g in (e6.odd_vertices() if token == "even" else e6.even_vertices())
+                for g in (e6.odd if token == "even" else e6.even)
                 if dcur[g] != 0
             ]
             new_rows = [list(r) for r in rows]
@@ -224,12 +224,12 @@ def test_iterative_scaling_covariance(e6, rng):
 
 
 def test_terminal_value_without_walk(rng):
-    """The early exit on a nonzero terminal value gives the verdict and
-    terminal value of the full walk, for every schedulable candidate on all
-    four extended stars."""
+    """The early exit on a nonzero terminal value, and the stop at the first
+    negative margin when it is 0, give the verdict and terminal value of the
+    full walk, for every candidate on all four extended stars."""
     from starspec import char_transport_up, classify
 
-    nonzero = zero = 0
+    nonzero = zero = stopped = 0
     for lengths in ([1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]):
         g = build_star(lengths)
         for d in candidate_dimensions(g, classify(g), 8):
@@ -243,6 +243,11 @@ def test_terminal_value_without_walk(rng):
             f_term = [Q(rng.randint(1, 30), rng.choice((1, 2))) for _ in d]
             f_term[sched.terminal] = Q(0)
             chars.append(char_transport_up(g, sched, tuple(f_term))[-1])
+            # terminal value 0 with one negative margin: the walk without a
+            # trajectory stops at its first negative margin
+            v = rng.choice([i for i in range(len(d)) if i != sched.terminal])
+            f_term[v] = -f_term[v]
+            chars.append(char_transport_up(g, sched, tuple(f_term))[-1])
             for f in chars:
                 fast = iterative_feasible(g, d, f, collect_trajectory=False)
                 full = iterative_feasible(g, d, f, collect_trajectory=True)
@@ -254,7 +259,84 @@ def test_terminal_value_without_walk(rng):
                 assert walked == value
                 nonzero += not ok
                 zero += ok
-    assert nonzero > 100 and zero > 100
+                stopped += ok and fast.status == "infeasible"
+    assert nonzero > 100 and zero > 100 and stopped > 100
+
+
+E7_PLATEAU = (1, 2, 3, 1, 2, 4, 2, 5)  # on build_star([3, 3, 1])
+E8_PLATEAU = (3, 1, 3, 1, 2, 3, 4, 5, 6)  # on build_star([1, 2, 5])
+
+
+@pytest.mark.parametrize("lengths,d", [([3, 3, 1], E7_PLATEAU),
+                                       ([1, 2, 5], E8_PLATEAU)])
+def test_plateau_roots_are_solved(lengths, d, rng):
+    """Roots whose walk keeps its total dimension over two steps (once
+    skipped as if they could not reduce) carry verified irreducible
+    representations, and solve finds a witness for them."""
+    from starspec import (
+        build_graph_rep,
+        canonicalize,
+        classify,
+        to_algebra_rep,
+        verify_algebra_rep,
+        verify_graph_rep,
+    )
+    from starspec.coxeter import defect
+    from starspec.verify import commutant_dimension
+
+    from conftest import feasible_character
+
+    g = build_star(lengths)
+    sched = reduction_schedule(g, d)
+    every_other = [sum(dd) for dd, _ in sched.steps[::2]]
+    assert any(a <= b for a, b in zip(every_other[1:], every_other))
+    assert defect(g, d) != 0
+    assert d in candidate_dimensions(g, classify(g), d[g.root])
+    f, inst = feasible_character(g, d, rng)
+    rep = build_graph_rep(g, d, f)
+    assert verify_graph_rep(g, rep, d, f, tol=1e-9).overall
+    arep = to_algebra_rep(g, canonicalize(g, rep), inst)
+    assert verify_algebra_rep(arep).overall
+    assert commutant_dimension(arep) == 1
+    for bound in (d[g.root], 60):
+        assert solve(g, inst, scan_bound=bound).feasible, bound
+
+
+def test_plateau_instance_e7():
+    """An E7~ instance feasible in E7_PLATEAU, which the plateau rule
+    reported infeasible after 16 (bound 5) and 814 (bound 60) candidates."""
+    g = build_star([3, 3, 1])
+    inst = make_instance([[144, 94, 44], [156, 83, 51], [86]], 180)
+    for bound in (5, 60):
+        v = solve(g, inst, scan_bound=bound)
+        assert v.feasible
+        assert v.branch_taken == f"iterative(d={list(E7_PLATEAU)})"
+        assert v.certificate == (("terminal_value", "0", True),)
+
+
+def test_walk_that_misses_a_unit_vector_raises(monkeypatch):
+    """A nonzero-defect walk that ends off a unit vector is an error naming
+    d, never a skipped candidate."""
+    import starspec.feasibility as feasibility
+    from starspec.coxeter import descent
+
+    def first_state_only(graph, d):
+        yield next(descent(graph, d))
+
+    monkeypatch.setattr(feasibility, "descent", first_state_only)
+    g = build_star([3, 3, 1])
+    inst = make_instance([[144, 94, 44], [156, 83, 51], [86]], 180)
+    message = r"dimension \[1, 2, 3, 1, 2, 4, 2, 5\] has nonzero defect"
+    with pytest.raises(FeasibilityError, match=message):
+        solve(g, inst, scan_bound=5)
+    with pytest.raises(FeasibilityError, match=message):
+        iterative_feasible(g, E7_PLATEAU, char_from_chi(g, inst))
+
+
+def test_regular_root_is_rejected(e6):
+    regular = (0, 1, 0, 1, 0, 1, 2)
+    with pytest.raises(FeasibilityError, match="regular \\(zero defect\\)"):
+        iterative_feasible(e6, regular, (1,) * 7)
 
 
 def test_candidate_dimensions(e6, e6_class):
@@ -417,18 +499,15 @@ def test_solve_witnesses_are_constructible(e6, rng):
 
 def _solve_by_public_checks(g, inst, bound):
     """Off-hyperplane scan through the public ``iterative_feasible``: every
-    candidate in order, skipping those it rejects for lack of a schedule.
-    This is the loop ``solve`` ran before it scaled the character once."""
+    candidate in order, none skipped.  This is the loop ``solve`` ran before
+    it scaled the character once."""
     from starspec import FeasibilityVerdict, classify
 
     f = char_from_chi(g, inst)
     scanned = 0
     boundary_seen = False
     for d in candidate_dimensions(g, classify(g), bound):
-        try:
-            v = iterative_feasible(g, d, f, collect_trajectory=False)
-        except FeasibilityError:
-            continue
+        v = iterative_feasible(g, d, f, collect_trajectory=False)
         scanned += 1
         if v.feasible:
             return FeasibilityVerdict(
@@ -473,7 +552,9 @@ def test_solve_matches_public_check_loop(rng):
                 spectra.append(vals[i:i + m])
                 i += m
             instances.append(make_instance(spectra, rng.randint(1, 90)))
-        while len(instances) < 16:
+        for _ in range(500):
+            if len(instances) == 16:
+                break
             d = rng.choice(cands)
             sched = reduction_schedule(g, d)
             f_term = [Q(rng.randint(1, 30), rng.choice((1, 2))) for _ in d]
@@ -483,6 +564,7 @@ def test_solve_matches_public_check_loop(rng):
                     chi_from_char(g, char_transport_up(g, sched, tuple(f_term))[-1]))
             except Exception:
                 continue
+        assert len(instances) == 16, f"{lengths}: no 8 built instances in 500 draws"
         for inst in instances:
             if on_hyperplane(g, inst):
                 continue

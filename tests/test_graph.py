@@ -27,8 +27,8 @@ def test_build_star_e6(e6):
     assert e6.parity[e6.root] == "odd"
     for a, b in e6.edges:
         assert e6.parity[a] != e6.parity[b]
-    assert e6.odd_vertices() == (0, 2, 4, 6)
-    assert e6.even_vertices() == (1, 3, 5)
+    assert e6.odd == (0, 2, 4, 6)
+    assert e6.even == (1, 3, 5)
 
 
 def test_build_star_small_cases():

@@ -96,6 +96,19 @@ def test_algebra_rep_roundtrip():
     assert worst < 1e-15
 
 
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_algebra_rep_projection_count(change):
+    inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
+    data = json.loads(dumps(algebra_rep_to_dict(build_hyperplane_rep(inst, seed=0))))
+    branch = data["projections"][1]
+    if change == "missing":
+        branch.pop()
+    else:
+        branch.append(branch[0])
+    with pytest.raises(IOError_, match="projection counts"):
+        algebra_rep_from_dict(data)
+
+
 def test_graph_rep_roundtrip():
     g = build_star([2, 2, 2])
     rep = simple_rep(g, g.root, character=tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 0)))

@@ -35,7 +35,7 @@ from conftest import feasible_character, random_feasible_instance
 def test_simple_rep(e6):
     rep = simple_rep(e6, e6.root)
     assert rep.dims == (0, 0, 0, 0, 0, 0, 1)
-    assert tits_form(e6, rep.dimension_vector()) == 1
+    assert tits_form(e6, rep.dims) == 1
     op = rep.vertex_operator(e6.root)
     assert np.abs(op).max() == 0  # no nonzero neighbors: character value 0
 
@@ -73,7 +73,7 @@ def test_reflect_rep_double_is_identity_up_to_unitary(e6, rng):
 def test_reflect_rep_keeps_zero_outside_parity(e6):
     f = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 0))
     rep = simple_rep(e6, e6.root, character=f)
-    pair = DimCharPair(rep.dimension_vector(), f)
+    pair = DimCharPair(rep.dims, f)
     out = reflect_rep(e6, "even", rep, pair)
     # odd vertices keep dimension zero; even neighbors of the root light up
     assert out.dims == (0, 1, 0, 1, 0, 1, 1)
@@ -145,7 +145,7 @@ def test_long_branch_pipeline(rng):
     g = build_star([5, 2, 1])
     cls = classify(g)
     cands = candidate_dimensions(g, cls, 8)
-    # sincere dimension that actually reduces (regular roots stall here too)
+    # sincere dimension that actually reduces (regular roots never do)
     d = next(
         c for c in cands
         if all(v > 0 for v in c) and reduction_schedule(g, c) is not None
@@ -316,6 +316,18 @@ def test_from_algebra_rep_roundtrip_hyperplane(e6):
         for p1, p2 in zip(b1, b2)
     )
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_from_algebra_rep_projection_count(e6, change):
+    from starspec import from_algebra_rep
+
+    arep = build_hyperplane_rep(make_instance([[2, 1], [2, 1], [2, 1]], 3), seed=1)
+    branch = arep.projections[1]
+    branch = branch[:-1] if change == "missing" else branch + branch[:1]
+    arep.projections = (arep.projections[0], branch, arep.projections[2])
+    with pytest.raises(RepError, match="projection counts"):
+        from_algebra_rep(e6, arep)
 
 
 def test_from_algebra_rep_roundtrip_real_root(e6, rng):

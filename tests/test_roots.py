@@ -154,7 +154,7 @@ def test_reflections_preserve_form(e6):
 
 
 def test_series_decomposition_counts(e6, e6_class):
-    """72 signed series split into 58 functor-reachable and 14 stalled ones;
+    """72 signed series split into 58 functor-reachable and 14 regular ones;
     the three tabulated orbits and branch symmetry cover the reachable part."""
     singular, regular = singular_and_regular_series(e6, e6_class)
     assert len(singular) + len(regular) == 72
@@ -170,6 +170,21 @@ def test_series_decomposition_counts(e6, e6_class):
                 img = branch_permutation(e6, as_q(b), p)
                 covered.add(series_base(img, e6_class.delta, e))
     assert covered == singular
+
+
+@pytest.mark.parametrize("lengths,n_series,n_regular", [
+    ([1, 1, 1, 1], 24, 6),
+    ([2, 2, 2], 72, 14),
+    ([1, 3, 3], 126, 20),
+    ([1, 2, 5], 240, 28),
+])
+def test_regular_series_counts(lengths, n_series, n_regular):
+    """The regular series are the zero-defect ones: sum r(r-1) over the tube
+    ranks, (2,2,2), (3,3,2), (4,3,2) and (5,3,2) on D4~, E6~, E7~, E8~."""
+    g = build_star(lengths)
+    singular, regular = singular_and_regular_series(g, classify(g))
+    assert len(singular) + len(regular) == n_series
+    assert len(regular) == n_regular
 
 
 def test_regular_series_orbit_sizes(e6, e6_class):

@@ -90,7 +90,6 @@ from .reps import (
 from .verify import (
     VerificationReport,
     commutant_dimension,
-    hom_dimension,
     verify_algebra_rep,
     verify_graph_rep,
 )

@@ -5,7 +5,7 @@ solve-batch.  All output is JSON on stdout (deterministic for fixed seeds);
 errors go to stderr with machine-readable codes.
 
 Exit codes: 0 success/feasible, 1 infeasible, 2 degenerate or boundary,
-3 construction failure, 64 usage or parse errors.
+3 construction or numerical failure, 64 usage or parse errors.
 """
 from __future__ import annotations
 
@@ -298,6 +298,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConstructionError as exc:
         return _fail(EXIT_CONSTRUCTION, "construction_failed", str(exc))
+    except np.linalg.LinAlgError as exc:
+        # a LAPACK routine gave up: a numerical failure, not a verdict
+        return _fail(EXIT_CONSTRUCTION, "numerical_failure", str(exc))
     except (GraphError, TransferError, FeasibilityError, RepError,
             IOError_) as exc:
         return _fail(EXIT_USAGE, type(exc).__name__, str(exc))

@@ -2,12 +2,16 @@
 
 Rationals travel as JSON integers when integral and as "p/q" strings
 otherwise, never as floats.  Complex matrices are row-major arrays of
-[re, im] pairs.  All emitters sort keys so output is byte-stable.
+[re, im] pairs; real matrices are written the same way with im 0.0.  All
+emitters sort keys so output is byte-stable.
 """
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from typing import Any, Optional
 
 import numpy as np
@@ -80,17 +84,27 @@ def instance_from_dict(data: dict) -> SpectralInstance:
 
 
 def matrix_out(m: np.ndarray) -> list:
-    m = np.asarray(m, complex)
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+    """Row-major [re, im] pairs of floats; a real matrix writes im as 0.0."""
+    m = np.asarray(m)
+    return np.stack((m.real, m.imag), axis=-1).astype(float, copy=False).tolist()
 
 
 def matrix_in(data) -> np.ndarray:
+    """A complex128 matrix from row-major [re, im] pairs of JSON numbers.
+
+    Pairs of any other length, booleans, strings, nulls and ragged rows are
+    rejected.  An empty matrix comes back with zero columns."""
     try:
-        return np.array(
-            [[complex(c[0], c[1]) for c in row] for row in data], dtype=complex
-        )
-    except (TypeError, IndexError):
-        raise IOError_("matrices must be row-major arrays of [re, im] pairs")
+        entries = chain.from_iterable(chain.from_iterable(data))
+        if set(map(type, entries)) <= {int, float}:
+            pairs = np.array(data, dtype=float)
+            if pairs.ndim == 3 and pairs.shape[2] == 2:
+                return pairs.view(complex)[..., 0]
+            if pairs.size == 0 and pairs.ndim <= 2:
+                return np.zeros((len(pairs), 0), complex)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise IOError_("matrices must be row-major arrays of [re, im] pairs")
 
 
 def gen_dim_to_dict(n: GeneralizedDimension) -> dict:
@@ -154,6 +168,8 @@ def algebra_rep_from_dict(data: dict) -> AlgebraRep:
         raise IOError_("not a valid algebra representation file")
     if tuple(map(len, projections)) != inst.branch_lengths:
         raise IOError_("projection counts do not match the instance spectra")
+    if any(p.shape != (n0, n0) for branch in projections for p in branch):
+        raise IOError_(f"projections must be {n0}x{n0} matrices")
     return AlgebraRep(instance=inst, n0=n0, projections=projections)
 
 
@@ -193,8 +209,86 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dumps_pretty(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``.
+
+    With an indent the standard library falls back to its pure-Python
+    encoder, one generator step per number.  Here every scalar, and every
+    list whose leaves all sit at one depth and are numbers, booleans or
+    nulls (a matrix of [re, im] pairs, a branch of them, a spectrum), is
+    encoded by the compact C encoder, and the list is re-indented by
+    string replacement; only dicts and other lists are walked here.
+    """
+    return _pretty(obj, "\n")
+
+
+def _pretty(x, nl: str) -> str:
+    """Indented text of x for a value whose line starts at ``nl``."""
+    inner = nl + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = (_compact(_key(k)) + ": " + _pretty(v, inner)
+                 for k, v in sorted(x.items()))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        text = _compact(x)
+        depth = len(text) - len(text.lstrip("["))
+        if _uniform_list(depth).fullmatch(text):
+            return _reindent(text, depth, nl)
+        items = (_pretty(v, inner) for v in x)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return _compact(x)
+
+
+def _key(k) -> str:
+    """A dict key as the JSON encoder writes it: scalars become strings."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _compact(k)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(k).__name__}"
+    )
+
+
+_LEAF = r'[^\[\]{},"]+'
+
+
+@lru_cache(maxsize=None)
+def _uniform_list(depth: int) -> "re.Pattern":
+    """Compact text of a list whose leaves all sit at ``depth`` and hold no
+    brackets, braces, commas or quotes: between two leaves k lists close and
+    k open, for some k < depth."""
+    seps = "|".join(r"\]" * k + "," + r"\[" * k for k in range(depth))
+    return re.compile(rf"\[{{{depth}}}{_LEAF}(?:(?:{seps}){_LEAF})*\]{{{depth}}}")
+
+
+def _reindent(text: str, depth: int, nl: str) -> str:
+    """Indent the compact text of a uniform list opened at ``nl``.
+
+    The separators between leaves are replaced longest first, each by a
+    non-ASCII placeholder (the encoder writes only ASCII), then by its
+    indented form.
+    """
+    def ind(level: int) -> str:
+        return nl + "  " * level
+
+    for k in range(depth - 1, 0, -1):
+        text = text.replace("]" * k + "," + "[" * k, chr(0xE000 + k))
+    text = text.replace(",", "," + ind(depth))
+    for k in range(1, depth):
+        text = text.replace(chr(0xE000 + k), "".join(
+            [ind(depth - 1 - i) + "]" for i in range(k)] + [","]
+            + [ind(depth - k + i) + "[" for i in range(k)] + [ind(depth)]))
+    head = "[" + "".join(ind(i) + "[" for i in range(1, depth)) + ind(depth)
+    tail = "".join(ind(i) + "]" for i in range(depth - 1, -1, -1))
+    return head + text[depth:len(text) - depth] + tail
 
 
 JSON_SCHEMAS = {

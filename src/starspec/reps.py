@@ -1,6 +1,6 @@
 """Explicit matrix representations.
 
-Graph representations assign a complex space to each vertex and a map to
+Graph representations assign a Hilbert space to each vertex and a map to
 each edge (stored in the rootward direction; the opposite map is the
 adjoint).  Locally scalar means every vertex operator, the sum of in-out
 compositions over incident edges, is a scalar multiple of the identity;
@@ -12,6 +12,12 @@ character there.  Replaying a reduction schedule upward from a
 one-dimensional seed constructs an irreducible representation in any
 feasible real-root dimension; the level-hyperplane case is handled by a
 small alternating eigenvector-alignment optimizer instead.
+
+Every step keeps the dtype of its input.  The simple seed is real and the
+reflection functors, `canonicalize`, `to_algebra_rep` and
+`from_algebra_rep` only take kernels, isometries and eigenprojections of
+what they are given, so a rational character yields real float64 matrices
+end to end.  Only the hyperplane optimizer works over C.
 """
 from __future__ import annotations
 
@@ -72,10 +78,10 @@ class GraphRep:
         raise RepError(f"({a},{b}) is not an edge")
 
     def vertex_operator(self, g: int) -> np.ndarray:
-        out = np.zeros((self.dims[g], self.dims[g]), complex)
+        out = np.zeros((self.dims[g], self.dims[g]))
         for h in self.graph.neighbors[g]:
             m = self.gamma(g, h)
-            out += m @ m.conj().T
+            out = out + m @ m.conj().T
         return out
 
     def copy(self) -> "GraphRep":
@@ -90,7 +96,7 @@ class GraphRep:
 def _zero_ops(graph: StarGraph, dims: Sequence[int]) -> dict:
     out = {}
     for far, near in graph.edges:
-        out[(far, near)] = np.zeros((dims[near], dims[far]), complex)
+        out[(far, near)] = np.zeros((dims[near], dims[far]))
     return out
 
 
@@ -107,12 +113,12 @@ def simple_rep(graph: StarGraph, g: int, character: Optional[GVec] = None) -> Gr
 
 
 def _kernel_basis(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(m) as columns."""
+    """Orthonormal basis of ker(m) as columns, in the dtype of m."""
     rows, cols = m.shape
     if cols == 0:
-        return np.zeros((0, 0), complex)
+        return np.zeros((0, 0), m.dtype)
     if rows == 0:
-        return np.eye(cols, dtype=complex)
+        return np.eye(cols, dtype=m.dtype)
     u, s, vh = np.linalg.svd(m)
     tol = max(rows, cols) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > max(tol, 1e-10 * (s[0] if s.size else 1.0))))
@@ -204,7 +210,7 @@ def canonicalize(graph: StarGraph, rep: GraphRep) -> GraphRep:
         m = len(path)
         # slot bases at the previously processed (outer) vertex, as an
         # ordered list of orthonormal column blocks in current coordinates
-        prev_slots: list[np.ndarray] = [np.eye(out.dims[path[0]], dtype=complex)]
+        prev_slots: list[np.ndarray] = [np.eye(out.dims[path[0]])]
         for t in range(1, m):
             u_vtx, v_vtx = path[t - 1], path[t]
             mat = out.gamma(u_vtx, v_vtx)  # H_v -> H_u
@@ -234,7 +240,7 @@ def canonicalize(graph: StarGraph, rep: GraphRep) -> GraphRep:
             off = 0
             for c in cols:
                 w = c.shape[1]
-                basis = np.zeros((out.dims[v_vtx], w), complex)
+                basis = np.zeros((out.dims[v_vtx], w))
                 basis[off:off + w, :] = np.eye(w)
                 new_slots.append(basis)
                 off += w
@@ -338,7 +344,7 @@ def from_algebra_rep(graph: StarGraph, arep: "AlgebraRep") -> GraphRep:
             lo_v, hi_v = windows[i]
             lo_u, hi_u = windows[i + 1]
             v_vtx, u_vtx = outward[i], outward[i + 1]
-            mat = np.zeros((dims[u_vtx], dims[v_vtx]), complex)
+            mat = np.zeros((dims[u_vtx], dims[v_vtx]))
             row = 0
             for s in range(lo_u, hi_u + 1):
                 if lo_u > lo_v:  # the low spectral index was dropped
@@ -371,15 +377,15 @@ class AlgebraRep:
     projections: tuple[tuple[np.ndarray, ...], ...]
 
     def branch_operator(self, j: int) -> np.ndarray:
-        out = np.zeros((self.n0, self.n0), complex)
+        out = np.zeros((self.n0, self.n0))
         for a, p in zip(self.instance.branches[j], self.projections[j]):
-            out += float(a) * p
+            out = out + float(a) * p
         return out
 
     def weighted_sum(self) -> np.ndarray:
-        out = np.zeros((self.n0, self.n0), complex)
+        out = np.zeros((self.n0, self.n0))
         for j in range(len(self.projections)):
-            out += self.branch_operator(j)
+            out = out + self.branch_operator(j)
         return out
 
     def generalized_dimension(self) -> GeneralizedDimension:
@@ -404,7 +410,8 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     Minimizes the Frobenius distance of the weighted projection sum from
     gamma I over unitary orbits with fixed spectra, by cyclic eigenvector
     alignment: each branch operator is re-diagonalized against what the
-    other branches leave over.  Restarts are seeded deterministically.
+    other branches leave over.  Restarts are seeded deterministically and
+    start from random unitaries, so the projections are complex128.
     """
     if inst.branch_lengths != (2, 2, 2):
         raise FeasibilityError("hyperplane constructor applies to the (2,2,2) star")

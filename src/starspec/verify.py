@@ -9,13 +9,20 @@ is found on a shrinking basis instead of one stacked k n0^2 x n0^2 system:
 it starts from the block-diagonal matrices in the first projection's
 eigenbasis, or from all n0^2 matrix units when that matrix is not
 Hermitian, and each further P cuts the basis to the nullspace of
-X -> PX - XP.  Graph representations solve the full commuting-square
-system in one SVD.  Every rank uses the same relative floor (`_rank`).
+X -> PX - XP.  Every rank uses the same relative floor (`_rank`).
+
+Representations built by the reflection functors are real, and their files
+carry [re, 0.0] pairs: the functors start from a zero seed and only take
+kernels, isometries and eigenprojections of real matrices.  When no given
+matrix has a nonzero imaginary part the commutant is computed in real
+arithmetic, which gives the same dimension exactly (see
+`commutant_dimension`).  Hyperplane-optimizer representations and rotated
+copies keep complex arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -146,83 +153,33 @@ def verify_algebra_rep(
     return VerificationReport(tuple(checks))
 
 
-def _graph_intertwiner_system(
-    rep1: GraphRep, rep2: GraphRep
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Coefficient matrix of the full commuting-square system.
-
-    Unknowns are the per-vertex blocks C_g (rep1 -> rep2), flattened
-    column-major per vertex; equations cover both directions of every edge.
-    """
-    graph = rep1.graph
-    sizes = [(rep2.dims[g], rep1.dims[g]) for g in range(graph.n_vertices)]
-    offsets = []
-    off = 0
-    for r, c in sizes:
-        offsets.append(off)
-        off += r * c
-    total = off
-    rows: list[np.ndarray] = []
-
-    def add_equations(a: int, b: int) -> None:
-        # C_a Gamma1_{a,b} - Gamma2_{a,b} C_b = 0
-        g1 = rep1.gamma(a, b)
-        g2 = rep2.gamma(a, b)
-        ra, ca = sizes[a]
-        rb, cb = sizes[b]
-        if ra * cb == 0:
-            return
-        m1 = np.kron(g1.T, np.eye(ra))  # vec(C_a G1), column-major vec
-        m2 = np.kron(np.eye(cb), g2)    # vec(G2 C_b)
-        block = np.zeros((ra * cb, total), complex)
-        block[:, offsets[a]:offsets[a] + ra * ca] = m1
-        block[:, offsets[b]:offsets[b] + rb * cb] -= m2
-        rows.append(block)
-
-    for far, near in graph.edges:
-        add_equations(near, far)
-        add_equations(far, near)
-    if rows:
-        system = np.vstack(rows)
-    else:
-        system = np.zeros((0, total), complex)
-    return system, sizes
-
-
-def hom_dimension(rep1: GraphRep, rep2: GraphRep, tol: float = 1e-8) -> int:
-    """Dimension of the space of intertwiners rep1 -> rep2."""
-    system, sizes = _graph_intertwiner_system(rep1, rep2)
-    total = sum(r * c for r, c in sizes)
-    if total == 0:
-        return 0
-    if system.shape[0] == 0:
-        return total
-    return total - _rank(np.linalg.svd(system, compute_uv=False), tol)
-
-
-def commutant_dimension(
-    rep: Union[AlgebraRep, GraphRep], tol: float = 1e-8
-) -> int:
+def commutant_dimension(rep: AlgebraRep, tol: float = 1e-8) -> int:
     """Dimension of the self-intertwiner space; 1 means irreducible.
 
-    For an AlgebraRep this is the dimension of the space of X with
-    PX = XP for every given matrix P, found on a basis of candidate X that
-    shrinks as each matrix is imposed.  When the first matrix is Hermitian
-    within ``tol``, its eigendecomposition gives the start: eigenvalues are
-    cut into clusters wherever neighbours differ by more than
-    ``tol * max(|lambda|_max, 1)``, and X commuting with it is
-    block-diagonal over the clusters, so the start has sum r_i^2 matrix
-    units (r_i the cluster sizes) in its eigenbasis.  Otherwise the start
-    is all n0^2 matrix units and the first matrix is imposed like the rest.
-    Each further P maps the basis through X -> PX - XP, and the basis
-    becomes the nullspace of that n0^2 x m image (singular values at or
-    below ``tol * max(s_max, 1)`` count as zero).  The result is the number
-    of basis matrices left.
+    This is the dimension of the space of X with PX = XP for every given
+    matrix P, found on a basis of candidate X that shrinks as each matrix
+    is imposed.  When the first matrix is Hermitian within ``tol``, its
+    eigendecomposition gives the start: eigenvalues are cut into clusters
+    wherever neighbours differ by more than ``tol * max(|lambda|_max, 1)``,
+    and X commuting with it is block-diagonal over the clusters, so the
+    start has sum r_i^2 matrix units (r_i the cluster sizes) in its
+    eigenbasis.  Otherwise the start is all n0^2 matrix units and the first
+    matrix is imposed like the rest.  Each further P maps the basis through
+    X -> PX - XP, and the basis becomes the nullspace of that n0^2 x m
+    image (singular values at or below ``tol * max(s_max, 1)`` count as
+    zero).  The result is the number of basis matrices left.
+
+    When no matrix has a nonzero imaginary part (tested exactly), the whole
+    computation runs on the real parts.  This is exact, not a heuristic:
+    the equations PX - XP = 0 then have real coefficients, so their complex
+    solution space is the complexification of the real one and has the
+    same dimension (a real basis of one is a complex basis of the other),
+    and a real image has the same singular values over R as over C.
     """
-    if isinstance(rep, GraphRep):
-        return hom_dimension(rep, rep, tol)
     n = rep.n0
     mats = [p for branch in rep.projections for p in branch]
+    if not any(m.imag.any() for m in mats):
+        mats = [m.real for m in mats]
     same_block = np.ones((n, n), bool)
     if mats and np.abs(mats[0] - mats[0].conj().T).max() <= tol:
         w, v = np.linalg.eigh(mats[0])
@@ -235,9 +192,24 @@ def commutant_dimension(
     basis = np.eye(n * n)[same_block.ravel()].reshape(-1, n, n)
     for m in mats:
         image = (m @ basis - basis @ m).reshape(len(basis), n * n).T
-        _, s, vh = np.linalg.svd(image, full_matrices=False)
-        basis = np.tensordot(vh[_rank(s, tol):].conj(), basis, axes=1)
+        basis = np.tensordot(_nullspace(image, tol), basis, axes=1)
     return len(basis)
+
+
+def _nullspace(image: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal coefficient vectors, as rows, spanning the nullspace of a
+    tall ``image`` (rank by `_rank`).
+
+    LAPACK's gesdd can fail to converge on a matrix whose conjugate
+    transpose it decomposes without trouble; the left singular vectors of
+    image^H are the right singular vectors of image, so that is the retry.
+    """
+    try:
+        _, s, vh = np.linalg.svd(image, full_matrices=False)
+    except np.linalg.LinAlgError:
+        u, s, _ = np.linalg.svd(image.conj().T, full_matrices=False)
+        vh = u.conj().T
+    return vh[_rank(s, tol):].conj()
 
 
 def _rank(s: np.ndarray, tol: float) -> int:

@@ -1,0 +1,75 @@
+"""Reference computations that the library does not need: one dense SVD of a
+stacked linear system each, to check the shrinking basis of
+`starspec.verify.commutant_dimension` and the reflection functors against.
+Ranks use the same relative floor as `starspec.verify`."""
+import numpy as np
+
+from starspec.reps import AlgebraRep, GraphRep
+from starspec.verify import _rank
+
+
+def stacked_commutant_dimension(rep: AlgebraRep, tol: float = 1e-8) -> int:
+    """Nullity of the stacked system of PX - XP = 0 over every given matrix
+    P, one dense SVD of k n0^2 x n0^2 (column-major vec)."""
+    n = rep.n0
+    eye = np.eye(n)
+    system = np.vstack([
+        np.kron(p.T, eye) - np.kron(eye, p)
+        for branch in rep.projections for p in branch
+    ])
+    return n * n - _rank(np.linalg.svd(system, compute_uv=False), tol)
+
+
+def graph_intertwiner_system(
+    rep1: GraphRep, rep2: GraphRep
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Coefficient matrix of the full commuting-square system.
+
+    Unknowns are the per-vertex blocks C_g (rep1 -> rep2), flattened
+    column-major per vertex; equations cover both directions of every edge.
+    """
+    graph = rep1.graph
+    sizes = [(rep2.dims[g], rep1.dims[g]) for g in range(graph.n_vertices)]
+    offsets = []
+    off = 0
+    for r, c in sizes:
+        offsets.append(off)
+        off += r * c
+    total = off
+    rows: list[np.ndarray] = []
+
+    def add_equations(a: int, b: int) -> None:
+        # C_a Gamma1_{a,b} - Gamma2_{a,b} C_b = 0
+        g1 = rep1.gamma(a, b)
+        g2 = rep2.gamma(a, b)
+        ra, ca = sizes[a]
+        rb, cb = sizes[b]
+        if ra * cb == 0:
+            return
+        m1 = np.kron(g1.T, np.eye(ra))  # vec(C_a G1), column-major vec
+        m2 = np.kron(np.eye(cb), g2)    # vec(G2 C_b)
+        block = np.zeros((ra * cb, total), complex)
+        block[:, offsets[a]:offsets[a] + ra * ca] = m1
+        block[:, offsets[b]:offsets[b] + rb * cb] -= m2
+        rows.append(block)
+
+    for far, near in graph.edges:
+        add_equations(near, far)
+        add_equations(far, near)
+    if rows:
+        system = np.vstack(rows)
+    else:
+        system = np.zeros((0, total), complex)
+    return system, sizes
+
+
+def hom_dimension(rep1: GraphRep, rep2: GraphRep, tol: float = 1e-8) -> int:
+    """Dimension of the space of intertwiners rep1 -> rep2; with rep1 ==
+    rep2 it is the commutant dimension of a graph representation."""
+    system, sizes = graph_intertwiner_system(rep1, rep2)
+    total = sum(r * c for r, c in sizes)
+    if total == 0:
+        return 0
+    if system.shape[0] == 0:
+        return total
+    return total - _rank(np.linalg.svd(system, compute_uv=False), tol)

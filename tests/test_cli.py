@@ -3,7 +3,7 @@ import json
 import pytest
 
 from starspec.cli import main
-from starspec.io import instance_to_dict
+from starspec.io import JSON_SCHEMAS, instance_to_dict
 from starspec.transfer import make_instance
 
 
@@ -227,6 +227,54 @@ def test_version_and_schema(capsys):
     code, out, _ = run_cli(capsys, "--json-schema")
     assert code == 0
     assert "instance" in json.loads(out)
+    assert out == json.dumps(JSON_SCHEMAS, sort_keys=True, indent=2) + "\n"
+
+
+def _rep_file(capsys, tmp_path):
+    inst = write_instance(tmp_path, "inst.json", [[2, 1], [2, 1], [2, 1]], 3)
+    rep = tmp_path / "rep.json"
+    run_cli(capsys, "construct", "--instance", inst, "-o", str(rep))
+    return rep
+
+
+@pytest.mark.parametrize("change", ["extra", "bools", "ragged", "string", "shape"])
+def test_verify_rejects_malformed_matrix(capsys, tmp_path, change):
+    rep = _rep_file(capsys, tmp_path)
+    data = json.loads(rep.read_text())
+    mat = data["projections"][1][0]
+    if change == "extra":
+        mat[0][0].append(0.0)
+    elif change == "bools":
+        mat[0][0] = [True, False]
+    elif change == "ragged":
+        mat[1].pop()
+    elif change == "string":
+        mat[0][0][0] = "1.0"
+    else:
+        data["projections"][1][0] = [row[:2] for row in mat[:2]]
+    rep.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--rep", str(rep))
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "IOError_"
+
+
+def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch):
+    """A LAPACK routine that gives up is a numerical failure (exit 3), not
+    the infeasible code."""
+    import numpy as np
+
+    rep = _rep_file(capsys, tmp_path)
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    code, out, err = run_cli(capsys, "verify", "--rep", str(rep))
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "numerical_failure",
+                               "message": "SVD did not converge"}
 
 
 def test_batch_counts_match_individual(capsys, tmp_path):

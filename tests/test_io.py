@@ -3,13 +3,17 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starspec import build_star, build_hyperplane_rep, make_instance, simple_rep
 from starspec.io import (
+    JSON_SCHEMAS,
     IOError_,
     algebra_rep_from_dict,
     algebra_rep_to_dict,
     dumps,
+    dumps_pretty,
     graph_rep_from_dict,
     graph_rep_to_dict,
     instance_from_dict,
@@ -79,6 +83,85 @@ def test_matrix_roundtrip():
     assert np.abs(m - again).max() == 0
     with pytest.raises(IOError_):
         matrix_in([[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("bad", [
+    [[[1.0, 0.0, 7.0]]],               # a third entry in a pair
+    [[[1.0]]],                          # a short pair
+    [[[True, False]]],                  # booleans
+    [[[1.0, 0.0], [0.5, True]]],        # a boolean among numbers
+    [[[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0]]],  # ragged rows
+    [[["1", "0"]]],                     # strings
+    [[[1.0, None]]],
+    [[1.0, 0.0]],                       # a row of numbers, not of pairs
+    {"re": 1.0},
+    5,
+])
+def test_matrix_in_rejects_malformed(bad):
+    with pytest.raises(IOError_):
+        matrix_in(bad)
+
+
+def test_matrix_in_types():
+    m = matrix_in([[[1, 0], [0.5, -2]]])
+    assert m.dtype == np.complex128 and m.shape == (1, 2)
+    assert m[0, 1] == 0.5 - 2j
+    assert matrix_in([]).shape == (0, 0)
+    assert matrix_in([[], []]).shape == (2, 0)
+
+
+def test_matrix_out_real_writes_zero_imaginary_part():
+    assert matrix_out(np.array([[1.5, -0.0]])) == [[[1.5, 0.0], [-0.0, 0.0]]]
+
+
+def test_algebra_rep_rejects_wrong_projection_shape():
+    inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
+    data = json.loads(dumps(algebra_rep_to_dict(build_hyperplane_rep(inst, seed=0))))
+    data["projections"][2][1] = [row[:2] for row in data["projections"][2][1]]
+    with pytest.raises(IOError_, match="3x3"):
+        algebra_rep_from_dict(data)
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_scalars = (st.none() | st.booleans() | st.integers() | _floats
+            | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308])
+            | st.text(max_size=6))
+
+
+@st.composite
+def _matrices(draw):
+    """[re, im] pair matrices as `matrix_out` writes them, 0x0 and 1x1
+    included."""
+    rows = draw(st.integers(0, 3))
+    cols = draw(st.integers(1, 3)) if rows else 0
+    return [[[draw(_floats), draw(_floats)] for _ in range(cols)]
+            for _ in range(rows)]
+
+
+_json = st.recursive(
+    _scalars | _matrices(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(_json)
+def test_dumps_pretty_matches_indented_json(obj):
+    assert dumps_pretty(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_dumps_pretty_matches_on_files_and_schemas():
+    inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
+    rep = algebra_rep_to_dict(build_hyperplane_rep(inst, seed=0),
+                              metadata={"seed": 0, "residual": 1e-12})
+    g = build_star([2, 2, 2])
+    grep = graph_rep_to_dict(simple_rep(g, g.root))
+    nested = {"a": [[1, [2]], [], [[]], [{}], ["x", 1.5]], "3": {"b": None}}
+    number_keys = {1: [1], 2.5: {}, True: "t"}
+    for obj in (rep, grep, JSON_SCHEMAS, nested, number_keys, [[[-0.0, 1e-310]]]):
+        assert dumps_pretty(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def test_algebra_rep_roundtrip():

@@ -27,9 +27,10 @@ from starspec import (
     verify_graph_rep,
 )
 from starspec.reps import RepError
-from starspec.verify import commutant_dimension, hom_dimension
+from starspec.verify import commutant_dimension
 
 from conftest import feasible_character, random_feasible_instance
+from oracles import hom_dimension
 
 
 def test_simple_rep(e6):
@@ -67,7 +68,7 @@ def test_reflect_rep_double_is_identity_up_to_unitary(e6, rng):
     # same (d, f) and a one-dimensional intertwiner space both ways round
     assert hom_dimension(rep, back) == 1
     assert hom_dimension(back, rep) == 1
-    assert commutant_dimension(rep) == 1
+    assert hom_dimension(rep, rep) == 1
 
 
 def test_reflect_rep_keeps_zero_outside_parity(e6):
@@ -86,7 +87,7 @@ def test_build_graph_rep_families(e6, rng):
         assert rep.dims == tuple(int(v) for v in d)
         report = verify_graph_rep(e6, rep, d, f, tol=1e-10)
         assert report.overall, (fam.name, report.failures())
-        assert commutant_dimension(rep) == 1
+        assert hom_dimension(rep, rep) == 1
 
 
 def test_build_graph_rep_simple_case(e6):
@@ -350,6 +351,24 @@ def test_from_algebra_rep_roundtrip_real_root(e6, rng):
     # equivalent: one-dimensional intertwiner spaces both ways
     assert hom_dimension(rep, grep) == 1
     assert hom_dimension(grep, rep) == 1
+
+
+def test_reflection_route_is_real_and_hyperplane_route_complex(e6, rng):
+    from starspec import from_algebra_rep
+
+    d, f, inst = random_feasible_instance(e6, FAMILY_INNER, 9, rng)
+    rep = build_graph_rep(e6, d, f)
+    can = canonicalize(e6, rep)
+    arep = to_algebra_rep(e6, can, inst)
+    for grep in (rep, can, from_algebra_rep(e6, arep)):
+        assert {m.dtype for m in grep.ops.values()} == {np.dtype(np.float64)}
+        assert grep.vertex_operator(e6.root).dtype == np.float64
+    assert {p.dtype for b in arep.projections for p in b} == {np.dtype(np.float64)}
+    assert arep.weighted_sum().dtype == np.float64
+    hyper = build_hyperplane_rep(make_instance([[2, 1], [2, 1], [2, 1]], 3), seed=1)
+    assert {p.dtype for b in hyper.projections for p in b} == {np.dtype(np.complex128)}
+    assert hyper.weighted_sum().dtype == np.complex128
+    assert from_algebra_rep(e6, hyper).vertex_operator(e6.root).dtype == np.complex128
 
 
 def test_from_algebra_rep_long_branch(rng):

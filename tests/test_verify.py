@@ -16,28 +16,16 @@ from starspec import (
     verify_graph_rep,
 )
 from starspec.reps import AlgebraRep, GraphRep
-from starspec.verify import commutant_dimension, hom_dimension
+from starspec.verify import commutant_dimension
 
 from conftest import feasible_character, random_feasible_instance
+from oracles import hom_dimension, stacked_commutant_dimension
 
 
 def _unitary(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, _ = np.linalg.qr(z)
     return q
-
-
-def stacked_commutant_dimension(rep: AlgebraRep, tol: float = 1e-8) -> int:
-    """Reference: nullity of the stacked system of PX - XP = 0 over every
-    given matrix P, one dense SVD of k n0^2 x n0^2 (column-major vec)."""
-    n = rep.n0
-    eye = np.eye(n)
-    system = np.vstack([
-        np.kron(p.T, eye) - np.kron(eye, p)
-        for branch in rep.projections for p in branch
-    ])
-    s = np.linalg.svd(system, compute_uv=False)
-    return n * n - int(np.sum(s > tol * max(s[0], 1.0)))
 
 
 # Real-root dimensions with a reduction schedule and strict branch chains,
@@ -91,6 +79,71 @@ def test_commutant_matches_stacked_oracle(branches, d):
     assert commutant_dimension(rep) == stacked_commutant_dimension(rep) == 1
 
 
+def _conjugated(rep, u):
+    return AlgebraRep(
+        instance=rep.instance,
+        n0=rep.n0,
+        projections=tuple(
+            tuple(u @ p @ u.conj().T for p in branch) for branch in rep.projections
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "branches,d", ORACLE_CASES,
+    ids=[f"{''.join(map(str, b))}-n0={d[-1]}" for b, d in ORACLE_CASES],
+)
+def test_commutant_same_in_real_and_complex_arithmetic(branches, d):
+    """Reflection-functor reps are real and take the real path; a complex
+    cast with zero imaginary part takes it too, and a diagonal phase
+    rotation makes the matrices genuinely complex.  All three agree with
+    the stacked oracle, run in real and in complex arithmetic."""
+    rep = _construction(branches, d)
+    assert all(p.dtype == np.float64 for b in rep.projections for p in b)
+    cast = AlgebraRep(
+        instance=rep.instance,
+        n0=rep.n0,
+        projections=tuple(
+            tuple(p.astype(complex) for p in branch) for branch in rep.projections
+        ),
+    )
+    phase = np.diag(np.exp(1j * np.linspace(0.3, 2.9, rep.n0)))
+    rotated = _conjugated(rep, phase)
+    assert any(p.imag.any() for b in rotated.projections for p in b)
+    expected = stacked_commutant_dimension(rep)
+    assert stacked_commutant_dimension(rotated) == expected == 1
+    for other in (rep, cast, rotated):
+        assert commutant_dimension(other) == expected
+
+
+@pytest.mark.parametrize("complex_rep", [False, True])
+def test_commutant_retries_failed_svd_on_conjugate_transpose(
+    monkeypatch, complex_rep
+):
+    """gesdd can fail to converge; the nullspace step then decomposes the
+    conjugate transpose instead, and the count is unchanged."""
+    small = _construction((2, 2, 2), (2, 3, 1, 3, 1, 3, 5))
+    other = _construction((2, 2, 2), (3, 7, 3, 6, 3, 6, 10))
+    rep = _direct_sum(small.instance, small, other)
+    if complex_rep:
+        rep = _conjugated(rep, _unitary(rep.n0, np.random.default_rng(4)))
+    expected = stacked_commutant_dimension(rep)
+    assert expected == 2
+    svd = np.linalg.svd
+    calls = []
+
+    def flaky_svd(a, *args, **kwargs):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+    assert commutant_dimension(rep) == expected
+    # the retry decomposed the transposed image of the first step
+    assert calls[1] == calls[0][::-1]
+
+
 def test_commutant_oracle_reducible_and_rotated():
     small = _construction((2, 2, 2), (2, 3, 1, 3, 1, 3, 5))
     other = _construction((2, 2, 2), (3, 7, 3, 6, 3, 6, 10))
@@ -140,7 +193,7 @@ def test_commutant_non_hermitian_first_matrix():
 
 def test_simple_rep_commutant(e6):
     rep = simple_rep(e6, 2)
-    assert commutant_dimension(rep) == 1
+    assert hom_dimension(rep, rep) == 1
 
 
 def test_direct_sum_commutant(e6, rng):
@@ -154,8 +207,8 @@ def test_direct_sum_commutant(e6, rng):
         },
         character=f,
     )
-    assert commutant_dimension(rep) == 1
-    assert commutant_dimension(doubled) == 4
+    assert hom_dimension(rep, rep) == 1
+    assert hom_dimension(doubled, doubled) == 4
 
 
 def test_hom_between_distinct_is_zero(e6, rng):

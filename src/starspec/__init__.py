@@ -26,7 +26,6 @@ from .coxeter import (
     CoxeterWord,
     DimCharPair,
     ReductionSchedule,
-    char_transport_down,
     char_transport_up,
     coxeter_char,
     coxeter_dim,

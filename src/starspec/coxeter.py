@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .graph import EVEN, ODD, GVec, GraphError, IVec, Parity, StarGraph, classify
 from .rational import Q, QMat, mat_mul, mat_pow, qmat
@@ -71,15 +71,14 @@ def coxeter_dim(graph: StarGraph, token: Token, d: GVec) -> GVec:
     return tuple(y)
 
 
-def _reflect_char_on(graph: StarGraph, verts: Iterable[int], f: GVec) -> GVec:
+def _char_step(graph: StarGraph, token: Token, d: GVec, f: GVec) -> GVec:
+    """The character half of a `token` step from dimension d: f reflected
+    at the other parity inside the support of d, an involution."""
     y = list(f)
-    for g in verts:
-        y[g] = -f[g] + sum(f[h] for h in graph.neighbors[g])
+    for g in _parity_set(graph, _other(token)):
+        if d[g] != 0:
+            y[g] = -f[g] + sum(f[h] for h in graph.neighbors[g])
     return tuple(y)
-
-
-def support(d: GVec) -> tuple[int, ...]:
-    return tuple(i for i, v in enumerate(d) if v != 0)
 
 
 def check_pair_domain(graph: StarGraph, token: Token, pair: DimCharPair) -> None:
@@ -103,10 +102,7 @@ def coxeter_char(graph: StarGraph, token: Token, pair: DimCharPair) -> DimCharPa
     """One reflection-functor step on a (dimension, character) pair."""
     check_pair_domain(graph, token, pair)
     d, f = pair
-    new_d = coxeter_dim(graph, token, d)
-    moved = [g for g in _parity_set(graph, _other(token)) if d[g] != 0]
-    new_f = _reflect_char_on(graph, moved, f)
-    return DimCharPair(new_d, new_f)
+    return DimCharPair(coxeter_dim(graph, token, d), _char_step(graph, token, d, f))
 
 
 def pairing(graph: StarGraph, x: GVec, y: GVec):
@@ -173,16 +169,6 @@ def reduction_schedule(graph: StarGraph, d: GVec) -> Optional[ReductionSchedule]
     return ReductionSchedule(tuple(states[:-1]), states[-1][0].index(1))
 
 
-def char_transport_down(
-    graph: StarGraph, schedule: ReductionSchedule, f: GVec
-) -> GVec:
-    """Push a character through the whole schedule (no domain checks)."""
-    for dcur, token in schedule.steps:
-        moved = [g for g in _parity_set(graph, _other(token)) if dcur[g] != 0]
-        f = _reflect_char_on(graph, moved, f)
-    return f
-
-
 def char_transport_up(
     graph: StarGraph, schedule: ReductionSchedule, f_term: GVec
 ) -> list[GVec]:
@@ -193,11 +179,8 @@ def char_transport_up(
     same vertex set).
     """
     chars = [f_term]
-    f = f_term
     for dcur, token in reversed(schedule.steps):
-        moved = [g for g in _parity_set(graph, _other(token)) if dcur[g] != 0]
-        f = _reflect_char_on(graph, moved, f)
-        chars.append(f)
+        chars.append(_char_step(graph, token, dcur, chars[-1]))
     return chars
 
 

@@ -106,9 +106,10 @@ def _chi_names(n_spectra: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n_spectra)] + ["gamma"]
 
 
-def hyperplane(graph: StarGraph, cls: Optional[GraphClass] = None) -> Hyperplane:
+@functools.lru_cache(maxsize=64)
+def hyperplane(graph: StarGraph) -> Hyperplane:
     """Trace-identity hyperplane of an extended Dynkin star."""
-    cls = cls or classify(graph)
+    cls = classify(graph)
     if cls.kind != "ExtendedDynkin" or cls.delta is None:
         raise FeasibilityError("hyperplane requires an extended Dynkin graph")
     n = n_from_dim(graph, cls.delta)
@@ -117,10 +118,8 @@ def hyperplane(graph: StarGraph, cls: Optional[GraphClass] = None) -> Hyperplane
     return Hyperplane(graph_name=cls.name or "", coefficients=tuple(coeffs))
 
 
-def on_hyperplane(
-    graph: StarGraph, inst: SpectralInstance, cls: Optional[GraphClass] = None
-) -> bool:
-    return hyperplane(graph, cls).evaluate(inst) == 0
+def on_hyperplane(graph: StarGraph, inst: SpectralInstance) -> bool:
+    return hyperplane(graph).evaluate(inst) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +351,27 @@ def iterative_feasible(
     whatever the stepwise margins, so without a requested trajectory the
     character is not walked.
     """
+    return _walk_pair(graph, d, f, collect_trajectory)[0]
+
+
+def _walk_pair(
+    graph: StarGraph, d: GVec, f: GVec, collect_trajectory: bool
+) -> tuple[FeasibilityVerdict, list, int]:
+    """``iterative_feasible`` together with the states of its walk (none
+    when the trace identity settles the pair) and the common denominator
+    of their integer characters; ``build_graph_rep`` replays the states."""
     if is_root(graph, d) != "real" or not is_positive_vector(d):
         raise FeasibilityError(f"dimension {d} is not a positive real root")
     if defect(graph, d) == 0:
         raise FeasibilityError(f"dimension {list(d)} is a regular (zero defect) "
                                "root; the hyperplane route applies instead")
+    # is_root has rejected non-integer entries, so int() truncates nothing
+    dint = tuple(int(v) for v in d)
     fint, scale = _scaled_character(f)
-    value = pairing(graph, d, fint)
+    value = pairing(graph, dint, fint)
     if value == 0 or collect_trajectory:
-        return _check_walk(graph, d, fint, scale, collect_trajectory)
-    schedule = reduction_schedule(graph, d)
+        return (*_check_walk(graph, dint, fint, scale, collect_trajectory), scale)
+    schedule = reduction_schedule(graph, dint)
     if schedule is None:
         raise _missed(d)
     eps_t = 1 if graph.parity[schedule.terminal] == ODD else -1
@@ -369,7 +379,7 @@ def iterative_feasible(
     return FeasibilityVerdict(
         status="infeasible", branch_taken="iterative",
         certificate=(("terminal_value", str(Q(value, scale)), False),),
-    )
+    ), [], scale
 
 
 def _missed(d: GVec) -> FeasibilityError:
@@ -390,30 +400,34 @@ def _scaled_character(f: GVec) -> tuple[list[int], int]:
 
 def _check_walk(
     graph: StarGraph,
-    d: GVec,
+    d: IVec,
     fcur: list[int],
     scale: int,
     collect_trajectory: bool,
-) -> FeasibilityVerdict:
+) -> tuple[FeasibilityVerdict, list]:
     """The checks of ``iterative_feasible`` on a nonzero-defect root d and
     the character ``fcur / scale``, walked along ``descent``.  Without a
     trajectory the caller has found P(d, f) = 0, so the walk stops at the
-    first negative margin with the full walk's verdict and certificate."""
+    first negative margin with the full walk's verdict and certificate.
+
+    Also returns the states walked, (dimension, token, integer character)
+    from d down, the last one with token "terminal" when the walk got there.
+    """
     neighbors = graph.neighbors
     strict: list[int] = []
-    traj = []
-    for dcur, token in descent(graph, tuple(int(v) for v in d)):
+    states = []
+    for dcur, token in descent(graph, d):
         if token is None:
             break
         act, other = ((graph.even, graph.odd) if token == EVEN
                       else (graph.odd, graph.even))
         margins = [fcur[g] for g in range(graph.n_vertices) if dcur[g] == 0]
         margins += [fcur[g] for g in act if dcur[g] != 0]
-        if collect_trajectory:
-            traj.append((dcur, token, list(fcur)))
-        elif min(margins, default=0) < 0:
-            return FeasibilityVerdict(status="infeasible", branch_taken="iterative",
-                                      certificate=(("terminal_value", "0", True),))
+        states.append((dcur, token, fcur))
+        if not collect_trajectory and min(margins, default=0) < 0:
+            return FeasibilityVerdict(
+                status="infeasible", branch_taken="iterative",
+                certificate=(("terminal_value", "0", True),)), states
         strict += margins
         nf = list(fcur)
         for g in other:
@@ -425,27 +439,27 @@ def _check_walk(
     g_term = dcur.index(1)
     eq = fcur[g_term]
     strict += [fcur[g] for g in range(graph.n_vertices) if g != g_term]
-    cert: tuple = (("terminal_value", str(Q(eq, scale)), eq == 0),)
+    states.append((dcur, "terminal", fcur))
+    cert: tuple = (("terminal_value", str(Q(eq, scale)) if eq else "0", eq == 0),)
     if collect_trajectory:
-        traj.append((dcur, "terminal", fcur))
         steps_entry = (
             "steps",
             tuple(
                 (list(dd), tok, [str(Q(x, scale)) for x in ff])
-                for dd, tok, ff in traj
+                for dd, tok, ff in states
             ),
         )
         cert = (steps_entry,) + cert
     if eq != 0 or any(v < 0 for v in strict):
         return FeasibilityVerdict(status="infeasible", branch_taken="iterative",
-                                  certificate=cert)
+                                  certificate=cert), states
     if any(v == 0 for v in strict):
         return FeasibilityVerdict(status="degenerate", branch_taken="iterative",
-                                  certificate=cert)
+                                  certificate=cert), states
     return FeasibilityVerdict(
         status="feasible", branch_taken="iterative",
         witness_dimension=n_from_dim(graph, d), certificate=cert,
-    )
+    ), states
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +509,7 @@ def solve(
     if inst.branch_lengths != graph.branch_lengths:
         raise FeasibilityError("instance does not match the graph")
     f = char_from_chi(graph, inst)
-    on_h = on_hyperplane(graph, inst, cls)
+    on_h = on_hyperplane(graph, inst)
     is_e6 = cls.name == "E6~"
     horn: Optional[FeasibilityVerdict] = None
     horn_note = None
@@ -523,7 +537,7 @@ def solve(
         scanned += 1
         if pairing(graph, d, fint) != 0:
             continue
-        verdict = _check_walk(graph, d, fint, scale, False)
+        verdict = _check_walk(graph, d, fint, scale, False)[0]
         if verdict.feasible:
             return FeasibilityVerdict(
                 status="feasible",

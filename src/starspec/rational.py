@@ -41,13 +41,10 @@ def mat_vec(a: QMat, x: QVec) -> QVec:
     return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in a)
 
 
-def transpose(a: QMat) -> QMat:
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
 def mat_pow(a: QMat, k: int) -> QMat:
+    """a**k by repeated squaring, for k >= 0."""
     if k < 0:
-        return mat_pow(mat_inv(a), -k)
+        raise ValueError("negative power")
     out = identity(len(a))
     base = a
     while k:
@@ -56,44 +53,6 @@ def mat_pow(a: QMat, k: int) -> QMat:
         base = mat_mul(base, base)
         k >>= 1
     return out
-
-
-def mat_inv(a: QMat) -> QMat:
-    """Gauss-Jordan inverse; raises ValueError on singular input."""
-    n = len(a)
-    m = [list(row) + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        d = m[c][c]
-        m[c] = [v / d for v in m[c]]
-        for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def determinant(a: QMat) -> Fraction:
-    n = len(a)
-    m = [list(row) for row in a]
-    det = Q(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
 
 
 def parse_fraction(s) -> Fraction:

@@ -26,15 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coxeter import (
-    EVEN,
-    DimCharPair,
-    Token,
-    char_transport_down,
-    coxeter_char,
-    reduction_schedule,
-)
-from .feasibility import FeasibilityError, horn_check_e6, iterative_feasible
+from .coxeter import EVEN, DimCharPair, Token, coxeter_char
+from .feasibility import FeasibilityError, _walk_pair, horn_check_e6
 from .graph import GVec, StarGraph
 from .transfer import (
     GeneralizedDimension,
@@ -140,14 +133,18 @@ def reflect_rep(
         raise RepError("pair dimension does not match the representation")
     # validates the domain; rep.dims equals d and keeps the new dims ints
     new_pair = coxeter_char(graph, token, DimCharPair(rep.dims, f))
+    return _reflect(graph, token, rep, new_pair.d, [float(v) for v in f],
+                    new_pair.f)
+
+
+def _reflect(
+    graph: StarGraph, token: Token, rep: GraphRep, new_dims: tuple[int, ...],
+    weights: Sequence[float], character: Optional[GVec],
+) -> GraphRep:
+    """The matrix step of ``reflect_rep`` into ``new_dims``: the kernel at
+    each token-parity vertex v is scaled by sqrt(weights[v])."""
     act = graph.even if token == EVEN else graph.odd
-    new_dims = new_pair.d
-    new_rep = GraphRep(
-        graph=graph,
-        dims=new_dims,
-        ops={},
-        character=new_pair.f,
-    )
+    new_rep = GraphRep(graph=graph, dims=new_dims, character=character)
     edge_set = set(graph.edges)
     for v in act:
         nb = graph.neighbors[v]
@@ -159,7 +156,7 @@ def reflect_rep(
                 f"kernel dimension {k_basis.shape[1]} at vertex {v} does not "
                 f"match the reflected dimension {new_dims[v]}"
             )
-        scale = float(np.sqrt(float(f[v])))
+        scale = float(np.sqrt(weights[v]))
         off = 0
         for h in nb:
             dh = rep.dims[h]
@@ -177,20 +174,19 @@ def reflect_rep(
 def build_graph_rep(graph: StarGraph, d: GVec, f: GVec) -> GraphRep:
     """Construct an irreducible locally scalar representation with (d, f).
 
-    Requires the pair to be feasible; replays the reduction schedule upward
-    from the simple representation at the terminal vertex.
+    Requires the pair to be feasible.  Replays the states of its
+    feasibility walk upward from the simple representation at the terminal
+    vertex: each step takes its dimension from the state and its character
+    from the walk's integer entries over their common denominator (int / int
+    rounds correctly, as float(Fraction) does).
     """
-    verdict = iterative_feasible(graph, d, f, collect_trajectory=False)
+    verdict, states, scale = _walk_pair(graph, d, f, False)
     if not verdict.feasible:
         raise FeasibilityError(f"({list(d)}, f) is not feasible: {verdict.status}")
-    schedule = reduction_schedule(graph, d)
-    assert schedule is not None
-    f_term = char_transport_down(graph, schedule, f)
-    rep = simple_rep(graph, schedule.terminal, character=f_term)
-    for dcur, token in reversed(schedule.steps):
-        rep = reflect_rep(graph, token, rep, DimCharPair(rep.dims, rep.character))
-        if dcur != rep.dims:
-            raise RepError("upward replay left the expected trajectory")
+    rep = simple_rep(graph, states[-1][0].index(1))
+    for dcur, token, fcur in reversed(states[:-1]):
+        rep = _reflect(graph, token, rep, dcur, [x / scale for x in fcur], None)
+    rep.character = tuple(f)
     return rep
 
 

@@ -70,7 +70,7 @@ def verify_graph_rep(
     for far, near in graph.edges:
         a = rep.gamma(near, far)
         b = rep.gamma(far, near)
-        res = float(np.abs(a - b.conj().T).max())
+        res = float(np.abs(a - b.conj().T).max(initial=0.0))
         shapes_ok = (
             a.shape == (rep.dims[near], rep.dims[far])
             and b.shape == (rep.dims[far], rep.dims[near])

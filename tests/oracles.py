@@ -1,10 +1,20 @@
-"""Reference computations that the library does not need: one dense SVD of a
-stacked linear system each, to check the shrinking basis of
-`starspec.verify.commutant_dimension` and the reflection functors against.
-Ranks use the same relative floor as `starspec.verify`."""
+"""Reference computations that the library does not need.
+
+* One dense SVD of a stacked linear system each, to check the shrinking
+  basis of `starspec.verify.commutant_dimension` and the reflection functors
+  against.  Ranks use the same relative floor as `starspec.verify`.
+* Exact rational inverse, determinant and transpose of small matrices.
+* The construction by the Fraction route: the character pushed down the
+  schedule, then every upward step recomputed by `coxeter_char`.
+"""
+from fractions import Fraction
+
 import numpy as np
 
-from starspec.reps import AlgebraRep, GraphRep
+from starspec.coxeter import DimCharPair, reduction_schedule
+from starspec.graph import EVEN
+from starspec.rational import Q, QMat
+from starspec.reps import AlgebraRep, GraphRep, reflect_rep, simple_rep
 from starspec.verify import _rank
 
 
@@ -73,3 +83,65 @@ def hom_dimension(rep1: GraphRep, rep2: GraphRep, tol: float = 1e-8) -> int:
     if system.shape[0] == 0:
         return total
     return total - _rank(np.linalg.svd(system, compute_uv=False), tol)
+
+
+def transpose(a: QMat) -> QMat:
+    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
+
+
+def mat_inv(a: QMat) -> QMat:
+    """Gauss-Jordan inverse; raises ValueError on singular input."""
+    n = len(a)
+    m = [list(row) + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[c], m[piv] = m[piv], m[c]
+        d = m[c][c]
+        m[c] = [v / d for v in m[c]]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def determinant(a: QMat) -> Fraction:
+    n = len(a)
+    m = [list(row) for row in a]
+    det = Q(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Q(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c] != 0:
+                f = m[r][c] * inv
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def fraction_route_rep(graph, d, f) -> GraphRep:
+    """A representation with (d, f) built without the feasibility walk: f
+    is transported down the schedule in Fractions (each step reflects it at
+    the other parity inside the support of the current dimension), and the
+    upward replay lets `reflect_rep` recompute and check every character.
+    Assumes the pair is feasible."""
+    schedule = reduction_schedule(graph, d)
+    for dcur, token in schedule.steps:
+        other = graph.odd if token == EVEN else graph.even
+        f = tuple(
+            -f[g] + sum(f[h] for h in graph.neighbors[g])
+            if g in other and dcur[g] != 0 else f[g]
+            for g in range(graph.n_vertices)
+        )
+    rep = simple_rep(graph, schedule.terminal, character=f)
+    for _, token in reversed(schedule.steps):
+        rep = reflect_rep(graph, token, rep, DimCharPair(rep.dims, rep.character))
+    return rep

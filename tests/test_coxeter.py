@@ -12,21 +12,23 @@ from starspec import (
     coxeter_power_matrix_e6,
     coxeter_power_table_e6,
     elementary_coxeter_matrix,
+    iterative_feasible,
     reduction_schedule,
     reflect,
     tits_form,
     unit_vector,
 )
 from starspec.coxeter import (
-    char_transport_down,
     char_transport_up,
     defect,
     parity_matrix,
     signed_delta_e6,
 )
 from starspec.feasibility import FAMILIES, trajectory_dim
-from starspec.rational import mat_mul, mat_pow, mat_vec, identity, transpose
+from starspec.rational import mat_mul, mat_pow, mat_vec, identity
 from starspec.roots import all_series_bases
+
+from oracles import transpose
 
 DELTA = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 3))
 
@@ -220,14 +222,23 @@ def test_reduction_schedule_simple(e6):
 
 
 def test_char_transport_roundtrip(e6, rng):
+    """char_transport_up retraces the feasibility walk: the states in the
+    trajectory certificate of iterative_feasible, from d down, carry the
+    schedule's dimensions and tokens and the upward characters in reverse."""
     fam = FAMILIES["leaf"]
     d = trajectory_dim(e6, fam, 15)
     sched = reduction_schedule(e6, d)
+    dims = [list(dd) for dd, _ in sched.steps]
+    dims.append(list(unit_vector(e6, sched.terminal)))
+    tokens = [t for _, t in sched.steps] + ["terminal"]
     for _ in range(5):
-        f = tuple(Q(rng.randint(1, 9)) for _ in range(7))
-        down = char_transport_down(e6, sched, f)
-        chars = char_transport_up(e6, sched, down)
-        assert chars[-1] == f
+        f_term = tuple(Q(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(7))
+        chars = char_transport_up(e6, sched, f_term)
+        name, steps = iterative_feasible(e6, d, chars[-1]).certificate[0]
+        assert name == "steps"
+        assert [dd for dd, _, _ in steps] == dims
+        assert [tok for _, tok, _ in steps] == tokens
+        assert [tuple(Q(x) for x in ff) for _, _, ff in steps] == chars[::-1]
 
 
 def relaxed_walk(graph, d, first):

@@ -8,6 +8,7 @@ from starspec import (
     FAMILY_LEAF,
     FAMILY_ROOT,
     FeasibilityError,
+    build_graph_rep,
     build_star,
     char_from_chi,
     closed_form_e6,
@@ -23,6 +24,7 @@ from starspec import (
 from starspec.coxeter import reduction_schedule
 from starspec.feasibility import candidate_dimensions, e6_graph
 from starspec.rational import identity, mat_mul
+from starspec.roots import RootError
 from starspec.transfer import n_from_dim
 
 from conftest import random_feasible_instance
@@ -331,12 +333,28 @@ def test_walk_that_misses_a_unit_vector_raises(monkeypatch):
         solve(g, inst, scan_bound=5)
     with pytest.raises(FeasibilityError, match=message):
         iterative_feasible(g, E7_PLATEAU, char_from_chi(g, inst))
+    with pytest.raises(FeasibilityError, match=message):
+        build_graph_rep(g, E7_PLATEAU, char_from_chi(g, inst))
 
 
 def test_regular_root_is_rejected(e6):
     regular = (0, 1, 0, 1, 0, 1, 2)
     with pytest.raises(FeasibilityError, match="regular \\(zero defect\\)"):
         iterative_feasible(e6, regular, (1,) * 7)
+    with pytest.raises(FeasibilityError, match="regular \\(zero defect\\)"):
+        build_graph_rep(e6, regular, (1,) * 7)
+
+
+def test_non_integer_dimension_is_rejected(e6, rng):
+    """A dimension with a non-integer entry is a RootError before the walk
+    turns it into ints, so no entry is truncated into a feasible root."""
+    d, f, _ = random_feasible_instance(e6, FAMILY_ROOT, 6, rng)
+    assert iterative_feasible(e6, d, f).feasible
+    for v in range(len(d)):
+        bumped = tuple(Q(x) + Q(1, 2) * (i == v) for i, x in enumerate(d))
+        for check in (iterative_feasible, build_graph_rep):
+            with pytest.raises(RootError):
+                check(e6, bumped, f)
 
 
 def test_candidate_dimensions(e6, e6_class):

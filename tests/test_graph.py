@@ -160,7 +160,7 @@ def _sylvester_kind(g):
     positive definite, semidefinite with a one-dimensional radical, or
     indefinite."""
     from starspec.graph import form_matrix
-    from starspec.rational import determinant
+    from oracles import determinant
 
     m = form_matrix(g)
     minors = [

@@ -30,7 +30,7 @@ from starspec.reps import RepError
 from starspec.verify import commutant_dimension
 
 from conftest import feasible_character, random_feasible_instance
-from oracles import hom_dimension
+from oracles import fraction_route_rep, hom_dimension
 
 
 def test_simple_rep(e6):
@@ -208,6 +208,42 @@ def test_canonical_form_matches_forward_construction():
                     lengths, d, key)
                 n_edges += 1
     assert n_edges > 100
+
+
+@pytest.mark.parametrize(
+    "lengths", [[1, 1, 1, 1], [2, 2, 2], [3, 3, 1], [1, 2, 5], [2, 5, 1], [5, 2, 1]])
+def test_build_graph_rep_matches_fraction_route(lengths):
+    """Replaying the states of the feasibility walk gives bitwise the edge
+    maps, and exactly the dims and character, of the Fraction route (the
+    character pushed down the schedule, then recomputed and checked at every
+    upward step by coxeter_char), on the first schedulable candidate at each
+    root entry up to 12, with an integer character and with that character
+    times 7/3 (common denominator 3)."""
+    from starspec import classify
+    from starspec.feasibility import candidate_dimensions
+
+    g = build_star(lengths)
+    dims = {}
+    for d in candidate_dimensions(g, classify(g), 12):
+        if reduction_schedule(g, d) is not None:
+            dims.setdefault(d[g.root], d)
+    assert len(dims) >= 5
+    rng = random.Random(11)
+    pairs = []
+    for d in dims.values():
+        f, _ = feasible_character(g, d, rng)
+        pairs += [(d, f), (d, tuple(Q(7, 3) * x for x in f))]
+    for d, f in pairs:
+        rep = build_graph_rep(g, d, f)
+        ref = fraction_route_rep(g, d, f)
+        assert rep.dims == ref.dims == d
+        assert rep.character == ref.character
+        assert list(map(type, rep.character)) == list(map(type, ref.character))
+        assert rep.ops.keys() == ref.ops.keys()
+        for key, mat in rep.ops.items():
+            other = ref.ops[key]
+            assert (mat.dtype, mat.shape) == (other.dtype, other.shape)
+            assert mat.tobytes() == other.tobytes(), (d, key)
 
 
 def test_to_algebra_rep(e6, rng):

@@ -7,13 +7,12 @@ the positive representatives form a finite table.  The two parity maps act
 on the series; orbits of the simple roots are the raw material for the
 representation theory.
 """
-from starspec import build_star, classify, coxeter_series, fundamental_roots, unit_vector
+from starspec import build_star, coxeter_series, fundamental_roots, unit_vector
 from starspec.roots import singular_and_regular_series
 
 g = build_star([2, 2, 2])
-cls = classify(g)
 
-table = fundamental_roots(g, cls)
+table = fundamental_roots(g)
 print(f"fundamental table: {len(table)} positive representatives")
 for row in table:
     print("  ", list(row))
@@ -21,12 +20,12 @@ for row in table:
 print("\norbits of the three seed types (up to branch symmetry):")
 for label, seed in (("K1 (leaf seed)", 0), ("K2 (inner seed)", 1),
                     ("K3 (root seed)", g.root)):
-    orbit = coxeter_series(g, cls, unit_vector(g, seed))
+    orbit = coxeter_series(g, unit_vector(g, seed))
     print(f"  {label}: {len(orbit)} series")
     for s in orbit.series:
         print("     ", list(s.base))
 
-singular, regular = singular_and_regular_series(g, cls)
+singular, regular = singular_and_regular_series(g)
 print(f"\nof all {len(singular) + len(regular)} signed series, "
       f"{len(singular)} reduce to a simple root and {len(regular)} are "
       "regular (zero defect):")

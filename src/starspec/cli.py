@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coxeter import DimCharPair, coxeter_char
+from .coxeter import CoxeterDomainError, DimCharPair, coxeter_char
 from .feasibility import FeasibilityError, solve
 from .graph import GraphError, build_star, classify, unit_vector
 from .io import (
@@ -90,12 +90,12 @@ def cmd_roots(args) -> int:
         if args.series not in seeds:
             return _fail(EXIT_USAGE, "unknown_series",
                          f"series must be one of {sorted(seeds)}")
-        series = coxeter_series(graph, cls, unit_vector(graph, seeds[args.series]))
+        series = coxeter_series(graph, unit_vector(graph, seeds[args.series]))
         out["series"] = args.series
         out["delta_series"] = [gvec_out(s.base) for s in series.series]
     else:
         roots = fundamental_roots(
-            graph, cls,
+            graph,
             include_negative=args.include_negative,
             include_zero=args.include_zero,
         )
@@ -130,7 +130,7 @@ def cmd_feasible(args) -> int:
     data = _load_json(args.instance)
     inst = instance_from_dict(data)
     graph = build_star(inst.branch_lengths)
-    bound = args.scan_bound or int(data.get("scan_bound", 60))
+    bound = args.scan_bound or int_in(data.get("scan_bound", 60))
     verdict = solve(graph, inst, scan_bound=bound)
     print(dumps(verdict_to_dict(verdict)))
     return _verdict_exit(verdict.status)
@@ -140,7 +140,7 @@ def cmd_construct(args) -> int:
     data = _load_json(args.instance)
     inst = instance_from_dict(data)
     graph = build_star(inst.branch_lengths)
-    seed = args.seed if args.seed is not None else int(data.get("seed", 0))
+    seed = args.seed if args.seed is not None else int_in(data.get("seed", 0))
     if args.dimension:
         ddata = _load_json(args.dimension)
         if isinstance(ddata, dict):
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
         # a LAPACK routine gave up: a numerical failure, not a verdict
         return _fail(EXIT_CONSTRUCTION, "numerical_failure", str(exc))
     except (GraphError, TransferError, FeasibilityError, RepError,
-            IOError_) as exc:
+            CoxeterDomainError, IOError_) as exc:
         return _fail(EXIT_USAGE, type(exc).__name__, str(exc))
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         return _fail(EXIT_USAGE, "bad_input", str(exc))

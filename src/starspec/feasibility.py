@@ -31,10 +31,8 @@ from .coxeter import (
     descent,
     pairing,
     parity_matrix,
-    reduction_schedule,
 )
 from .graph import (
-    GraphClass,
     GVec,
     IVec,
     StarGraph,
@@ -44,7 +42,7 @@ from .graph import (
     unit_vector,
 )
 from .rational import Q, QMat, mat_mul, mat_vec
-from .roots import all_series_bases, is_root
+from .roots import is_root, singular_and_regular_series
 from .transfer import (
     GeneralizedDimension,
     SpectralInstance,
@@ -82,7 +80,6 @@ class Hyperplane:
     identity, so off the hyperplane only real-root dimensions can occur.
     """
 
-    graph_name: str
     coefficients: tuple[int, ...]
 
     def evaluate(self, inst: SpectralInstance) -> Fraction:
@@ -109,13 +106,13 @@ def _chi_names(n_spectra: int) -> list[str]:
 @functools.lru_cache(maxsize=64)
 def hyperplane(graph: StarGraph) -> Hyperplane:
     """Trace-identity hyperplane of an extended Dynkin star."""
-    cls = classify(graph)
-    if cls.kind != "ExtendedDynkin" or cls.delta is None:
+    delta = classify(graph).delta
+    if delta is None:
         raise FeasibilityError("hyperplane requires an extended Dynkin graph")
-    n = n_from_dim(graph, cls.delta)
+    n = n_from_dim(graph, delta)
     coeffs = list(n.flat())
     coeffs[-1] = -coeffs[-1]
-    return Hyperplane(graph_name=cls.name or "", coefficients=tuple(coeffs))
+    return Hyperplane(coefficients=tuple(coeffs))
 
 
 def on_hyperplane(graph: StarGraph, inst: SpectralInstance) -> bool:
@@ -343,13 +340,17 @@ def iterative_feasible(
     of either parity reflects d at one parity class and f at the other, on
     the support of d only; f entries off the support meet d_g = 0 and do not
     count.  Expanding P after the step, the two cross terms over each edge
-    cancel and what is left is -P.  The terminal dimension is the unit
-    vector at the terminal vertex t, so the terminal value is
-    (-1)^len(steps) * eps_t * P(d, f).  This is the trace identity behind
-    ``Hyperplane``: a representation in dimension d forces a linear
-    condition on the character.  When it is nonzero the pair is infeasible
-    whatever the stepwise margins, so without a requested trajectory the
-    character is not walked.
+    cancel and what is left is -P.  The defect D(d) = P(delta, d)
+    (``coxeter.defect``) flips sign at every step as well.  At the terminal
+    unit vector e_t the pairing is eps_t f_t and the defect is
+    eps_t delta_t with delta_t > 0, so the terminal value is
+
+        f_t = sign(D(d)) * P(d, f).
+
+    This is the trace identity behind ``Hyperplane``: a representation in
+    dimension d forces a linear condition on the character.  When it is
+    nonzero the pair is infeasible whatever the stepwise margins, so
+    without a requested trajectory the character is not walked.
     """
     return _walk_pair(graph, d, f, collect_trajectory)[0]
 
@@ -362,7 +363,8 @@ def _walk_pair(
     of their integer characters; ``build_graph_rep`` replays the states."""
     if is_root(graph, d) != "real" or not is_positive_vector(d):
         raise FeasibilityError(f"dimension {d} is not a positive real root")
-    if defect(graph, d) == 0:
+    dfc = defect(graph, d)
+    if dfc == 0:
         raise FeasibilityError(f"dimension {list(d)} is a regular (zero defect) "
                                "root; the hyperplane route applies instead")
     # is_root has rejected non-integer entries, so int() truncates nothing
@@ -371,20 +373,12 @@ def _walk_pair(
     value = pairing(graph, dint, fint)
     if value == 0 or collect_trajectory:
         return (*_check_walk(graph, dint, fint, scale, collect_trajectory), scale)
-    schedule = reduction_schedule(graph, dint)
-    if schedule is None:
-        raise _missed(d)
-    eps_t = 1 if graph.parity[schedule.terminal] == ODD else -1
-    value *= eps_t * (-1) ** len(schedule.steps)  # the trace identity
+    if dfc < 0:
+        value = -value  # the trace identity
     return FeasibilityVerdict(
         status="infeasible", branch_taken="iterative",
         certificate=(("terminal_value", str(Q(value, scale)), False),),
     ), [], scale
-
-
-def _missed(d: GVec) -> FeasibilityError:
-    return FeasibilityError(f"dimension {list(d)} has nonzero defect but "
-                            "its walk misses a unit vector")
 
 
 def _scaled_character(f: GVec) -> tuple[list[int], int]:
@@ -435,7 +429,8 @@ def _check_walk(
                 nf[g] = -fcur[g] + sum(fcur[h] for h in neighbors[g])
         fcur = nf
     else:
-        raise _missed(d)
+        raise FeasibilityError(f"dimension {list(d)} has nonzero defect but "
+                               "its walk misses a unit vector")
     g_term = dcur.index(1)
     eq = fcur[g_term]
     strict += [fcur[g] for g in range(graph.n_vertices) if g != g_term]
@@ -467,21 +462,18 @@ def _check_walk(
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def candidate_dimensions(
-    graph: StarGraph, cls: GraphClass, bound: int
-) -> list[IVec]:
+def candidate_dimensions(graph: StarGraph, bound: int) -> list[IVec]:
     """Positive real roots of nonzero defect (constant along each series
     b + k*delta) with nondegenerate chains and root entry <= bound, sorted
     by root entry then lexicographically."""
-    if cls.kind != "ExtendedDynkin" or cls.delta is None:
+    delta = classify(graph).delta
+    if delta is None:
         raise FeasibilityError("candidate scan requires an extended Dynkin graph")
     out = set()
-    for base in all_series_bases(graph, cls):
-        if defect(graph, base) == 0:
-            continue
+    for base in singular_and_regular_series(graph)[0]:
         k = 0
         while True:
-            member = tuple(b + k * d for b, d in zip(base, cls.delta))
+            member = tuple(b + k * d for b, d in zip(base, delta))
             if member[graph.root] > bound:
                 break
             if is_positive_vector(member) and nondegenerate_dim(graph, member):
@@ -508,8 +500,9 @@ def solve(
         raise FeasibilityError("solve requires an extended Dynkin star")
     if inst.branch_lengths != graph.branch_lengths:
         raise FeasibilityError("instance does not match the graph")
-    f = char_from_chi(graph, inst)
-    on_h = on_hyperplane(graph, inst)
+    fint, scale = _scaled_character(char_from_chi(graph, inst))
+    # P(delta, f) is, up to sign and scale, the level form of ``hyperplane``
+    on_h = pairing(graph, cls.delta, fint) == 0
     is_e6 = cls.name == "E6~"
     horn: Optional[FeasibilityVerdict] = None
     horn_note = None
@@ -521,9 +514,8 @@ def solve(
             "imaginary-root existence not decided for this graph",
             False,
         )
-    candidates = candidate_dimensions(graph, cls, scan_bound)
+    candidates = candidate_dimensions(graph, scan_bound)
     delta_n0 = cls.delta[graph.root]
-    fint, scale = _scaled_character(f)
     scanned = 0
     boundary_seen = False
     for d in candidates:

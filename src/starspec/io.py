@@ -166,6 +166,8 @@ def algebra_rep_from_dict(data: dict) -> AlgebraRep:
         )
     except (KeyError, TypeError):
         raise IOError_("not a valid algebra representation file")
+    if n0 < 1:
+        raise IOError_(f"n0 must be a positive integer, got {n0}")
     if tuple(map(len, projections)) != inst.branch_lengths:
         raise IOError_("projection counts do not match the instance spectra")
     if any(p.shape != (n0, n0) for branch in projections for p in branch):

@@ -16,11 +16,11 @@ from .coxeter import coxeter_dim, defect
 from .graph import (
     EVEN,
     ODD,
-    GraphClass,
     GraphError,
     GVec,
     IVec,
     StarGraph,
+    classify,
     is_positive_vector,
     tits_form,
 )
@@ -68,19 +68,12 @@ def classify_root(graph: StarGraph, x: GVec) -> Root:
     return Root(vector=tuple(int(e) for e in x), kind=kind, sign=sign)
 
 
-def default_extending_vertex(cls: GraphClass) -> int:
-    if cls.kind != "ExtendedDynkin" or not cls.extending:
-        raise RootError("an extended Dynkin classification is required")
-    return cls.extending[0]
-
-
 def fundamental_roots(
     graph: StarGraph,
-    cls: GraphClass,
     include_negative: bool = False,
     include_zero: bool = False,
 ) -> list[IVec]:
-    """All coset representatives with zero entry at the default extending
+    """All coset representatives with zero entry at the first extending
     vertex.
 
     Returns the positive representatives (componentwise bounded by delta) in
@@ -88,11 +81,10 @@ def fundamental_roots(
     vector.  Every returned nonzero vector is a real root: an imaginary root
     is a multiple of delta and cannot vanish at an extending vertex.
     """
+    cls = classify(graph)
     if cls.kind != "ExtendedDynkin":
         raise RootError("fundamental roots require an extended Dynkin graph")
-    e = default_extending_vertex(cls)
-    if cls.delta is None:
-        raise RootError(f"vertex {e} is not an extending vertex")
+    e = cls.extending[0]
     ranges = []
     for i, dmax in enumerate(cls.delta):
         ranges.append([0] if i == e else range(dmax + 1))
@@ -136,13 +128,14 @@ def series_base(x: GVec, delta: GVec, extending: int) -> GVec:
     return tuple(a - k * d for a, d in zip(x, delta))
 
 
-def coxeter_series(graph: StarGraph, cls: GraphClass, seed: GVec) -> CSeries:
+def coxeter_series(graph: StarGraph, seed: GVec) -> CSeries:
     """Closure of the seed's delta-series under both parity maps."""
-    if cls.kind != "ExtendedDynkin" or cls.delta is None:
+    cls = classify(graph)
+    if cls.kind != "ExtendedDynkin":
         raise RootError("Coxeter series require an extended Dynkin graph")
     if is_root(graph, seed) is None:
         raise RootError(f"seed {seed} is not a root")
-    e = default_extending_vertex(cls)
+    e = cls.extending[0]
     delta = cls.delta
     seen = {series_base(seed, delta, e)}
     frontier = [seed]
@@ -174,15 +167,13 @@ def branch_permutation(graph: StarGraph, x: GVec, perm: Sequence[int]) -> GVec:
     return tuple(out)
 
 
-def all_series_bases(graph: StarGraph, cls: GraphClass) -> set[GVec]:
+def all_series_bases(graph: StarGraph) -> set[GVec]:
     """Bases of all 2*|Delta_f| signed delta-series."""
-    pos = fundamental_roots(graph, cls)
+    pos = fundamental_roots(graph)
     return set(pos) | {tuple(-v for v in x) for x in pos}
 
 
-def singular_and_regular_series(
-    graph: StarGraph, cls: GraphClass
-) -> tuple[set[GVec], set[GVec]]:
+def singular_and_regular_series(graph: StarGraph) -> tuple[set[GVec], set[GVec]]:
     """Split series bases into singular (nonzero defect) and regular (zero
     defect) parts.
 
@@ -193,6 +184,6 @@ def singular_and_regular_series(
     """
     singular: set[GVec] = set()
     regular: set[GVec] = set()
-    for base in all_series_bases(graph, cls):
+    for base in all_series_bases(graph):
         (regular if defect(graph, base) == 0 else singular).add(base)
     return singular, regular

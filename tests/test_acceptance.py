@@ -62,14 +62,14 @@ def criterion(number: int, description: str, budget_s: float):
     print(f"acceptance {number}: PASS ({dt:.2f}s) - {description}")
 
 
-def test_criterion_1_root_tables(e6, e6_class):
+def test_criterion_1_root_tables(e6):
     with criterion(1, "root tables: 36 fundamental roots, orbits 12/6/4", 1.0):
-        roots = fundamental_roots(e6, e6_class)
+        roots = fundamental_roots(e6)
         assert len(roots) == 36
         assert set(roots) == {tuple(Q(v) for v in t) for t in DELTA_F_E6}
-        k1 = coxeter_series(e6, e6_class, unit_vector(e6, 0))
-        k2 = coxeter_series(e6, e6_class, unit_vector(e6, 1))
-        k3 = coxeter_series(e6, e6_class, unit_vector(e6, e6.root))
+        k1 = coxeter_series(e6, unit_vector(e6, 0))
+        k2 = coxeter_series(e6, unit_vector(e6, 1))
+        k3 = coxeter_series(e6, unit_vector(e6, e6.root))
         assert set(k1.bases()) == {tuple(Q(v) for v in t) for t in K1_BASES}
         assert set(k2.bases()) == {tuple(Q(v) for v in t) for t in K2_BASES}
         assert set(k3.bases()) == {tuple(Q(v) for v in t) for t in K3_BASES}

@@ -162,6 +162,55 @@ def test_verify_rejects_non_integer_n0(capsys, tmp_path):
     assert json.loads(err)["error"] == "IOError_"
 
 
+def test_verify_rejects_zero_n0(capsys, tmp_path):
+    """An empty representation is an input error (64), not a failed
+    verification (1)."""
+    inst = write_instance(tmp_path, "inst.json", [[2, 1], [2, 1], [2, 1]], 3)
+    rep = tmp_path / "rep.json"
+    run_cli(capsys, "construct", "--instance", inst, "-o", str(rep))
+    data = json.loads(rep.read_text())
+    data["n0"] = 0
+    data["projections"] = [[[] for _ in branch] for branch in data["projections"]]
+    rep.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--rep", str(rep))
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "IOError_"
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("feasible", "scan_bound", "abc"),
+    ("feasible", "scan_bound", None),
+    ("feasible", "scan_bound", 3.9),
+    ("construct", "seed", 2.5),
+    ("construct", "seed", "abc"),
+    ("construct", "seed", None),
+])
+def test_integer_instance_fields_reject_non_integers(capsys, tmp_path, command,
+                                                     field, value):
+    inst = write_instance(tmp_path, "inst.json", [[2, 1], [2, 1], [2, 1]], 3,
+                          **{field: value})
+    code, out, err = run_cli(capsys, command, "--instance", inst)
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "IOError_"
+
+
+def test_coxeter_domain_error_is_an_input_error(capsys, tmp_path):
+    """A word that leaves the functor domain exits 64 with a JSON error,
+    after the states reached before it."""
+    pair = {"d": [1, 0, 0, 0, 0, 0, 0], "f": [0, 1, 1, 1, 1, 1, -5]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    code, out, err = run_cli(capsys, "coxeter", "--branches", "2,2,2",
+                             "--word", "odd,even", "--pair", str(path))
+    assert code == 64
+    assert [json.loads(line)["token"] for line in out.splitlines()] == [None]
+    parsed = json.loads(err)
+    assert parsed["error"] == "CoxeterDomainError"
+    assert "vertex 6" in parsed["message"]
+
+
 @pytest.mark.parametrize("change", ["missing", "extra"])
 def test_verify_rejects_projection_count(capsys, tmp_path, change):
     inst = write_instance(tmp_path, "inst.json", [[2, 1], [2, 1], [2, 1]], 3)

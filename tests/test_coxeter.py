@@ -266,7 +266,7 @@ def test_schedule_matches_relaxed_walk(lengths):
     g = build_star(lengths)
     cls = classify(g)
     seen = {-1: 0, 0: 0, 1: 0}
-    for base in all_series_bases(g, cls):
+    for base in all_series_bases(g):
         k = max(-v // dv for v, dv in zip(base, cls.delta))
         while True:
             d = tuple(b + k * dv for b, dv in zip(base, cls.delta))

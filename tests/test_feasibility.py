@@ -82,6 +82,38 @@ def test_on_hyperplane(e6):
     assert not on_hyperplane(e6, make_instance([[2, 1], [2, 1], [2, 1]], 2))
 
 
+@pytest.mark.parametrize("lengths", [[1, 1, 1, 1], [1, 3, 3], [1, 2, 5]])
+def test_on_hyperplane_matches_solve(lengths, rng):
+    """Off E6~, an exhausted scan notes the hyperplane regime exactly when
+    the instance is on the hyperplane: random draws off it, and draws whose
+    gamma is solved from the level condition on it."""
+    g = build_star(lengths)
+    level = hyperplane(g).coefficients
+    counts = {True: 0, False: 0}
+    while min(counts.values()) < 15:
+        vals = sorted({rng.randint(1, 50) for _ in range(sum(lengths) + 2)},
+                      reverse=True)
+        if len(vals) < sum(lengths):
+            continue
+        spectra, i = [], 0
+        for m in lengths:
+            spectra.append(vals[i:i + m])
+            i += m
+        chi = [Q(a) for spec in spectra for a in spec]
+        if counts[True] < counts[False]:
+            gamma = -sum(c * x for c, x in zip(level, chi)) / level[-1]
+        else:
+            gamma = rng.randint(1, 70)
+        inst = make_instance(spectra, gamma)
+        on_h = on_hyperplane(g, inst)
+        v = solve(g, inst, scan_bound=4)
+        if v.branch_taken != "exhausted":
+            continue
+        notes = [name for name, _, _ in v.certificate]
+        assert ("hyperplane_regime" in notes) == on_h, (lengths, inst)
+        counts[on_h] += 1
+
+
 def test_horn_symmetric_feasible():
     v = horn_check_e6(SYMMETRIC)
     assert v.feasible
@@ -230,14 +262,16 @@ def test_terminal_value_without_walk(rng):
     negative margin when it is 0, give the verdict and terminal value of the
     full walk, for every candidate on all four extended stars."""
     from starspec import char_transport_up, classify
+    from starspec.coxeter import defect
 
     nonzero = zero = stopped = 0
     for lengths in ([1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]):
         g = build_star(lengths)
-        for d in candidate_dimensions(g, classify(g), 8):
+        for d in candidate_dimensions(g, 8):
             sched = reduction_schedule(g, d)
             if sched is None:
                 continue
+            assert abs(defect(g, d)) == classify(g).delta[sched.terminal]
             chars = [
                 tuple(Q(rng.randint(-20, 40)) for _ in d),
                 tuple(Q(rng.randint(-20, 40), rng.choice((2, 3, 7))) for _ in d),
@@ -278,7 +312,6 @@ def test_plateau_roots_are_solved(lengths, d, rng):
     from starspec import (
         build_graph_rep,
         canonicalize,
-        classify,
         to_algebra_rep,
         verify_algebra_rep,
         verify_graph_rep,
@@ -293,7 +326,7 @@ def test_plateau_roots_are_solved(lengths, d, rng):
     every_other = [sum(dd) for dd, _ in sched.steps[::2]]
     assert any(a <= b for a, b in zip(every_other[1:], every_other))
     assert defect(g, d) != 0
-    assert d in candidate_dimensions(g, classify(g), d[g.root])
+    assert d in candidate_dimensions(g, d[g.root])
     f, inst = feasible_character(g, d, rng)
     rep = build_graph_rep(g, d, f)
     assert verify_graph_rep(g, rep, d, f, tol=1e-9).overall
@@ -357,8 +390,8 @@ def test_non_integer_dimension_is_rejected(e6, rng):
                 check(e6, bumped, f)
 
 
-def test_candidate_dimensions(e6, e6_class):
-    cands = candidate_dimensions(e6, e6_class, 12)
+def test_candidate_dimensions(e6):
+    cands = candidate_dimensions(e6, 12)
     assert cands
     roots_entries = [int(d[e6.root]) for d in cands]
     assert roots_entries == sorted(roots_entries)
@@ -519,12 +552,12 @@ def _solve_by_public_checks(g, inst, bound):
     """Off-hyperplane scan through the public ``iterative_feasible``: every
     candidate in order, none skipped.  This is the loop ``solve`` ran before
     it scaled the character once."""
-    from starspec import FeasibilityVerdict, classify
+    from starspec import FeasibilityVerdict
 
     f = char_from_chi(g, inst)
     scanned = 0
     boundary_seen = False
-    for d in candidate_dimensions(g, classify(g), bound):
+    for d in candidate_dimensions(g, bound):
         v = iterative_feasible(g, d, f, collect_trajectory=False)
         scanned += 1
         if v.feasible:
@@ -548,7 +581,7 @@ def _solve_by_public_checks(g, inst, bound):
 def test_solve_matches_public_check_loop(rng):
     """solve gives the verdict JSON of the public per-candidate loop on
     random and built-feasible off-hyperplane instances of all four stars."""
-    from starspec import char_transport_up, chi_from_char, classify
+    from starspec import char_transport_up, chi_from_char
     from starspec.io import dumps, verdict_to_dict
 
     bound = 10
@@ -556,7 +589,7 @@ def test_solve_matches_public_check_loop(rng):
     for lengths in ([1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]):
         g = build_star(lengths)
         cands = [
-            d for d in candidate_dimensions(g, classify(g), bound)
+            d for d in candidate_dimensions(g, bound)
             if reduction_schedule(g, d) is not None
         ]
         instances = []

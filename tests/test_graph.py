@@ -214,8 +214,8 @@ def test_integer_vectors_are_ints():
         cls = classify(g)
         vectors = (
             [cls.delta, unit_vector(g, 0)]
-            + fundamental_roots(g, cls, include_negative=True, include_zero=True)
-            + candidate_dimensions(g, cls, 12)
+            + fundamental_roots(g, include_negative=True, include_zero=True)
+            + candidate_dimensions(g, 12)
         )
         for v in vectors:
             assert all(type(e) is int for e in v), (lengths, v)

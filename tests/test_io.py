@@ -122,6 +122,16 @@ def test_algebra_rep_rejects_wrong_projection_shape():
         algebra_rep_from_dict(data)
 
 
+@pytest.mark.parametrize("n0", [0, -1])
+def test_algebra_rep_rejects_nonpositive_n0(n0):
+    inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
+    data = json.loads(dumps(algebra_rep_to_dict(build_hyperplane_rep(inst, seed=0))))
+    data["n0"] = n0
+    data["projections"] = [[[] for _ in branch] for branch in data["projections"]]
+    with pytest.raises(IOError_, match="n0 must be a positive integer"):
+        algebra_rep_from_dict(data)
+
+
 _floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 _scalars = (st.none() | st.booleans() | st.integers() | _floats
             | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308])

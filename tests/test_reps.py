@@ -139,13 +139,12 @@ def test_canonicalize_idempotent_shape(e6, rng):
 def test_long_branch_pipeline(rng):
     """Full pipeline on the (5,2,1) star: branches of length five exercise
     the general alternating-ends bookkeeping."""
-    from starspec import chi_from_char, classify
+    from starspec import chi_from_char
     from starspec.coxeter import char_transport_up
     from starspec.feasibility import candidate_dimensions
 
     g = build_star([5, 2, 1])
-    cls = classify(g)
-    cands = candidate_dimensions(g, cls, 8)
+    cands = candidate_dimensions(g, 8)
     # sincere dimension that actually reduces (regular roots never do)
     d = next(
         c for c in cands
@@ -183,7 +182,7 @@ def test_canonical_form_matches_forward_construction():
     """canonicalize and from_algebra_rep lay out the non-root edges by the
     same window table, so the two agree entrywise in absolute value; long
     branches (E7~, E8~ in both branch orders) reach deep windows."""
-    from starspec import classify, from_algebra_rep
+    from starspec import from_algebra_rep
     from starspec.feasibility import candidate_dimensions
 
     n_edges = 0
@@ -191,7 +190,7 @@ def test_canonical_form_matches_forward_construction():
         g = build_star(lengths)
         # the first schedulable candidate at each root entry up to 12
         dims = {}
-        for d in candidate_dimensions(g, classify(g), 12):
+        for d in candidate_dimensions(g, 12):
             if reduction_schedule(g, d) is not None:
                 dims.setdefault(d[g.root], d)
         rng = random.Random(7)
@@ -219,12 +218,11 @@ def test_build_graph_rep_matches_fraction_route(lengths):
     upward step by coxeter_char), on the first schedulable candidate at each
     root entry up to 12, with an integer character and with that character
     times 7/3 (common denominator 3)."""
-    from starspec import classify
     from starspec.feasibility import candidate_dimensions
 
     g = build_star(lengths)
     dims = {}
-    for d in candidate_dimensions(g, classify(g), 12):
+    for d in candidate_dimensions(g, 12):
         if reduction_schedule(g, d) is not None:
             dims.setdefault(d[g.root], d)
     assert len(dims) >= 5
@@ -408,14 +406,13 @@ def test_reflection_route_is_real_and_hyperplane_route_complex(e6, rng):
 
 
 def test_from_algebra_rep_long_branch(rng):
-    from starspec import chi_from_char, classify, from_algebra_rep
+    from starspec import chi_from_char, from_algebra_rep
     from starspec.coxeter import char_transport_up
     from starspec.feasibility import candidate_dimensions
 
     g = build_star([5, 2, 1])
-    cls = classify(g)
     d = next(
-        c for c in candidate_dimensions(g, cls, 8)
+        c for c in candidate_dimensions(g, 8)
         if all(v > 0 for v in c) and reduction_schedule(g, c) is not None
     )
     sched = reduction_schedule(g, d)

@@ -4,7 +4,6 @@ import pytest
 
 from starspec import (
     build_star,
-    classify,
     coxeter_dim,
     coxeter_series,
     fundamental_roots,
@@ -61,25 +60,25 @@ def as_q(t):
     return tuple(Q(v) for v in t)
 
 
-def test_fundamental_roots_table(e6, e6_class):
-    roots = fundamental_roots(e6, e6_class)
+def test_fundamental_roots_table(e6):
+    roots = fundamental_roots(e6)
     assert len(roots) == 36
     assert set(roots) == {as_q(t) for t in DELTA_F_E6}
     for r in roots:
         assert tits_form(e6, r) == 1
 
 
-def test_fundamental_roots_membership(e6, e6_class):
-    roots = set(fundamental_roots(e6, e6_class))
+def test_fundamental_roots_membership(e6):
+    roots = set(fundamental_roots(e6))
     assert as_q((0, 0, 0, 0, 0, 0, 1)) in roots
     assert as_q((0, 1, 1, 2, 1, 2, 3)) in roots
     assert as_q((0, 2, 1, 2, 1, 2, 3)) in roots
 
 
-def test_fundamental_roots_options(e6, e6_class):
-    with_neg = fundamental_roots(e6, e6_class, include_negative=True)
+def test_fundamental_roots_options(e6):
+    with_neg = fundamental_roots(e6, include_negative=True)
     assert len(with_neg) == 72
-    with_zero = fundamental_roots(e6, e6_class, include_zero=True)
+    with_zero = fundamental_roots(e6, include_zero=True)
     assert len(with_zero) == 37
     assert all(v == 0 for v in with_zero[0])
 
@@ -87,7 +86,7 @@ def test_fundamental_roots_options(e6, e6_class):
 def test_fundamental_roots_requires_extended(e6):
     wild = build_star([3, 3, 3])
     with pytest.raises(RootError):
-        fundamental_roots(wild, classify(wild))
+        fundamental_roots(wild)
 
 
 def test_is_root(e6, e6_class):
@@ -108,22 +107,22 @@ def test_classify_root(e6, e6_class):
 
 def test_root_shift_closure(e6, e6_class):
     delta = e6_class.delta
-    for base in fundamental_roots(e6, e6_class)[:12]:
+    for base in fundamental_roots(e6)[:12]:
         shifted = tuple(b + d for b, d in zip(base, delta))
         assert is_root(e6, shifted) == "real"
 
 
-def test_coxeter_series_k1_k2_k3(e6, e6_class):
-    k1 = coxeter_series(e6, e6_class, unit_vector(e6, 0))
-    k2 = coxeter_series(e6, e6_class, unit_vector(e6, 1))
-    k3 = coxeter_series(e6, e6_class, unit_vector(e6, e6.root))
+def test_coxeter_series_k1_k2_k3(e6):
+    k1 = coxeter_series(e6, unit_vector(e6, 0))
+    k2 = coxeter_series(e6, unit_vector(e6, 1))
+    k3 = coxeter_series(e6, unit_vector(e6, e6.root))
     assert len(k1) == 12 and set(k1.bases()) == {as_q(t) for t in K1_BASES}
     assert len(k2) == 6 and set(k2.bases()) == {as_q(t) for t in K2_BASES}
     assert len(k3) == 4 and set(k3.bases()) == {as_q(t) for t in K3_BASES}
 
 
 def test_coxeter_series_closure(e6, e6_class):
-    k3 = coxeter_series(e6, e6_class, unit_vector(e6, e6.root))
+    k3 = coxeter_series(e6, unit_vector(e6, e6.root))
     bases = set(k3.bases())
     e = e6_class.extending[0]
     for s in k3.series:
@@ -132,13 +131,13 @@ def test_coxeter_series_closure(e6, e6_class):
             assert series_base(img, e6_class.delta, e) in bases
 
 
-def test_coxeter_series_rejects_non_root(e6, e6_class):
+def test_coxeter_series_rejects_non_root(e6):
     with pytest.raises(RootError):
-        coxeter_series(e6, e6_class, (Q(2),) * 7)
+        coxeter_series(e6, (Q(2),) * 7)
 
 
 def test_delta_series_member(e6, e6_class):
-    k3 = coxeter_series(e6, e6_class, unit_vector(e6, e6.root))
+    k3 = coxeter_series(e6, unit_vector(e6, e6.root))
     s = k3.series[-1]
     assert s.member(2) == tuple(b + 2 * d for b, d in zip(s.base, e6_class.delta))
 
@@ -156,7 +155,7 @@ def test_reflections_preserve_form(e6):
 def test_series_decomposition_counts(e6, e6_class):
     """72 signed series split into 58 functor-reachable and 14 regular ones;
     the three tabulated orbits and branch symmetry cover the reachable part."""
-    singular, regular = singular_and_regular_series(e6, e6_class)
+    singular, regular = singular_and_regular_series(e6)
     assert len(singular) + len(regular) == 72
     assert len(singular) == 58
     assert len(regular) == 14
@@ -182,18 +181,18 @@ def test_regular_series_counts(lengths, n_series, n_regular):
     """The regular series are the zero-defect ones: sum r(r-1) over the tube
     ranks, (2,2,2), (3,3,2), (4,3,2) and (5,3,2) on D4~, E6~, E7~, E8~."""
     g = build_star(lengths)
-    singular, regular = singular_and_regular_series(g, classify(g))
+    singular, regular = singular_and_regular_series(g)
     assert len(singular) + len(regular) == n_series
     assert len(regular) == n_regular
 
 
-def test_regular_series_orbit_sizes(e6, e6_class):
-    _, regular = singular_and_regular_series(e6, e6_class)
+def test_regular_series_orbit_sizes(e6):
+    _, regular = singular_and_regular_series(e6)
     left = set(regular)
     sizes = []
     while left:
         seed = next(iter(left))
-        orbit = set(coxeter_series(e6, e6_class, seed).bases())
+        orbit = set(coxeter_series(e6, seed).bases())
         sizes.append(len(orbit))
         left -= orbit
     assert sorted(sizes) == [2, 6, 6]
@@ -201,12 +200,11 @@ def test_regular_series_orbit_sizes(e6, e6_class):
 
 def test_d4_fundamental_roots():
     g = build_star([1, 1, 1, 1])
-    cls = classify(g)
-    roots = fundamental_roots(g, cls)
+    roots = fundamental_roots(g)
     # positive roots of the rank-4 even orthogonal system: 12
     assert len(roots) == 12
     assert all(tits_form(g, r) == 1 for r in roots)
 
 
-def test_all_series_bases(e6, e6_class):
-    assert len(all_series_bases(e6, e6_class)) == 72
+def test_all_series_bases(e6):
+    assert len(all_series_bases(e6)) == 72

@@ -130,7 +130,9 @@ def cmd_feasible(args) -> int:
     data = _load_json(args.instance)
     inst = instance_from_dict(data)
     graph = build_star(inst.branch_lengths)
-    bound = args.scan_bound or int_in(data.get("scan_bound", 60))
+    bound = args.scan_bound
+    if bound is None:
+        bound = int_in(data.get("scan_bound", 60))
     verdict = solve(graph, inst, scan_bound=bound)
     print(dumps(verdict_to_dict(verdict)))
     return _verdict_exit(verdict.status)
@@ -149,7 +151,7 @@ def cmd_construct(args) -> int:
         else:
             d = gvec_in(graph, ddata, int_in)
     else:
-        verdict = solve(graph, inst, scan_bound=args.scan_bound or 60)
+        verdict = solve(graph, inst, scan_bound=args.scan_bound)
         if not verdict.feasible:
             print(dumps(verdict_to_dict(verdict)))
             return _verdict_exit(verdict.status)
@@ -159,20 +161,14 @@ def cmd_construct(args) -> int:
     meta: dict = {"seed": seed, "dimension": gvec_out(d)}
     if d == cls.delta:
         arep = build_hyperplane_rep(inst, seed=seed)
-        resid = float(np.abs(arep.weighted_sum()
-                             - float(inst.gamma) * np.eye(arep.n0)).max())
-        meta.update({"route": "hyperplane_optimizer", "residual": resid})
+        meta["route"] = "hyperplane_optimizer"
     else:
         f = char_from_chi(graph, inst)
         grep = build_graph_rep(graph, d, f)
         arep = to_algebra_rep(graph, grep, inst)
-        resid = float(np.abs(arep.weighted_sum()
-                             - float(inst.gamma) * np.eye(arep.n0)).max())
-        meta.update({
-            "route": "reflection_functors",
-            "character": gvec_out(f),
-            "residual": resid,
-        })
+        meta.update({"route": "reflection_functors", "character": gvec_out(f)})
+    meta["residual"] = float(np.abs(arep.weighted_sum()
+                                    - float(inst.gamma) * np.eye(arep.n0)).max())
     meta["commutant_dimension"] = commutant_dimension(arep)
     out = algebra_rep_to_dict(arep, metadata=meta)
     text = dumps_pretty(out)
@@ -216,7 +212,7 @@ def cmd_solve_batch(args) -> int:
         try:
             inst = instance_from_dict(_load_json(str(path)))
             graph = build_star(inst.branch_lengths)
-            verdict = solve(graph, inst, scan_bound=args.scan_bound or 60)
+            verdict = solve(graph, inst, scan_bound=args.scan_bound)
             entry["status"] = verdict.status
             entry["branch_taken"] = verdict.branch_taken
             counts[verdict.status] += 1
@@ -268,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--dimension", help="target dimension JSON (optional)")
     b.add_argument("-o", "--output", help="write the representation here")
     b.add_argument("--seed", type=int)
-    b.add_argument("--scan-bound", type=int)
+    b.add_argument("--scan-bound", type=int, default=60)
     b.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="verify a representation file")
@@ -280,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve-batch", help="solve every instance in a directory")
     s.add_argument("directory")
-    s.add_argument("--scan-bound", type=int)
+    s.add_argument("--scan-bound", type=int, default=60)
     s.set_defaults(func=cmd_solve_batch)
     return p
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
 from .graph import EVEN, ODD, GVec, GraphError, IVec, Parity, StarGraph, classify
-from .rational import Q, QMat, mat_mul, mat_pow, qmat
+from .rational import IMat, QMat, mat_mul, mat_pow
 
 Token = Parity
 CoxeterWord = tuple[Token, ...]
@@ -185,33 +185,33 @@ def char_transport_up(
 
 
 # ---------------------------------------------------------------------------
-# Matrices (exact rational)
+# Matrices (integer, except the drift-normalized power tables)
 # ---------------------------------------------------------------------------
 
-def parity_matrix(graph: StarGraph, token: Token) -> QMat:
+def parity_matrix(graph: StarGraph, token: Token) -> IMat:
     """Matrix of the parity reflection in the canonical vertex basis."""
     n = graph.n_vertices
     rows = []
     pset = set(_parity_set(graph, token))
     for i in range(n):
         if i in pset:
-            row = [Q(0)] * n
-            row[i] = Q(-1)
+            row = [0] * n
+            row[i] = -1
             for h in graph.neighbors[i]:
                 row[h] += 1
             rows.append(tuple(row))
         else:
-            rows.append(tuple(Q(int(j == i)) for j in range(n)))
+            rows.append(tuple(int(j == i) for j in range(n)))
     return tuple(rows)
 
 
-def elementary_coxeter_matrix(graph: StarGraph) -> QMat:
+def elementary_coxeter_matrix(graph: StarGraph) -> IMat:
     """Composite Coxeter matrix: the even map first, then the odd one
     (matrix product odd * even), the order of the power tables below."""
     return mat_mul(parity_matrix(graph, ODD), parity_matrix(graph, EVEN))
 
 
-def coxeter_power_matrix_e6(graph: StarGraph, k: int) -> QMat:
+def coxeter_power_matrix_e6(graph: StarGraph, k: int) -> IMat:
     """Exact k-th power of the composite Coxeter matrix on the E6~ star."""
     if graph.branch_lengths != (2, 2, 2):
         raise GraphError("power matrices are specific to the (2,2,2) star")
@@ -266,9 +266,9 @@ def coxeter_power_table_e6(k: int) -> QMat:
             [3 * (3 - u), 12, 3 * (3 - u), 12, 3 * (3 - u), 12, 3 * (9 + u)],
         ]
         den = 12
-    return qmat([[Fraction(v, den) for v in row] for row in rows])
+    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
 
 
-def signed_delta_e6() -> GVec:
+def signed_delta_e6() -> IVec:
     """Parity-signed companion of the E6~ radical generator."""
-    return tuple(Q(v) for v in (1, -2, 1, -2, 1, -2, 3))
+    return (1, -2, 1, -2, 1, -2, 3)

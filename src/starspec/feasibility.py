@@ -13,6 +13,10 @@ Three decision routes:
   Horn-type inequalities in the minimal imaginary-root dimension.
 
 ``solve`` orchestrates the routes and scans candidate real-root dimensions.
+Every condition is homogeneous with integer coefficients, so each route
+clears denominators once and sums ints; only certificates print Fractions.
+The level test of ``solve``, ``on_hyperplane`` and ``horn_check_e6`` is the
+one pairing P(delta, f) = 0.
 """
 from __future__ import annotations
 
@@ -41,12 +45,12 @@ from .graph import (
     is_positive_vector,
     unit_vector,
 )
-from .rational import Q, QMat, mat_mul, mat_vec
+from .rational import IMat, Q, mat_mul, mat_vec
 from .roots import is_root, singular_and_regular_series
 from .transfer import (
     GeneralizedDimension,
     SpectralInstance,
-    char_from_chi,
+    mf_matrix,
     n_from_dim,
     nondegenerate_dim,
 )
@@ -75,18 +79,14 @@ class FeasibilityVerdict:
 class Hyperplane:
     """Level condition <coeffs, chi> = 0, displayed as spectra sum = c*gamma.
 
-    The coefficients are the ranks attached to the radical generator delta;
-    existence in the minimal imaginary-root dimension forces this trace
-    identity, so off the hyperplane only real-root dimensions can occur.
+    The coefficients are the (int) ranks attached to the radical generator
+    delta; existence in the minimal imaginary-root dimension forces this
+    trace identity, so off the hyperplane only real-root dimensions can
+    occur.  Up to sign and scale the form is P(delta, f), which
+    ``on_hyperplane`` tests.
     """
 
     coefficients: tuple[int, ...]
-
-    def evaluate(self, inst: SpectralInstance) -> Fraction:
-        chi = inst.chi()
-        if len(chi) != len(self.coefficients):
-            raise FeasibilityError("instance does not match hyperplane arity")
-        return sum(c * x for c, x in zip(self.coefficients, chi))
 
     def display(self) -> str:
         parts = []
@@ -115,8 +115,25 @@ def hyperplane(graph: StarGraph) -> Hyperplane:
     return Hyperplane(coefficients=tuple(coeffs))
 
 
+def _scaled_instance(
+    graph: StarGraph, inst: SpectralInstance
+) -> tuple[list[int], IVec, int]:
+    """chi and its character f = mf * chi as ints, with the one scale that
+    clears both (mf is unimodular over the integers)."""
+    if inst.branch_lengths != graph.branch_lengths:
+        raise FeasibilityError("instance does not match the graph")
+    chint, scale = _scaled_character(inst.chi())
+    return chint, mat_vec(mf_matrix(graph), chint), scale
+
+
+def _on_level(graph: StarGraph, fint: IVec) -> bool:
+    """The level test P(delta, f) = 0, with P(delta, .) = ``coxeter.defect``;
+    it is homogeneous, so an integer character is read as it is."""
+    return defect(graph, fint) == 0
+
+
 def on_hyperplane(graph: StarGraph, inst: SpectralInstance) -> bool:
-    return hyperplane(graph).evaluate(inst) == 0
+    return _on_level(graph, _scaled_instance(graph, inst)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -150,33 +167,25 @@ def horn_check_e6(inst: SpectralInstance) -> FeasibilityVerdict:
     graph = e6_graph()
     if inst.branch_lengths != (2, 2, 2):
         raise FeasibilityError("the Horn criterion applies to the (2,2,2) star")
-    if not on_hyperplane(graph, inst):
+    chint, fint, scale = _scaled_instance(graph, inst)
+    if not _on_level(graph, fint):
         raise FeasibilityError("instance is off the hyperplane")
-    chi6 = inst.chi()[:6]
-    cert = []
-    n_neg = 0
-    n_zero = 0
-    for name, coeffs in HORN_E6:
-        margin = sum(c * x for c, x in zip(coeffs, chi6))
-        ok = margin > 0
-        n_neg += margin < 0
-        n_zero += margin == 0
-        cert.append((name, str(margin), bool(ok)))
-    witness = GeneralizedDimension(n0=3, branches=((1, 1), (1, 1), (1, 1)))
-    if n_neg:
-        return FeasibilityVerdict(
-            status="infeasible", branch_taken="horn_hyperplane",
-            certificate=tuple(cert),
-        )
-    if n_zero:
+    # zip stops at the six spectral values: gamma has no Horn coefficient
+    margins = [sum(c * x for c, x in zip(coeffs, chint)) for _, coeffs in HORN_E6]
+    cert = [(name, str(Q(m, scale)), m > 0)
+            for (name, _), m in zip(HORN_E6, margins)]
+    low = min(margins)
+    if low == 0:
         cert.append(("boundary", "existence undecided at equality", False))
+    if low <= 0:
         return FeasibilityVerdict(
-            status="degenerate", branch_taken="horn_hyperplane",
-            certificate=tuple(cert),
+            status="infeasible" if low < 0 else "degenerate",
+            branch_taken="horn_hyperplane", certificate=tuple(cert),
         )
     return FeasibilityVerdict(
         status="feasible", branch_taken="horn_hyperplane",
-        witness_dimension=witness, certificate=tuple(cert),
+        witness_dimension=GeneralizedDimension(n0=3, branches=((1, 1),) * 3),
+        certificate=tuple(cert),
     )
 
 
@@ -194,7 +203,7 @@ class SeriesFamily:
     period: int
     min_k: int
     anchor_k: int
-    anchor_rows: QMat
+    anchor_rows: IMat
 
     def token_at(self, level: int) -> Token:
         """Parity map that builds the given level from the one below."""
@@ -204,15 +213,11 @@ class SeriesFamily:
         return ODD if self.first_token == EVEN else EVEN
 
 
-def _rows(mat) -> QMat:
-    return tuple(tuple(Q(v) for v in row) for row in mat)
-
-
 # Frozen anchor condition matrices (rows act on characters in vertex order;
 # terminal-vertex row last, remaining vertices in canonical order).  Each is
 # the exact stepwise condition matrix of its anchor dimension; the tests
 # re-derive them from the schedule machinery.
-_ANCHOR_LEAF = _rows([
+_ANCHOR_LEAF = (
     (3, -3, 1, -3, 1, -3, 5),
     (1, -1, 1, -2, 1, -1, 2),
     (3, -3, 2, -3, 1, -2, 4),
@@ -220,8 +225,8 @@ _ANCHOR_LEAF = _rows([
     (3, -3, 1, -2, 2, -3, 4),
     (5, -4, 2, -4, 2, -4, 6),
     (2, -2, 1, -2, 1, -2, 3),
-])
-_ANCHOR_INNER = _rows([
+)
+_ANCHOR_INNER = (
     (0, 0, 1, -1, 1, -1, 1),
     (0, 0, 0, -1, 0, 0, 1),
     (1, -1, 0, -1, 1, -1, 2),
@@ -229,8 +234,8 @@ _ANCHOR_INNER = _rows([
     (1, -1, 1, -1, 0, -1, 2),
     (2, -1, 1, -2, 1, -2, 3),
     (1, -1, 1, -2, 1, -2, 3),
-])
-_ANCHOR_ROOT = _rows([
+)
+_ANCHOR_ROOT = (
     (-1, 1, 0, 0, 0, 0, 0),
     (-1, 1, 0, 1, 0, 1, -1),
     (0, 0, -1, 1, 0, 0, 0),
@@ -238,7 +243,7 @@ _ANCHOR_ROOT = _rows([
     (0, 0, 0, 0, -1, 1, 0),
     (0, 1, 0, 1, -1, 1, -1),
     (-1, 2, -1, 2, -1, 2, -2),
-])
+)
 
 FAMILY_LEAF = SeriesFamily("leaf", 0, EVEN, 12, 15, 13, _ANCHOR_LEAF)
 FAMILY_INNER = SeriesFamily("inner", 1, ODD, 6, 8, 6, _ANCHOR_INNER)
@@ -265,7 +270,7 @@ def trajectory_dim(graph: StarGraph, family: SeriesFamily, k: int) -> IVec:
 
 
 @functools.lru_cache(maxsize=256)
-def _condition_matrix_e6(family_name: str, k: int) -> QMat:
+def _condition_matrix_e6(family_name: str, k: int) -> IMat:
     """Seven f-side condition rows for the family's k-th dimension.
 
     Built from the frozen anchor by full parity-matrix products; valid for
@@ -302,11 +307,11 @@ def closed_form_e6(
         )
     graph = e6_graph()
     rows = _condition_matrix_e6(family.name, k)
-    f = char_from_chi(graph, inst)
-    vals = mat_vec(rows, f)
-    cert = tuple(
-        (f"condition {i + 1}", str(v), bool(v > 0)) for i, v in enumerate(vals[:6])
-    ) + (("terminal", str(vals[6]), vals[6] == 0),)
+    _, fint, scale = _scaled_instance(graph, inst)
+    vals = mat_vec(rows, fint)
+    cert = tuple((f"condition {i + 1}", str(Q(v, scale)), v > 0)
+                 for i, v in enumerate(vals[:6]))
+    cert += (("terminal", str(Q(vals[6], scale)), vals[6] == 0),)
     branch = f"closed_form({family.name}, k={k})"
     if vals[6] != 0 or any(v < 0 for v in vals[:6]):
         return FeasibilityVerdict(status="infeasible", branch_taken=branch,
@@ -382,7 +387,7 @@ def _walk_pair(
 
 
 def _scaled_character(f: GVec) -> tuple[list[int], int]:
-    """Integer character and the common denominator it was scaled by.
+    """Integer vector (a character, or chi) and its common denominator.
 
     Every condition is homogeneous in f, so clearing denominators once lets
     the walk run in plain integer arithmetic.
@@ -498,11 +503,10 @@ def solve(
     cls = classify(graph)
     if cls.kind != "ExtendedDynkin":
         raise FeasibilityError("solve requires an extended Dynkin star")
-    if inst.branch_lengths != graph.branch_lengths:
-        raise FeasibilityError("instance does not match the graph")
-    fint, scale = _scaled_character(char_from_chi(graph, inst))
-    # P(delta, f) is, up to sign and scale, the level form of ``hyperplane``
-    on_h = pairing(graph, cls.delta, fint) == 0
+    if scan_bound < 0:
+        raise FeasibilityError(f"scan bound {scan_bound} is negative")
+    _, fint, scale = _scaled_instance(graph, inst)
+    on_h = _on_level(graph, fint)
     is_e6 = cls.name == "E6~"
     horn: Optional[FeasibilityVerdict] = None
     horn_note = None

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Literal, Optional, Sequence
 
-from .rational import Q, QMat, QVec, qvec
+from .rational import IMat, QVec
 
 GVec = QVec
 IVec = tuple[int, ...]
@@ -99,7 +99,7 @@ def build_star(branch_lengths: Sequence[int]) -> StarGraph:
 
 
 def gvector(graph: StarGraph, entries: Sequence) -> GVec:
-    v = qvec(entries)
+    v = tuple(Fraction(e) for e in entries)
     if len(v) != graph.n_vertices:
         raise GraphError(
             f"vector has {len(v)} entries, graph has {graph.n_vertices} vertices"
@@ -135,15 +135,15 @@ def bilinear_form(graph: StarGraph, x: GVec, y: GVec) -> int | Fraction:
     return tits_form(graph, xy) - tits_form(graph, x) - tits_form(graph, y)
 
 
-def form_matrix(graph: StarGraph) -> QMat:
+def form_matrix(graph: StarGraph) -> IMat:
     """Gram matrix of the bilinear form: 2I minus the adjacency matrix."""
     n = graph.n_vertices
-    m = [[Q(0)] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
     for i in range(n):
-        m[i][i] = Q(2)
+        m[i][i] = 2
     for a, b in graph.edges:
-        m[a][b] = Q(-1)
-        m[b][a] = Q(-1)
+        m[a][b] = -1
+        m[b][a] = -1
     return tuple(tuple(row) for row in m)
 
 

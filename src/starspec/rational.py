@@ -1,34 +1,30 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact linear algebra on small dense matrices.
 
-Characters, spectra and the condition matrices of the closed-form route are
-``fractions.Fraction`` so that verdicts are exact; dimension vectors and
-roots are plain ints and need none of this.  Matrices are tuples of tuples;
-vectors are tuples.  Sizes here are tiny (the number of graph
-vertices), so no attempt is made to be clever.
+Characters, spectra, chi and the drift-normalized Coxeter power tables are
+``fractions.Fraction`` so that verdicts are exact.  Everything whose values
+are integers stays a plain int: dimension vectors, roots, and the parity,
+Coxeter, form, transfer and condition matrices.  The decision layer clears
+the denominators of chi or of a character once and then evaluates its
+conditions as integer sums.  Matrices are tuples of tuples and vectors are
+tuples; the helpers below work on int and Fraction entries alike and keep
+integer matrices int.  Sizes here are tiny (the number of graph vertices),
+so no attempt is made to be clever.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 Q = Fraction
 QVec = tuple[Fraction, ...]
 QMat = tuple[QVec, ...]
+IMat = tuple[tuple[int, ...], ...]
 
 
-def qvec(entries: Sequence) -> QVec:
-    return tuple(Fraction(e) for e in entries)
+def identity(n: int) -> IMat:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def qmat(rows: Sequence[Sequence]) -> QMat:
-    return tuple(qvec(r) for r in rows)
-
-
-def identity(n: int) -> QMat:
-    return tuple(tuple(Q(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: QMat, b: QMat) -> QMat:
+def mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0])
     assert len(a[0]) == m
     return tuple(
@@ -37,11 +33,11 @@ def mat_mul(a: QMat, b: QMat) -> QMat:
     )
 
 
-def mat_vec(a: QMat, x: QVec) -> QVec:
+def mat_vec(a, x) -> tuple:
     return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in a)
 
 
-def mat_pow(a: QMat, k: int) -> QMat:
+def mat_pow(a, k: int):
     """a**k by repeated squaring, for k >= 0."""
     if k < 0:
         raise ValueError("negative power")

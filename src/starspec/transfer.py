@@ -18,12 +18,13 @@ position i >= 1.  Both directions are unimodular over the integers.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .graph import GVec, IVec, StarGraph
-from .rational import Q, QMat, parse_fraction
+from .rational import IMat, Q, parse_fraction
 
 
 class TransferError(ValueError):
@@ -217,36 +218,37 @@ def nondegenerate_char(graph: StarGraph, f: GVec) -> bool:
     return True
 
 
-def mf_matrix(graph: StarGraph) -> QMat:
+@functools.lru_cache(maxsize=64)
+def mf_matrix(graph: StarGraph) -> IMat:
     """Matrix of char_from_chi: rows in vertex order, columns in chi order."""
     n = graph.n_vertices
-    rows = [[Q(0)] * n for _ in range(n)]
-    rows[graph.root][n - 1] = Q(1)
+    rows = [[0] * n for _ in range(n)]
+    rows[graph.root][n - 1] = 1
     offset = 0
     for path, m in zip(graph.branches, graph.branch_lengths):
         outward = path[::-1]
-        rows[outward[0]][offset] = Q(1)
+        rows[outward[0]][offset] = 1
         for v, (lo, hi) in zip(outward[1:], _windows(m)):
-            rows[v][offset + lo] = Q(1)
-            rows[v][offset + hi] = Q(-1)
+            rows[v][offset + lo] = 1
+            rows[v][offset + hi] = -1
         offset += m
     return tuple(tuple(r) for r in rows)
 
 
-def md_matrix(graph: StarGraph) -> QMat:
+def md_matrix(graph: StarGraph) -> IMat:
     """Matrix of n_from_dim: rows in chi order (n0 last), columns in vertex
     order."""
     n = graph.n_vertices
-    rows = [[Q(0)] * n for _ in range(n)]
-    rows[n - 1][graph.root] = Q(1)
+    rows = [[0] * n for _ in range(n)]
+    rows[n - 1][graph.root] = 1
     offset = 0
     for path, m in zip(graph.branches, graph.branch_lengths):
         outward = path[::-1]
         for t, (lo, hi) in enumerate(_windows(m)):
             row = rows[offset + (hi if t % 2 else lo)]
-            row[outward[t]] = Q(1)
+            row[outward[t]] = 1
             if t + 1 < m:
-                row[outward[t + 1]] = Q(-1)
+                row[outward[t + 1]] = -1
         offset += m
     return tuple(tuple(r) for r in rows)
 

@@ -4,14 +4,18 @@
   basis of `starspec.verify.commutant_dimension` and the reflection functors
   against.  Ranks use the same relative floor as `starspec.verify`.
 * Exact rational inverse, determinant and transpose of small matrices.
+  Inverse and determinant lift the entries to Fraction first: the library's
+  integer matrices hold ints, and int / int is a float.
 * The construction by the Fraction route: the character pushed down the
   schedule, then every upward step recomputed by `coxeter_char`.
+* The Horn margins of the (2,2,2) star as Fraction sums over chi.
 """
 from fractions import Fraction
 
 import numpy as np
 
 from starspec.coxeter import DimCharPair, reduction_schedule
+from starspec.feasibility import HORN_E6
 from starspec.graph import EVEN
 from starspec.rational import Q, QMat
 from starspec.reps import AlgebraRep, GraphRep, reflect_rep, simple_rep
@@ -92,7 +96,8 @@ def transpose(a: QMat) -> QMat:
 def mat_inv(a: QMat) -> QMat:
     """Gauss-Jordan inverse; raises ValueError on singular input."""
     n = len(a)
-    m = [list(row) + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    m = [[Q(v) for v in row] + [Q(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
     for c in range(n):
         piv = next((r for r in range(c, n) if m[r][c] != 0), None)
         if piv is None:
@@ -109,7 +114,7 @@ def mat_inv(a: QMat) -> QMat:
 
 def determinant(a: QMat) -> Fraction:
     n = len(a)
-    m = [list(row) for row in a]
+    m = [[Q(v) for v in row] for row in a]
     det = Q(1)
     for c in range(n):
         piv = next((r for r in range(c, n) if m[r][c] != 0), None)
@@ -145,3 +150,22 @@ def fraction_route_rep(graph, d, f) -> GraphRep:
     for _, token in reversed(schedule.steps):
         rep = reflect_rep(graph, token, rep, DimCharPair(rep.dims, rep.character))
     return rep
+
+
+def fraction_horn_check(inst) -> tuple[str, list]:
+    """Status and certificate of the Horn criterion with every margin summed
+    in Fractions over chi (the instance is assumed on the hyperplane)."""
+    chi6 = inst.chi()[:6]
+    cert = []
+    n_neg = n_zero = 0
+    for name, coeffs in HORN_E6:
+        margin = sum(c * x for c, x in zip(coeffs, chi6))
+        n_neg += margin < 0
+        n_zero += margin == 0
+        cert.append((name, str(margin), bool(margin > 0)))
+    if n_neg:
+        return "infeasible", cert
+    if n_zero:
+        return "degenerate", cert + [
+            ("boundary", "existence undecided at equality", False)]
+    return "feasible", cert

@@ -364,3 +364,32 @@ def test_construct_real_root_route(capsys, tmp_path, e6, rng):
                            "--instance", str(inst))
     assert code == 0
     assert json.loads(out)["overall"] is True
+
+
+E7_WITNESSED = ([[144, 94, 44], [156, 83, 51], [86]], 180)
+
+
+def test_scan_bound_zero_is_honoured(capsys, tmp_path):
+    """An explicit --scan-bound 0 scans nothing instead of falling back to
+    the default bound, under which this E7~ instance has a witness."""
+    inst = write_instance(tmp_path, "inst.json", *E7_WITNESSED)
+    code, out, _ = run_cli(capsys, "feasible", "--instance", inst)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "feasible", "--instance", inst,
+                           "--scan-bound", "0")
+    assert code == 1
+    assert "root entry <= 0 (0 candidates tested)" in out
+
+
+def test_negative_scan_bound_is_a_usage_error(capsys, tmp_path):
+    inst = write_instance(tmp_path, "inst.json", *E7_WITNESSED)
+    code, out, err = run_cli(capsys, "feasible", "--instance", inst,
+                             "--scan-bound", "-3")
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "FeasibilityError"
+    inst = write_instance(tmp_path, "neg.json", *E7_WITNESSED, scan_bound=-1)
+    code, out, err = run_cli(capsys, "feasible", "--instance", inst)
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "FeasibilityError"

@@ -28,6 +28,7 @@ from starspec.roots import RootError
 from starspec.transfer import n_from_dim
 
 from conftest import random_feasible_instance
+from oracles import fraction_horn_check
 
 SYMMETRIC = make_instance([[2, 1], [2, 1], [2, 1]], 3)
 SKEWED = make_instance([[10, 1], [2, 1], [2, 1]], "17/3")
@@ -149,6 +150,50 @@ def test_horn_boundary_flagged():
 def test_horn_requires_hyperplane():
     with pytest.raises(FeasibilityError):
         horn_check_e6(make_instance([[2, 1], [2, 1], [2, 1]], 4))
+
+
+def _horn_instance(rest, target, scale=1):
+    """Hyperplane instance whose last Horn margin, a2+b1+b2+c1+c2 - 2a1,
+    is exactly ``target``: a1 is solved from the other five spectral values
+    and gamma from the level condition sum(a) = 3 gamma."""
+    a2, b1, b2, c1, c2 = (Q(v) * scale for v in rest)
+    a1 = (a2 + b1 + b2 + c1 + c2 - target) / 2
+    gamma = (a1 + a2 + b1 + b2 + c1 + c2) / 3
+    return make_instance([[a1, a2], [b1, b2], [c1, c2]], gamma)
+
+
+@pytest.mark.parametrize("target,status", [
+    (Q(0), "degenerate"), (Q(1, 6), "feasible"), (Q(-1, 6), "infeasible"),
+])
+@pytest.mark.parametrize("scale", [1, 10**15 + 37])
+def test_horn_margins_near_zero_match_fraction_reference(target, status, scale):
+    """Margins exactly 0 and +-1/6, at moderate and at huge magnitudes,
+    with non-integer gamma: the integer margins give the status and the
+    certificate text of the Fraction sums."""
+    inst = _horn_instance((10, 21, 10, 20, 10), target, scale)
+    assert inst.gamma.denominator != 1
+    assert on_hyperplane(e6_graph(), inst)
+    v = horn_check_e6(inst)
+    assert v.status == status
+    assert v.certificate[11][1] == str(target)
+    assert (v.status, list(v.certificate)) == fraction_horn_check(inst)
+
+
+def test_horn_random_rationals_match_fraction_reference(rng):
+    """Hyperplane instances around the symmetric point with denominators
+    up to 7 in the spectra: every verdict and margin string equals the
+    Fraction reference."""
+    seen = set()
+    for _ in range(400):
+        den = rng.choice((2, 3, 5, 6, 7))
+        spectra = [[Q(rng.randint(12 * den, 28 * den), den),
+                    Q(rng.randint(2 * den, 11 * den), den)] for _ in range(3)]
+        inst = make_instance(spectra, sum(a for b in spectra for a in b) / 3)
+        status, cert = fraction_horn_check(inst)
+        v = horn_check_e6(inst)
+        assert (v.status, list(v.certificate)) == (status, cert), inst
+        seen.add(status)
+    assert seen == {"feasible", "infeasible", "degenerate"}
 
 
 def test_trajectories_match_frozen_tables(e6):

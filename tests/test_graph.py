@@ -205,17 +205,39 @@ def test_classify_matches_sylvester_reference():
 
 
 def test_integer_vectors_are_ints():
-    """Dimension-side vectors are ints, not integral Fractions."""
-    from starspec import fundamental_roots
-    from starspec.feasibility import candidate_dimensions
+    """Dimension-side vectors and the integer matrices are ints, not
+    integral Fractions."""
+    from starspec import (
+        FAMILIES,
+        coxeter_power_matrix_e6,
+        elementary_coxeter_matrix,
+        fundamental_roots,
+        hyperplane,
+        md_matrix,
+        mf_matrix,
+    )
+    from starspec.coxeter import parity_matrix, signed_delta_e6
+    from starspec.feasibility import _condition_matrix_e6, candidate_dimensions
+    from starspec.graph import form_matrix
+    from starspec.rational import identity
 
     for lengths in ([1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]):
         g = build_star(lengths)
         cls = classify(g)
         vectors = (
-            [cls.delta, unit_vector(g, 0)]
+            [cls.delta, unit_vector(g, 0), hyperplane(g).coefficients]
             + fundamental_roots(g, include_negative=True, include_zero=True)
             + candidate_dimensions(g, 12)
         )
+        for mat in (parity_matrix(g, "even"), parity_matrix(g, "odd"),
+                    elementary_coxeter_matrix(g), form_matrix(g),
+                    mf_matrix(g), md_matrix(g), identity(g.n_vertices)):
+            vectors += list(mat)
         for v in vectors:
             assert all(type(e) is int for e in v), (lengths, v)
+    e6 = build_star([2, 2, 2])
+    rows = [signed_delta_e6()] + list(coxeter_power_matrix_e6(e6, 5))
+    for fam in FAMILIES.values():
+        rows += fam.anchor_rows + _condition_matrix_e6(fam.name, fam.min_k + 1)
+    for v in rows:
+        assert all(type(e) is int for e in v), v

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .coxeter import CoxeterDomainError, DimCharPair, coxeter_char
-from .feasibility import FeasibilityError, solve
+from .feasibility import FeasibilityError, check_scan_bound, solve
 from .graph import GraphError, build_star, classify, unit_vector
 from .io import (
     IOError_,
@@ -205,6 +205,7 @@ def cmd_solve_batch(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         return _fail(EXIT_USAGE, "not_a_directory", str(directory))
+    check_scan_bound(args.scan_bound)
     results = []
     counts = {"feasible": 0, "infeasible": 0, "degenerate": 0, "error": 0}
     for path in sorted(directory.glob("*.json")):

@@ -390,9 +390,10 @@ def _scaled_character(f: GVec) -> tuple[list[int], int]:
     """Integer vector (a character, or chi) and its common denominator.
 
     Every condition is homogeneous in f, so clearing denominators once lets
-    the walk run in plain integer arithmetic.
+    the walk run in plain integer arithmetic.  ints and Fractions carry
+    their numerator and denominator and are read as they are.
     """
-    fq = [Fraction(v) for v in f]
+    fq = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in f]
     scale = _lcm(*(v.denominator for v in fq))
     return [v.numerator * (scale // v.denominator) for v in fq], scale
 
@@ -487,6 +488,12 @@ def candidate_dimensions(graph: StarGraph, bound: int) -> list[IVec]:
     return sorted(out, key=lambda v: (v[graph.root], v))
 
 
+def check_scan_bound(scan_bound: int) -> None:
+    """Raise FeasibilityError on a negative scan bound."""
+    if scan_bound < 0:
+        raise FeasibilityError(f"scan bound {scan_bound} is negative")
+
+
 def solve(
     graph: StarGraph,
     inst: SpectralInstance,
@@ -503,8 +510,7 @@ def solve(
     cls = classify(graph)
     if cls.kind != "ExtendedDynkin":
         raise FeasibilityError("solve requires an extended Dynkin star")
-    if scan_bound < 0:
-        raise FeasibilityError(f"scan bound {scan_bound} is negative")
+    check_scan_bound(scan_bound)
     _, fint, scale = _scaled_instance(graph, inst)
     on_h = _on_level(graph, fint)
     is_e6 = cls.name == "E6~"

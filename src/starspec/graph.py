@@ -8,6 +8,7 @@ order: dimension vectors and roots hold ints, characters hold rationals.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -214,12 +215,14 @@ def _ramp(graph: StarGraph) -> tuple[IVec, int]:
     return tuple(x), (2 - len(ps)) * big + sum(big // p for p in ps)
 
 
+@functools.lru_cache(maxsize=64)
 def classify(graph: StarGraph) -> GraphClass:
     """Classify by the sign of 2 - n + sum 1/p_j on the ramp vector.
 
     Positive: the form is positive definite.  Zero: the ramp vector spans
     the radical and is delta (its gcd is 1 on the four extended stars).
     Negative: the ramp vector is a nonnegative witness with q < 0.
+    The graph and its class are frozen, so each graph is classified once.
     """
     ramp, sign = _ramp(graph)
     if sign > 0:

@@ -3,12 +3,18 @@
 Roots are integer G-vectors with form value 1 (real) or 0 (imaginary).
 For an extended Dynkin graph the root system modulo the radical generator
 delta is finite; fixing an extending vertex e (delta_e = 1) gives a unique
-representative with e-entry zero in every coset, and the positive such
-representatives bounded by delta enumerate the whole table.
+representative with e-entry zero in every coset.  These representatives
+are the roots of the finite Dynkin diagram left after deleting e, and
+every real root is one of them plus a multiple of delta (Kac, Infinite
+Dimensional Lie Algebras, ch. 5).  The positive ones are grown by height
+from the simple roots: a positive root of height h > 1 is a positive root
+of height h - 1 plus a simple root, and a positive integer vector is a
+root of the finite diagram exactly when its form value is 1.  Delta
+restricted to the finite diagram is its highest root, so every entry of
+the table is bounded by delta.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
@@ -23,6 +29,7 @@ from .graph import (
     classify,
     is_positive_vector,
     tits_form,
+    unit_vector,
 )
 
 
@@ -74,21 +81,34 @@ def fundamental_roots(
     include_zero: bool = False,
 ) -> list[IVec]:
     """All coset representatives with zero entry at the first extending
-    vertex.
+    vertex e.
 
-    Returns the positive representatives (componentwise bounded by delta) in
-    lexicographic order; optionally adds their negatives and/or the zero
-    vector.  Every returned nonzero vector is a real root: an imaginary root
-    is a multiple of delta and cannot vanish at an extending vertex.
+    The positive ones are the positive roots of the graph with e deleted,
+    grown by height from its simple roots: x + e_i (i != e) is kept exactly
+    when its form value is 1, about n - 1 form values per root.  They come
+    back in lexicographic order, componentwise bounded by delta, whose
+    restriction to the finite diagram is the highest root; optionally their
+    negatives and/or the zero vector are added.  Every returned nonzero
+    vector is a real root: an imaginary root is a multiple of delta and
+    cannot vanish at an extending vertex.
     """
     cls = classify(graph)
     if cls.kind != "ExtendedDynkin":
         raise RootError("fundamental roots require an extended Dynkin graph")
     e = cls.extending[0]
-    ranges = []
-    for i, dmax in enumerate(cls.delta):
-        ranges.append([0] if i == e else range(dmax + 1))
-    out = [c for c in itertools.product(*ranges) if tits_form(graph, c) == 1]
+    simple = [i for i in range(graph.n_vertices) if i != e]
+    layer = [unit_vector(graph, i) for i in simple]
+    found = set(layer)
+    while layer:
+        grown = []
+        for x in layer:
+            for i in simple:
+                y = x[:i] + (x[i] + 1,) + x[i + 1:]
+                if y not in found and tits_form(graph, y) == 1:
+                    found.add(y)
+                    grown.append(y)
+        layer = grown
+    out = sorted(found)
     result: list[IVec] = []
     if include_zero:
         result.append((0,) * graph.n_vertices)

@@ -51,6 +51,16 @@ def feasible_character(graph, d, rng):
     raise AssertionError("could not sample a feasible instance")
 
 
+def plateau_walk(graph, d):
+    """Whether the walk of d keeps or raises its total dimension over two
+    steps somewhere: the rule that once skipped such roots as if they could
+    not reduce (192 of the 426 E7~ and 284 of the 502 E8~ candidates with
+    root entry <= 20)."""
+    every_other = [sum(dd) for dd, _ in reduction_schedule(graph, d).steps[::2]]
+    return any(later >= earlier
+               for later, earlier in zip(every_other[1:], every_other))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -9,14 +9,17 @@
 * The construction by the Fraction route: the character pushed down the
   schedule, then every upward step recomputed by `coxeter_char`.
 * The Horn margins of the (2,2,2) star as Fraction sums over chi.
+* The root table of an extended star by a scan of the box 0 <= x <= delta.
 """
+import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from starspec.coxeter import DimCharPair, reduction_schedule
 from starspec.feasibility import HORN_E6
-from starspec.graph import EVEN
+from starspec.graph import EVEN, classify, tits_form
 from starspec.rational import Q, QMat
 from starspec.reps import AlgebraRep, GraphRep, reflect_rep, simple_rep
 from starspec.verify import _rank
@@ -169,3 +172,25 @@ def fraction_horn_check(inst) -> tuple[str, list]:
         return "degenerate", cert + [
             ("boundary", "existence undecided at equality", False)]
     return "feasible", cert
+
+
+@functools.lru_cache(maxsize=None)
+def _box_scan(graph) -> tuple:
+    cls = classify(graph)
+    e = cls.extending[0]
+    ranges = [[0] if i == e else range(dmax + 1)
+              for i, dmax in enumerate(cls.delta)]
+    return tuple(c for c in itertools.product(*ranges)
+                 if tits_form(graph, c) == 1)
+
+
+def box_scan_roots(graph, include_negative=False, include_zero=False) -> list:
+    """`starspec.roots.fundamental_roots` by brute force: every vector
+    0 <= x <= delta with zero entry at the first extending vertex and form
+    value 1, in lexicographic order, with the same options."""
+    out = list(_box_scan(graph))
+    result = [(0,) * graph.n_vertices] if include_zero else []
+    result.extend(out)
+    if include_negative:
+        result.extend(tuple(-v for v in x) for x in out)
+    return result

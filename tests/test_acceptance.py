@@ -9,11 +9,13 @@ from contextlib import contextmanager
 from fractions import Fraction as Q
 
 import numpy as np
+import pytest
 
 from starspec import (
     FAMILIES,
     build_graph_rep,
     build_hyperplane_rep,
+    build_star,
     canonicalize,
     char_from_chi,
     chi_from_char,
@@ -38,11 +40,12 @@ from starspec import (
     verify_algebra_rep,
 )
 from starspec.coxeter import signed_delta_e6
+from starspec.feasibility import candidate_dimensions
 from starspec.rational import mat_vec
 from starspec.transfer import GeneralizedDimension, trace_pairing
 from starspec.verify import commutant_dimension
 
-from conftest import random_feasible_instance
+from conftest import feasible_character, plateau_walk, random_feasible_instance
 from oracles import determinant, mat_inv, transpose
 from test_roots import DELTA_F_E6, K1_BASES, K2_BASES, K3_BASES
 
@@ -259,3 +262,34 @@ def test_criterion_8_dichotomy(e6, e6_class):
                 d = dim_from_n(e6, w)
                 assert tits_form(e6, d) == 1  # real-root witness only
             done += 1
+
+
+@pytest.mark.parametrize("lengths,has_plateau", [([1, 1, 1, 1], False),
+                                                 ([2, 2, 2], False),
+                                                 ([1, 3, 3], True),
+                                                 ([1, 2, 5], True)])
+def test_criterion_8_companion_witnesses(lengths, has_plateau):
+    """Criterion 8's witness branch, which its random draws never reach:
+    off-hyperplane instances built feasible in real-root dimensions, the
+    E7~ and E8~ plateau dimensions among them, get a feasible verdict whose
+    witness the iterative route accepts."""
+    g = build_star(lengths)
+    rng = random.Random(808)
+    candidates = candidate_dimensions(g, 20)
+    plateau = [d for d in candidates if plateau_walk(g, d)]
+    assert bool(plateau) == has_plateau
+    dims = rng.sample(candidates, 16) + rng.sample(plateau, min(6, len(plateau)))
+    checked = plateau_witnesses = 0
+    for d in dims:
+        _, inst = feasible_character(g, d, rng)
+        if on_hyperplane(g, inst):
+            continue
+        verdict = solve(g, inst, scan_bound=20)
+        assert verdict.feasible, (d, verdict)
+        w = dim_from_n(g, verdict.witness_dimension)
+        assert w[g.root] <= d[g.root]
+        assert iterative_feasible(g, w, char_from_chi(g, inst)).feasible
+        checked += 1
+        plateau_witnesses += plateau_walk(g, w)
+    assert checked >= len(dims) - 2
+    assert (plateau_witnesses > 0) == has_plateau

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from starspec.cli import main
 from starspec.io import JSON_SCHEMAS, instance_to_dict
 from starspec.transfer import make_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -393,3 +399,38 @@ def test_negative_scan_bound_is_a_usage_error(capsys, tmp_path):
     assert code == 64
     assert out == ""
     assert json.loads(err)["error"] == "FeasibilityError"
+
+
+def test_solve_batch_rejects_negative_bound(capsys, tmp_path):
+    """A negative bound is a usage error of the whole batch, as for
+    feasible, and no file is solved."""
+    write_instance(tmp_path, "a.json", *E7_WITNESSED)
+    write_instance(tmp_path, "b.json", [[2, 1], [2, 1], [2, 1]], 3)
+    code, out, err = run_cli(capsys, "solve-batch", str(tmp_path),
+                             "--scan-bound", "-2")
+    assert code == 64
+    assert out == ""
+    assert json.loads(err) == {"error": "FeasibilityError",
+                               "message": "scan bound -2 is negative"}
+
+
+def run_module(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-m", "starspec", *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_starspec(capsys):
+    """`python -m starspec` is the CLI: same output and exit codes as
+    main(), here on the committed E8~ instance that CI also runs."""
+    inst = str(ROOT / "tests" / "data" / "e8_feasible.json")
+    for argv, code in ((["roots", "--branches", "1,2,5"], 0),
+                       (["feasible", "--instance", inst], 0),
+                       (["feasible", "--instance", inst, "--scan-bound", "4"], 1)):
+        proc = run_module(*argv)
+        expected = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == expected[:2]
+        assert proc.returncode == code, proc.stderr

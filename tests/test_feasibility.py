@@ -22,7 +22,7 @@ from starspec import (
     unit_vector,
 )
 from starspec.coxeter import reduction_schedule
-from starspec.feasibility import candidate_dimensions, e6_graph
+from starspec.feasibility import _scaled_character, candidate_dimensions, e6_graph
 from starspec.rational import identity, mat_mul
 from starspec.roots import RootError
 from starspec.transfer import n_from_dim
@@ -364,12 +364,10 @@ def test_plateau_roots_are_solved(lengths, d, rng):
     from starspec.coxeter import defect
     from starspec.verify import commutant_dimension
 
-    from conftest import feasible_character
+    from conftest import feasible_character, plateau_walk
 
     g = build_star(lengths)
-    sched = reduction_schedule(g, d)
-    every_other = [sum(dd) for dd, _ in sched.steps[::2]]
-    assert any(a <= b for a, b in zip(every_other[1:], every_other))
+    assert plateau_walk(g, d)
     assert defect(g, d) != 0
     assert d in candidate_dimensions(g, d[g.root])
     f, inst = feasible_character(g, d, rng)
@@ -669,3 +667,12 @@ def test_solve_matches_public_check_loop(rng):
             assert dumps(got) == dumps(want), (lengths, inst)
             feasible += got["feasible"]
     assert feasible >= 20
+
+
+def test_scaled_character_mixed_entries():
+    """ints and Fractions are read as they are, anything else through
+    Fraction: the same integer vector and scale either way."""
+    entries = [3, Q(5, 6), Q(-7, 4), "1/3", 0.5]
+    as_fractions = [Q(v) for v in entries]
+    assert _scaled_character(entries) == _scaled_character(as_fractions) \
+        == ([36, 10, -21, 4, 6], 12)

@@ -241,3 +241,16 @@ def test_integer_vectors_are_ints():
         rows += fam.anchor_rows + _condition_matrix_e6(fam.name, fam.min_k + 1)
     for v in rows:
         assert all(type(e) is int for e in v), v
+
+
+def test_classify_once_per_graph(monkeypatch):
+    """A frozen graph is classified once; equal graphs share the class."""
+    import starspec.graph as graph
+
+    calls = []
+    ramp = graph._ramp
+    monkeypatch.setattr(graph, "_ramp", lambda g: calls.append(g) or ramp(g))
+    classify.cache_clear()
+    first = classify(build_star([1, 2, 5]))
+    assert classify(build_star([1, 2, 5])) is first
+    assert len(calls) == 1

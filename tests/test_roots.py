@@ -19,6 +19,9 @@ from starspec.roots import (
     series_base,
     singular_and_regular_series,
 )
+from starspec.feasibility import candidate_dimensions
+
+from oracles import box_scan_roots
 
 # Full table of the 36 positive coset representatives on the (2,2,2) star,
 # extending vertex = branch-1 leaf (first coordinate).
@@ -171,6 +174,22 @@ def test_series_decomposition_counts(e6, e6_class):
     assert covered == singular
 
 
+STARS = [[1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]]
+
+
+@pytest.mark.parametrize("lengths", STARS + [[3, 3, 1], [5, 2, 1], [2, 1, 5]])
+@pytest.mark.parametrize("include_negative", [False, True])
+@pytest.mark.parametrize("include_zero", [False, True])
+def test_fundamental_roots_match_box_scan(lengths, include_negative,
+                                          include_zero):
+    """Growing the table by height gives the box scan's list, entry types
+    and order included, for every extending-vertex position."""
+    g = build_star(lengths)
+    got = fundamental_roots(g, include_negative, include_zero)
+    assert got == box_scan_roots(g, include_negative, include_zero)
+    assert all(type(v) is int for x in got for v in x)
+
+
 @pytest.mark.parametrize("lengths,n_series,n_regular", [
     ([1, 1, 1, 1], 24, 6),
     ([2, 2, 2], 72, 14),
@@ -184,6 +203,41 @@ def test_regular_series_counts(lengths, n_series, n_regular):
     singular, regular = singular_and_regular_series(g)
     assert len(singular) + len(regular) == n_series
     assert len(regular) == n_regular
+
+
+@pytest.mark.parametrize("lengths,n_roots,n_singular,n_candidates", [
+    ([1, 1, 1, 1], 12, 18, (90, 162, 522)),
+    ([2, 2, 2], 36, 58, (174, 330, 1102)),
+    ([1, 3, 3], 63, 106, (214, 426, 1486)),
+    ([1, 2, 5], 120, 212, (220, 502, 1916)),
+])
+def test_root_table_sizes(lengths, n_roots, n_singular, n_candidates):
+    """The positive roots of D4, E6, E7 and E8, the singular series built
+    on them, and the candidate tables at bounds 12, 20 and 60."""
+    g = build_star(lengths)
+    assert len(fundamental_roots(g)) == n_roots
+    assert len(singular_and_regular_series(g)[0]) == n_singular
+    assert tuple(len(candidate_dimensions(g, b)) for b in (12, 20, 60)) \
+        == n_candidates
+
+
+def test_fundamental_roots_work_guard(monkeypatch):
+    """The E8~ table costs at most (n - 1)(|roots| + 1) form values, where
+    the box 0 <= x <= delta holds 151200 vectors."""
+    import starspec.roots as roots
+
+    calls = 0
+
+    def counted(graph, x):
+        nonlocal calls
+        calls += 1
+        return tits_form(graph, x)
+
+    monkeypatch.setattr(roots, "tits_form", counted)
+    g = build_star([1, 2, 5])
+    table = fundamental_roots(g)
+    assert len(table) == 120
+    assert 0 < calls <= (g.n_vertices - 1) * (len(table) + 1)
 
 
 def test_regular_series_orbit_sizes(e6):

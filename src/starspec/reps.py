@@ -13,6 +13,12 @@ one-dimensional seed constructs an irreducible representation in any
 feasible real-root dimension; the level-hyperplane case is handled by a
 small alternating eigenvector-alignment optimizer instead.
 
+Graph and algebra representations meet at the root: `_eigenspaces` splits
+each root branch operator T T^* by the ranks of the dimension, largest
+eigenvalues first, and `_layout` lays a branch out along the transfer
+windows.  `to_algebra_rep` returns the eigenprojections, `canonicalize`
+lays out the eigenspaces and `from_algebra_rep` given projection images.
+
 Every step keeps the dtype of its input.  The simple seed is real and the
 reflection functors, `canonicalize`, `to_algebra_rep` and
 `from_algebra_rep` only take kernels, isometries and eigenprojections of
@@ -22,6 +28,7 @@ end to end.  Only the hyperplane optimizer works over C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,14 +83,6 @@ class GraphRep:
             m = self.gamma(g, h)
             out = out + m @ m.conj().T
         return out
-
-    def copy(self) -> "GraphRep":
-        return GraphRep(
-            graph=self.graph,
-            dims=self.dims,
-            ops={k: v.copy() for k, v in self.ops.items()},
-            character=self.character,
-        )
 
 
 def _zero_ops(graph: StarGraph, dims: Sequence[int]) -> dict:
@@ -190,143 +189,109 @@ def build_graph_rep(graph: StarGraph, d: GVec, f: GVec) -> GraphRep:
     return rep
 
 
-def canonicalize(graph: StarGraph, rep: GraphRep) -> GraphRep:
-    """Unitary change of basis bringing non-root edges to diagonal form.
+# eigenvalues of a root branch operator within this multiple of
+# max(1, a_1) of their spectrum point pass; eigh's error scales with the norm
+_SPEC_TOL = 1e-8
 
-    Sweeps each branch from the leaf inward: at every step the inward space
-    splits into the kernel of the outward map plus isometry slices aligned
-    with the outer vertex's already-fixed slots, so the outward map becomes
-    a zero block next to positive multiples of identity blocks.  Root-edge
-    maps keep all remaining freedom.
+
+def _eigenspaces(graph: StarGraph, rep: GraphRep) -> list:
+    """Eigenspaces of each root branch operator T T^*, split by rank.
+
+    Per branch, a list of (eigenvalues, eigenvector columns) blocks in the
+    ranks of ``n_from_dim(rep.dims)``, largest spectral value first, then
+    the remaining block, the kernel.  Columns keep eigh's ascending order.
     """
-    if rep.character is None:
-        raise RepError("canonicalize needs the representation character")
-    out = rep.copy()
-    for path in graph.branches:
-        m = len(path)
-        # slot bases at the previously processed (outer) vertex, as an
-        # ordered list of orthonormal column blocks in current coordinates
-        prev_slots: list[np.ndarray] = [np.eye(out.dims[path[0]])]
-        for t in range(1, m):
-            u_vtx, v_vtx = path[t - 1], path[t]
-            mat = out.gamma(u_vtx, v_vtx)  # H_v -> H_u
-            k_basis = _kernel_basis(mat)
-            cols: list[np.ndarray] = []
-            # v sits at position m - 1 - t and its window holds the one
-            # spectral index that position drops; the new kernel slot sits
-            # at that end, the low end when the position is even
-            drop_front = (m - 1 - t) % 2 == 0
-            if drop_front:
-                cols.append(k_basis)
-            for slot in prev_slots:
-                # rows of `mat` in this slot: isometry times a scalar
-                rows = slot.conj().T @ mat
-                scal = float(np.sqrt(max(np.real(np.trace(rows @ rows.conj().T))
-                                         / max(1, slot.shape[1]), 0.0)))
-                if scal <= 1e-12:
-                    raise RepError("vanishing canonical block; degenerate input")
-                cols.append(rows.conj().T / scal)
-            if not drop_front:
-                cols.append(k_basis)
-            v_unitary = np.hstack(cols)
-            # re-gauge all edges at v
-            _apply_vertex_unitary(out, v_vtx, v_unitary.conj().T)
-            # new slot list at v, in the same order as the columns
-            new_slots = []
-            off = 0
-            for c in cols:
-                w = c.shape[1]
-                basis = np.zeros((out.dims[v_vtx], w))
-                basis[off:off + w, :] = np.eye(w)
-                new_slots.append(basis)
-                off += w
-            prev_slots = new_slots
+    if not nondegenerate_dim(graph, rep.dims):
+        raise RepError("representation dimension is degenerate")
+    n = n_from_dim(graph, rep.dims)
+    out = []
+    for path, ranks in zip(graph.branches, n.branches):
+        t_map = rep.gamma(graph.root, path[-1])
+        evals, evecs = np.linalg.eigh(t_map @ t_map.conj().T)
+        # block bounds from the top: n0, n0 - r_1, n0 - r_1 - r_2, ..., 0
+        cuts = [len(evals) - c for c in accumulate(ranks, initial=0)] + [0]
+        out.append([(evals[lo:hi], evecs[:, lo:hi]) for hi, lo in zip(cuts, cuts[1:])])
     return out
 
 
-def _apply_vertex_unitary(rep: GraphRep, v: int, u: np.ndarray) -> None:
-    """Replace the basis of H_v: new maps are u Gamma or Gamma u^*."""
-    for (far, near), mat in list(rep.ops.items()):
-        if near == v:
-            rep.ops[(far, near)] = u @ mat
-        elif far == v:
-            rep.ops[(far, near)] = mat @ u.conj().T
+def canonicalize(graph: StarGraph, rep: GraphRep) -> GraphRep:
+    """Canonical form: the forward layout of the root eigenspaces.
+
+    Splits each root branch operator into eigenspaces by the ranks of the
+    dimension and lays them out as ``from_algebra_rep`` does, with each
+    block's mean eigenvalue as its spectral value: non-root edges become a
+    zero block next to positive multiples of identity blocks, the root
+    basis is kept and root-edge maps carry all remaining freedom.
+    """
+    if rep.character is None:
+        raise RepError("canonicalize needs the representation character")
+    split = [blocks[:-1] for blocks in _eigenspaces(graph, rep)]  # no kernels
+    spectra = [[float(np.mean(vals)) for vals, _ in b] for b in split]
+    isometries = [[vecs for _, vecs in b] for b in split]
+    return _layout(graph, spectra, rep.dims[graph.root], isometries, rep.character)
 
 
 def to_algebra_rep(
     graph: StarGraph, rep: GraphRep, inst: Optional[SpectralInstance] = None,
-    tol: float = 1e-8,
 ) -> "AlgebraRep":
     """Extract the tuple of spectral projections from a graph representation.
 
     The branch operator at the root is the in-out composition over the root
-    edge; its eigenspaces at the prescribed spectrum points give the
-    projections, with ranks matching the generalized dimension.
+    edge.  Its eigenspaces, taken largest first in the ranks of the
+    generalized dimension, give the projections; each block must lie at its
+    spectrum point and the rest at 0, within ``_SPEC_TOL * max(1, a_1)``.
     """
     if rep.character is None:
         raise RepError("to_algebra_rep needs the representation character")
     if inst is None:
         inst = chi_from_char(graph, rep.character)
-    if not nondegenerate_dim(graph, rep.dims):
-        raise RepError("representation dimension is degenerate")
-    n = n_from_dim(graph, rep.dims)
-    n0 = rep.dims[graph.root]
-    branch_projs: list[tuple[np.ndarray, ...]] = []
-    for j, path in enumerate(graph.branches):
-        inner = path[-1]
-        t_map = rep.gamma(graph.root, inner)
-        a_op = t_map @ t_map.conj().T
-        evals, evecs = np.linalg.eigh(a_op)
-        spec = [float(a) for a in inst.branches[j]]
-        ranks = n.branches[j]
-        projs = []
-        used = np.zeros(len(evals), dtype=bool)
-        for a, r in zip(spec, ranks):
-            idx = [i for i in range(len(evals))
-                   if not used[i] and abs(evals[i] - a) <= tol * max(1.0, abs(a))]
-            if len(idx) != r:
-                raise RepError(
-                    f"eigenvalue {a} of branch {j + 1} has multiplicity "
-                    f"{len(idx)}, expected {r}"
-                )
-            for i in idx:
-                used[i] = True
-            basis = evecs[:, idx]
-            projs.append(basis @ basis.conj().T)
-        leftovers = [evals[i] for i in range(len(evals)) if not used[i]]
-        if any(abs(e) > tol for e in leftovers):
-            raise RepError(f"unexpected eigenvalues {leftovers} on branch {j + 1}")
-        branch_projs.append(tuple(projs))
-    return AlgebraRep(instance=inst, n0=n0, projections=tuple(branch_projs))
+    if inst.branch_lengths != graph.branch_lengths:
+        raise RepError("instance does not match the graph")
+    split = _eigenspaces(graph, rep)
+    for j, (spec, blocks) in enumerate(zip(inst.branches, split)):
+        tol = _SPEC_TOL * max(1.0, float(spec[0]))
+        for a, (vals, _) in zip([*map(float, spec), 0.0], blocks):
+            if np.any(np.abs(vals - a) > tol):
+                raise RepError(f"eigenvalues {vals.tolist()} of branch {j + 1} "
+                               f"are not within {tol:.3g} of {a}")
+    projections = tuple(tuple(vecs @ vecs.conj().T for _, vecs in blocks[:-1])
+                        for blocks in split)
+    return AlgebraRep(instance=inst, n0=rep.dims[graph.root], projections=projections)
 
 
 def from_algebra_rep(graph: StarGraph, arep: "AlgebraRep") -> GraphRep:
-    """Forward matrix construction: graph representation from projections.
-
-    Branch spaces are direct sums of the projection images grouped by the
-    transfer windows; non-root edge maps are block-diagonal scaled
-    identities (scalars are spectrum differences against the index the next
-    window drops), and root edges stack the image isometries weighted by
-    the square roots of the spectrum.
-    """
+    """Forward matrix construction: graph representation from projections,
+    laid out by ``_layout`` on the isometries onto the projection images."""
     inst = arep.instance
     if inst.branch_lengths != graph.branch_lengths:
         raise RepError("representation does not match the graph")
     if tuple(map(len, arep.projections)) != inst.branch_lengths:
         raise RepError("projection counts do not match the instance spectra")
-    n0 = arep.n0
+    eigs = [[np.linalg.eigh(p) for p in branch] for branch in arep.projections]
+    isometries = [[vecs[:, vals > 0.5] for vals, vecs in branch] for branch in eigs]
+    spectra = [[float(a) for a in spec] for spec in inst.branches]
+    return _layout(graph, spectra, arep.n0, isometries,
+                   char_from_chi(graph, inst))
+
+
+def _layout(
+    graph: StarGraph, spectra: Sequence[Sequence[float]], n0: int,
+    isometries: Sequence[Sequence[np.ndarray]], character: Optional[GVec],
+) -> GraphRep:
+    """Graph representation laid out from root isometries and spectra.
+
+    Branch spaces are direct sums of the isometry images grouped by the
+    transfer windows; non-root edge maps are block-diagonal scaled
+    identities (scalars are spectrum differences against the index the next
+    window drops), and root edges stack the isometries weighted by the
+    square roots of the spectrum.
+    """
     dims = [0] * graph.n_vertices
     dims[graph.root] = n0
     ops: dict[tuple[int, int], np.ndarray] = {}
-    for j, path in enumerate(graph.branches):
-        spec = [float(a) for a in inst.branches[j]]
+    for path, spec, isos in zip(graph.branches, spectra, isometries):
         m = len(path)
         outward = path[::-1]
-        # isometries onto the projection images
-        isos = []
-        for p in arep.projections[j]:
-            evals, evecs = np.linalg.eigh(p)
-            isos.append(evecs[:, evals > 0.5])
         ranks = [iso.shape[1] for iso in isos]
         windows = _windows(m)
         for v, (lo, hi) in zip(outward, windows):
@@ -354,13 +319,7 @@ def from_algebra_rep(graph: StarGraph, arep: "AlgebraRep") -> GraphRep:
                 row += ranks[s]
             # store the rootward map H_u -> H_v (u is farther out)
             ops[(u_vtx, v_vtx)] = mat.conj().T
-    rep = GraphRep(
-        graph=graph,
-        dims=tuple(dims),
-        ops=ops,
-        character=char_from_chi(graph, inst),
-    )
-    return rep
+    return GraphRep(graph=graph, dims=tuple(dims), ops=ops, character=character)
 
 
 @dataclass

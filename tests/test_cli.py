@@ -109,6 +109,45 @@ def test_construct_and_verify_closure(capsys, tmp_path):
     assert report["commutant_dimension"] == 1
 
 
+def test_construct_close_spectrum(capsys, tmp_path):
+    """E6~ spectrum points 2e-10 apart construct and verify (they once
+    exited 64: the eigenvalue grouping claimed both points)."""
+    inst = str(ROOT / "tests" / "data" / "e6_close_spectrum.json")
+    out_path = tmp_path / "rep.json"
+    code, out, _ = run_cli(capsys, "construct", "--instance", inst,
+                           "-o", str(out_path))
+    assert code == 0, out
+    assert json.loads(out)["residual"] < 1e-12
+    code, out, _ = run_cli(capsys, "verify", "--rep", str(out_path),
+                           "--instance", inst)
+    assert code == 0
+    report = json.loads(out)
+    assert report["overall"] is True
+    assert report["commutant_dimension"] == 1
+
+
+def test_construct_large_character(capsys, tmp_path):
+    """A character scaled by 10^6 constructs; verify's absolute tolerances
+    then name the residuals, and pass once loosened."""
+    inst = write_instance(tmp_path, "inst.json",
+                          [[94 * 10**6, 35 * 10**6], [90 * 10**6, 32 * 10**6],
+                           [88 * 10**6, 21 * 10**6]], 158 * 10**6)
+    out_path = tmp_path / "rep.json"
+    code, out, _ = run_cli(capsys, "construct", "--instance", inst,
+                           "-o", str(out_path))
+    assert code == 0, out
+    code, out, _ = run_cli(capsys, "verify", "--rep", str(out_path))
+    assert code == 1
+    failed = {c["name"] for c in json.loads(out)["checks"] if not c["ok"]}
+    assert "weighted sum = gamma I" in failed
+    code, out, _ = run_cli(capsys, "verify", "--rep", str(out_path),
+                           "--tol", "1e-6", "--spec-tol", "1e-6")
+    assert code == 0
+    report = json.loads(out)
+    assert report["overall"] is True
+    assert report["commutant_dimension"] == 1
+
+
 def test_construct_deterministic(capsys, tmp_path):
     inst = write_instance(tmp_path, "inst.json", [[5, 2], [4, 1], [6, 3]], 7)
     a = tmp_path / "a.json"

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from starspec import (
     reduction_schedule,
     reflect_rep,
     simple_rep,
+    solve,
     tits_form,
     to_algebra_rep,
     unit_vector,
@@ -178,14 +181,13 @@ def test_long_branch_pipeline(rng):
     pytest.skip("no valid long-branch sample drawn")
 
 
-def test_canonical_form_matches_forward_construction():
-    """canonicalize and from_algebra_rep lay out the non-root edges by the
-    same window table, so the two agree entrywise in absolute value; long
-    branches (E7~, E8~ in both branch orders) reach deep windows."""
-    from starspec import from_algebra_rep
+def test_canonicalize_is_isomorphic_and_keeps_root():
+    """canonicalize returns an isomorphic copy with the same root Gram
+    matrices T T^*, still locally scalar with the character; long branches
+    (E7~, E8~ in both branch orders) reach deep windows."""
     from starspec.feasibility import candidate_dimensions
 
-    n_edges = 0
+    n_cases = 0
     for lengths in ([1, 1, 1, 1], [2, 2, 2], [3, 3, 1], [2, 5, 1], [5, 2, 1]):
         g = build_star(lengths)
         # the first schedulable candidate at each root entry up to 12
@@ -198,15 +200,67 @@ def test_canonical_form_matches_forward_construction():
             f, inst = feasible_character(g, d, rng)
             rep = build_graph_rep(g, d, f)
             can = canonicalize(g, rep)
-            fwd = from_algebra_rep(g, to_algebra_rep(g, rep, inst))
-            assert fwd.dims == can.dims
-            for key, mat in can.ops.items():
-                if g.root in key:
-                    continue
-                assert np.abs(np.abs(mat) - np.abs(fwd.ops[key])).max() < 1e-10, (
-                    lengths, d, key)
-                n_edges += 1
-    assert n_edges > 100
+            assert can.dims == rep.dims and can.character == rep.character
+            assert hom_dimension(rep, can) == 1, (lengths, d)
+            scale = max(float(spec[0]) for spec in inst.branches)
+            for path in g.branches:
+                t_rep, t_can = (r.gamma(g.root, path[-1]) for r in (rep, can))
+                gram_gap = np.abs(t_rep @ t_rep.T - t_can @ t_can.T).max()
+                assert gram_gap < 1e-10 * scale, (lengths, d)
+            report = verify_graph_rep(g, can, d, f, tol=1e-9)
+            assert report.overall, (lengths, d, report.failures())
+            n_cases += 1
+    assert n_cases >= 40
+
+
+CLOSE_SPECTRUM = Path(__file__).parent / "data" / "e6_close_spectrum.json"
+
+
+def test_close_spectrum_constructs(e6):
+    """Spectrum points 2e-10 apart on branch 1: the rank-ordered split
+    separates them, so the construction verifies."""
+    from starspec.io import instance_from_dict
+
+    inst = instance_from_dict(json.loads(CLOSE_SPECTRUM.read_text()))
+    d = (1, 2, 1, 2, 1, 2, 4)
+    f = char_from_chi(e6, inst)
+    assert solve(e6, inst).feasible
+    arep = to_algebra_rep(e6, build_graph_rep(e6, d, f), inst)
+    assert arep.generalized_dimension().branches == ((1, 1),) * 3
+    gamma = float(inst.gamma)
+    assert np.abs(arep.weighted_sum() - gamma * np.eye(4)).max() < 1e-12 * gamma
+    assert verify_algebra_rep(arep).overall
+    assert commutant_dimension(arep) == 1
+
+
+@pytest.mark.parametrize("scale", [1, 10**6, 10**12])
+@pytest.mark.parametrize("lengths", [[1, 1, 1, 1], [2, 2, 2], [3, 3, 1], [1, 2, 5]])
+def test_large_characters_construct(lengths, scale):
+    """Scaling a feasible character keeps it feasible; the eigenvalue
+    checks of to_algebra_rep scale with a_1, so the construction succeeds
+    with a residual small relative to gamma.  On E6~ the first case is
+    [[94,35],[90,32],[88,21]], gamma 158, in (1,3,1,3,1,3,4)."""
+    from starspec.feasibility import candidate_dimensions
+
+    g = build_star(lengths)
+    rng = random.Random(3)
+    pairs = []
+    if lengths == [2, 2, 2]:
+        inst = make_instance([[94, 35], [90, 32], [88, 21]], 158)
+        pairs.append(((1, 3, 1, 3, 1, 3, 4), char_from_chi(g, inst)))
+    for d in candidate_dimensions(g, 8):
+        if len(pairs) == 2:
+            break
+        if d[g.root] >= 4 and reduction_schedule(g, d) is not None:
+            pairs.append((d, feasible_character(g, d, rng)[0]))
+    assert len(pairs) == 2
+    for d, f in pairs:
+        f = tuple(scale * x for x in f)
+        arep = to_algebra_rep(g, build_graph_rep(g, d, f))
+        gamma = float(arep.instance.gamma)
+        residual = np.abs(arep.weighted_sum() - gamma * np.eye(arep.n0)).max()
+        assert residual < 1e-13 * gamma, (d, scale, residual)
+        assert commutant_dimension(arep) == 1
 
 
 @pytest.mark.parametrize(
@@ -291,6 +345,13 @@ def test_to_algebra_rep_rejects_degenerate(e6):
     rep.character = f
     with pytest.raises(RepError):
         to_algebra_rep(e6, rep)
+
+
+def test_to_algebra_rep_rejects_instance_of_another_star(e6, rng):
+    d, f, _ = random_feasible_instance(e6, FAMILY_ROOT, 5, rng)
+    rep = build_graph_rep(e6, d, f)
+    with pytest.raises(RepError, match="does not match the graph"):
+        to_algebra_rep(e6, rep, make_instance([[2, 1], [2, 1]], 3))
 
 
 def test_build_hyperplane_rep_symmetric():

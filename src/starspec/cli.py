@@ -5,12 +5,15 @@ solve-batch.  All output is JSON on stdout (deterministic for fixed seeds);
 errors go to stderr with machine-readable codes.
 
 Exit codes: 0 success/feasible, 1 infeasible, 2 degenerate or boundary,
-3 construction or numerical failure, 64 usage or parse errors.
+3 construction or numerical failure, 64 usage or parse errors, 141 the
+reader closed stdout (128 + SIGPIPE, as a shell reports a command killed by
+a closed pipe).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -44,6 +47,7 @@ EXIT_INFEASIBLE = 1
 EXIT_DEGENERATE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -285,14 +289,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.json_schema:
-        print(dumps_pretty(JSON_SCHEMAS))
-        return EXIT_OK
-    if not getattr(args, "func", None):
-        parser.print_help()
-        return EXIT_USAGE
     try:
-        return args.func(args)
+        if args.json_schema:
+            print(dumps_pretty(JSON_SCHEMAS))
+            code = EXIT_OK
+        elif not getattr(args, "func", None):
+            parser.print_help()
+            code = EXIT_USAGE
+        else:
+            code = args.func(args)
+        # flushed here, so that a closed pipe is caught below however little
+        # was printed
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): not an input error.  Point
+        # stdout at the null device so the interpreter's final flush of what
+        # is still buffered cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConstructionError as exc:
         return _fail(EXIT_CONSTRUCTION, "construction_failed", str(exc))
     except np.linalg.LinAlgError as exc:

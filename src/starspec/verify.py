@@ -5,11 +5,15 @@ vertex operators, projection axioms, spectra, the exact rank-level trace
 identity, and irreducibility via the dimension of the commutant.
 
 For a tuple of projections the commutant (X with PX = XP for every given P)
-is found on a shrinking basis instead of one stacked k n0^2 x n0^2 system:
-it starts from the block-diagonal matrices in the first projection's
-eigenbasis, or from all n0^2 matrix units when that matrix is not
-Hermitian, and each further P cuts the basis to the nullspace of
-X -> PX - XP.  Every rank uses the same relative floor (`_rank`).
+is found on a shrinking basis instead of one stacked k n0^2 x n0^2 system.
+The start is the matrices, in the eigenbasis of a fixed generic combination
+A = sum c_i P_i of the given Hermitian matrices, that are block-diagonal
+over A's eigenvalue clusters: every X in the commutant commutes with A, so
+the start contains the commutant, and a generic A has simple spectrum, so
+the start is n0 matrices.  Each given P, those inside A included, then
+cuts the basis to the nullspace of X -> PX - XP.  Without a Hermitian
+matrix the start is all n0^2 matrix units.  Every rank uses the same
+relative floor (`_rank`).
 
 Representations built by the reflection functors are real, and their files
 carry [re, 0.0] pairs: the functors start from a zero seed and only take
@@ -29,6 +33,8 @@ import numpy as np
 from .graph import GVec, StarGraph
 from .reps import AlgebraRep, GraphRep
 from .transfer import trace_pairing
+
+_GOLDEN = (5 ** 0.5 - 1) / 2
 
 
 @dataclass(frozen=True)
@@ -158,20 +164,26 @@ def commutant_dimension(rep: AlgebraRep, tol: float = 1e-8) -> int:
 
     This is the dimension of the space of X with PX = XP for every given
     matrix P, found on a basis of candidate X that shrinks as each matrix
-    is imposed.  When the first matrix is Hermitian within ``tol``, its
-    eigendecomposition gives the start: eigenvalues are cut into clusters
-    wherever neighbours differ by more than ``tol * max(|lambda|_max, 1)``,
-    and X commuting with it is block-diagonal over the clusters, so the
-    start has sum r_i^2 matrix units (r_i the cluster sizes) in its
-    eigenbasis.  Otherwise the start is all n0^2 matrix units and the first
-    matrix is imposed like the rest.  Each further P maps the basis through
-    X -> PX - XP, and the basis becomes the nullspace of that n0^2 x m
-    image (singular values at or below ``tol * max(s_max, 1)`` count as
-    zero).  The result is the number of basis matrices left.
+    is imposed.  The start comes from A = sum c_i P_i over the given
+    matrices that are Hermitian within ``tol``, with fixed weights c_i (the
+    fractional parts of i times the golden ratio).  Its eigenvalues are
+    cut into clusters wherever neighbours differ by more than
+    ``tol * max(|lambda|_max, 1)``, and the start is the sum r_i^2 matrix
+    units, in A's eigenbasis, that are block-diagonal over the clusters
+    (r_i the cluster sizes).  This is exact, not a heuristic: an X that
+    commutes with every P_i commutes with A and so is block-diagonal over
+    its eigenspaces, so the start always contains the commutant.  With
+    generic weights A's spectrum is simple unless the span of the P_i
+    forces a multiplicity, so the start is usually n0 matrices; merged
+    clusters only make it larger.  Without a Hermitian matrix the start is all n0^2 matrix
+    units.  Every given P, those inside A included, then maps the basis
+    through X -> PX - XP, and the basis becomes the nullspace of that
+    n0^2 x m image (singular values at or below ``tol * max(s_max, 1)``
+    count as zero).  The result is the number of basis matrices left.
 
     When no matrix has a nonzero imaginary part (tested exactly), the whole
-    computation runs on the real parts.  This is exact, not a heuristic:
-    the equations PX - XP = 0 then have real coefficients, so their complex
+    computation runs on the real parts.  This is exact as well: the
+    equations PX - XP = 0 then have real coefficients, so their complex
     solution space is the complexification of the real one and has the
     same dimension (a real basis of one is a complex basis of the other),
     and a real image has the same singular values over R as over C.
@@ -180,15 +192,17 @@ def commutant_dimension(rep: AlgebraRep, tol: float = 1e-8) -> int:
     mats = [p for branch in rep.projections for p in branch]
     if not any(m.imag.any() for m in mats):
         mats = [m.real for m in mats]
+    herm = [m for m in mats if np.abs(m - m.conj().T).max() <= tol]
     same_block = np.ones((n, n), bool)
-    if mats and np.abs(mats[0] - mats[0].conj().T).max() <= tol:
-        w, v = np.linalg.eigh(mats[0])
+    if herm:
+        a = sum((i * _GOLDEN) % 1.0 * m for i, m in enumerate(herm, 1))
+        w, v = np.linalg.eigh(a)
         cut = tol * max(np.abs(w).max(), 1.0)
         cluster = np.cumsum(np.r_[0, np.diff(w) > cut])
         same_block = cluster[:, None] == cluster[None, :]
         # the commutant dimension does not change under a unitary change of
-        # basis, so the rest is imposed in the first matrix's eigenbasis
-        mats = [v.conj().T @ m @ v for m in mats[1:]]
+        # basis, so every matrix is imposed in A's eigenbasis
+        mats = [v.conj().T @ m @ v for m in mats]
     basis = np.eye(n * n)[same_block.ravel()].reshape(-1, n, n)
     for m in mats:
         image = (m @ basis - basis @ m).reshape(len(basis), n * n).T

@@ -177,6 +177,22 @@ def test_construct_with_dimension_file(capsys, tmp_path, e6, rng):
     assert json.loads(out)["overall"] is True
 
 
+def test_construct_committed_e8_dimension_file(capsys, tmp_path):
+    """The committed E8~ instance and dimension file at n0 = 15, which CI
+    also builds and verifies, give a verified irreducible representation."""
+    data = ROOT / "tests" / "data"
+    rep = tmp_path / "rep.json"
+    code, out, _ = run_cli(capsys, "construct",
+                           "--instance", str(data / "e8_n0_15.json"),
+                           "--dimension", str(data / "e8_n0_15_dimension.json"),
+                           "-o", str(rep))
+    assert code == 0
+    assert json.loads(out)["n0"] == 15
+    code, out, _ = run_cli(capsys, "verify", "--rep", str(rep))
+    parsed = json.loads(out)
+    assert (code, parsed["overall"], parsed["commutant_dimension"]) == (0, True, 1)
+
+
 @pytest.mark.parametrize("dimension", [
     ["1/2", 1, 1, 1, 1, 1, 1],
     {"n0": 3.9, "branches": [[1, 1], [1, 1], [1, 1]]},
@@ -453,13 +469,14 @@ def test_solve_batch_rejects_negative_bound(capsys, tmp_path):
                                "message": "scan bound -2 is negative"}
 
 
-def run_module(*argv):
+def run_module(*argv, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run([sys.executable, "-m", "starspec", *argv], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
 
 
 def test_python_m_starspec(capsys):
@@ -473,3 +490,22 @@ def test_python_m_starspec(capsys):
         expected = run_cli(capsys, *argv)
         assert (proc.returncode, proc.stdout) == expected[:2]
         assert proc.returncode == code, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--branches", "1,2,5"],
+    ["construct", "--instance", "tests/data/e8_feasible.json"],
+    ["classify", "--branches", "2,2,2"],
+], ids=["roots", "construct", "classify"])
+def test_closed_stdout_is_not_bad_input(argv):
+    """A reader that closed the pipe (`| head -c 10`) is not bad input: exit
+    141 (128 + SIGPIPE) with nothing on stderr.  The read end is closed
+    before the child starts, so its first write fails every time; classify
+    prints less than one buffer, so there the failure is at the flush."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_module(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")

@@ -29,9 +29,10 @@ def _unitary(n, rng):
 
 
 # Real-root dimensions with a reduction schedule and strict branch chains,
-# small and medium root entries on each extended star, one with n0 = 15.
+# small and medium root entries on each extended star, one with n0 >= 10 on
+# each and one with n0 = 15.
 ORACLE_DIMS = {
-    (1, 1, 1, 1): [(2, 1, 1, 1, 3), (5, 4, 4, 4, 9)],
+    (1, 1, 1, 1): [(2, 1, 1, 1, 3), (5, 4, 4, 4, 9), (6, 5, 5, 5, 11)],
     (2, 2, 2): [(2, 3, 1, 3, 1, 3, 5), (3, 7, 3, 6, 3, 6, 10)],
     (1, 3, 3): [(3, 2, 3, 4, 2, 3, 4, 6), (5, 3, 5, 7, 3, 5, 7, 10)],
     (1, 2, 5): [(2, 2, 4, 1, 2, 3, 4, 5, 6), (5, 3, 7, 2, 4, 5, 7, 9, 11),
@@ -144,30 +145,75 @@ def test_commutant_retries_failed_svd_on_conjugate_transpose(
     assert calls[1] == calls[0][::-1]
 
 
-def test_commutant_oracle_reducible_and_rotated():
-    small = _construction((2, 2, 2), (2, 3, 1, 3, 1, 3, 5))
-    other = _construction((2, 2, 2), (3, 7, 3, 6, 3, 6, 10))
-    u = _unitary(small.n0 + other.n0, np.random.default_rng(3))
-    summed = _direct_sum(small.instance, small, other)
-    rotated = AlgebraRep(
-        instance=summed.instance,
-        n0=summed.n0,
-        projections=tuple(
-            tuple(u @ p @ u.conj().T for p in branch)
-            for branch in summed.projections
-        ),
+# Direct sums of the first two ORACLE_DIMS constructions of a star, by
+# summand index, and their commutant dimensions: the sum of squared
+# multiplicities of the distinct summands.
+DIRECT_SUMS = {"distinct": ((0, 1), 2), "isomorphic": ((1, 1), 4),
+               "three": ((0, 1, 0), 5)}
+
+
+def _reordered(rep, order):
+    """The same projections with the branches taken in ``order`` and each
+    branch's projections reversed: a different generic combination A."""
+    return AlgebraRep(
+        instance=rep.instance,
+        n0=rep.n0,
+        projections=tuple(tuple(reversed(rep.projections[j])) for j in order),
     )
-    doubled = _direct_sum(other.instance, other, other)
-    for rep, expected in ((summed, 2), (rotated, 2), (doubled, 4)):
-        assert commutant_dimension(rep) == stacked_commutant_dimension(rep)
-        assert commutant_dimension(rep) == expected
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["real", "unitary"])
+@pytest.mark.parametrize("case", DIRECT_SUMS)
+@pytest.mark.parametrize("branches", ORACLE_DIMS,
+                         ids=["".join(map(str, b)) for b in ORACLE_DIMS])
+def test_commutant_of_direct_sums(branches, case, rotated):
+    """Reducible representations on every star: isomorphic summands give A a
+    spectrum of repeated eigenvalues, so its clusters are merged blocks.
+    The count is the stacked oracle's, real or conjugated by a random
+    complex unitary, and does not depend on the order of the projections
+    or of the branches."""
+    parts, expected = DIRECT_SUMS[case]
+    reps = [_construction(branches, ORACLE_DIMS[branches][i]) for i in parts]
+    rep = _direct_sum(reps[0].instance, *reps)
+    if rotated:
+        rep = _conjugated(rep, _unitary(rep.n0, np.random.default_rng(3)))
+    assert stacked_commutant_dimension(rep) == commutant_dimension(rep) == expected
+    k = len(branches)
+    for order in (range(k), range(k)[::-1], [*range(1, k), 0]):
+        assert commutant_dimension(_reordered(rep, order)) == expected
+
+
+LARGE_CASES = [(b, d) for b, d in ORACLE_CASES if d[-1] >= 10]
+
+
+@pytest.mark.parametrize(
+    "branches,d", LARGE_CASES,
+    ids=[f"{''.join(map(str, b))}-n0={d[-1]}" for b, d in LARGE_CASES],
+)
+def test_commutant_images_have_at_most_n0_columns(monkeypatch, branches, d):
+    """The start has one matrix per eigenvalue of the generic combination A,
+    so on an irreducible construction no image that `_nullspace`
+    decomposes is wider than n0.  A start from one projection of rank r
+    would have r^2 + (n0 - r)^2 >= n0^2 / 2 columns."""
+    rep = _construction(branches, d)
+    svd = np.linalg.svd
+    shapes = []
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert commutant_dimension(rep) == 1
+    assert shapes and all(cols <= rep.n0 for _, cols in shapes), shapes
 
 
 @pytest.mark.parametrize("shift_first", [False, True])
 def test_commutant_imposes_every_matrix(shift_first):
     """Each matrix cuts the commutant: the two diagonal projections leave the
-    diagonal matrices, and the shift E_01 then forces x0 == x1.  A shift
-    first is not Hermitian, so the start is the full basis."""
+    diagonal matrices, and the shift E_01 then forces x0 == x1.  The shift
+    is not Hermitian, so it stays out of A and is only imposed, wherever it
+    stands."""
     inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
     p1 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     p2 = np.diag([0.0, 1.0, 0.0]).astype(complex)
@@ -176,6 +222,17 @@ def test_commutant_imposes_every_matrix(shift_first):
     mats = ((shift, p2), (p1,)) if shift_first else ((p1, p2), (shift,))
     rep = AlgebraRep(instance=inst, n0=3, projections=mats)
     assert commutant_dimension(rep) == stacked_commutant_dimension(rep) == 2
+
+
+def test_commutant_without_hermitian_matrix():
+    """With no Hermitian matrix the start is all n0^2 matrix units: the
+    shift E_01 on C^3 is a 2x2 Jordan block plus a zero, whose commutant
+    has dimension 2 + 1 + 1 + 1 = 5."""
+    inst = make_instance([[2, 1]], 1)
+    shift = np.zeros((3, 3))
+    shift[0, 1] = 1.0
+    rep = AlgebraRep(instance=inst, n0=3, projections=((shift,),))
+    assert commutant_dimension(rep) == stacked_commutant_dimension(rep) == 5
 
 
 def test_commutant_non_hermitian_first_matrix():

@@ -20,10 +20,10 @@ for row in table:
 print("\norbits of the three seed types (up to branch symmetry):")
 for label, seed in (("K1 (leaf seed)", 0), ("K2 (inner seed)", 1),
                     ("K3 (root seed)", g.root)):
-    orbit = coxeter_series(g, unit_vector(g, seed))
-    print(f"  {label}: {len(orbit)} series")
-    for s in orbit.series:
-        print("     ", list(s.base))
+    bases = coxeter_series(g, unit_vector(g, seed))
+    print(f"  {label}: {len(bases)} series")
+    for base in bases:
+        print("     ", list(base))
 
 singular, regular = singular_and_regular_series(g)
 print(f"\nof all {len(singular) + len(regular)} signed series, "

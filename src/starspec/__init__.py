@@ -16,14 +16,12 @@ from .graph import (
     bilinear_form,
     build_star,
     classify,
-    gvector,
     tits_form,
     unit_vector,
 )
 from .graph import GVec
 from .coxeter import (
     CoxeterDomainError,
-    CoxeterWord,
     DimCharPair,
     ReductionSchedule,
     char_transport_up,
@@ -33,12 +31,8 @@ from .coxeter import (
     coxeter_power_table_e6,
     elementary_coxeter_matrix,
     reduction_schedule,
-    reflect,
 )
 from .roots import (
-    CSeries,
-    DeltaSeries,
-    Root,
     coxeter_series,
     fundamental_roots,
     is_root,
@@ -54,7 +48,6 @@ from .transfer import (
     md_matrix,
     mf_matrix,
     n_from_dim,
-    nondegenerate_char,
     nondegenerate_dim,
 )
 from .feasibility import (

@@ -94,9 +94,9 @@ def cmd_roots(args) -> int:
         if args.series not in seeds:
             return _fail(EXIT_USAGE, "unknown_series",
                          f"series must be one of {sorted(seeds)}")
-        series = coxeter_series(graph, unit_vector(graph, seeds[args.series]))
+        bases = coxeter_series(graph, unit_vector(graph, seeds[args.series]))
         out["series"] = args.series
-        out["delta_series"] = [gvec_out(s.base) for s in series.series]
+        out["delta_series"] = [gvec_out(b) for b in bases]
     else:
         roots = fundamental_roots(
             graph,
@@ -111,9 +111,11 @@ def cmd_roots(args) -> int:
 def cmd_coxeter(args) -> int:
     graph = build_star(_parse_branches(args.branches))
     data = _load_json(args.pair)
-    d = gvec_in(graph, data["d"])
-    f = gvec_in(graph, data["f"])
-    pair = DimCharPair(d, f)
+    try:
+        d, f = data["d"], data["f"]
+    except (KeyError, TypeError):
+        raise IOError_("pair file needs 'd' and 'f'") from None
+    pair = DimCharPair(gvec_in(graph, d), gvec_in(graph, f))
     tokens = [t.strip() for t in args.word.split(",") if t.strip()]
     for t in tokens:
         if t not in ("even", "odd"):

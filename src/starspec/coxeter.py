@@ -28,7 +28,6 @@ from .graph import EVEN, ODD, GVec, GraphError, IVec, Parity, StarGraph, classif
 from .rational import IMat, QMat, mat_mul, mat_pow
 
 Token = Parity
-CoxeterWord = tuple[Token, ...]
 
 
 class CoxeterDomainError(ValueError):
@@ -43,16 +42,6 @@ class CoxeterDomainError(ValueError):
 class DimCharPair(NamedTuple):
     d: GVec
     f: GVec
-
-
-def reflect(graph: StarGraph, g: int, x: GVec) -> GVec:
-    """Reflection at one vertex: only entry g changes, to -x_g + sum over
-    neighbors."""
-    if not 0 <= g < graph.n_vertices:
-        raise GraphError(f"unknown vertex {g}")
-    y = list(x)
-    y[g] = -x[g] + sum(x[h] for h in graph.neighbors[g])
-    return tuple(y)
 
 
 def _parity_set(graph: StarGraph, token: Token) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Literal, Optional, Sequence
 
-from .rational import IMat, QVec
+from .rational import QVec
 
 GVec = QVec
 IVec = tuple[int, ...]
@@ -99,15 +99,6 @@ def build_star(branch_lengths: Sequence[int]) -> StarGraph:
     )
 
 
-def gvector(graph: StarGraph, entries: Sequence) -> GVec:
-    v = tuple(Fraction(e) for e in entries)
-    if len(v) != graph.n_vertices:
-        raise GraphError(
-            f"vector has {len(v)} entries, graph has {graph.n_vertices} vertices"
-        )
-    return v
-
-
 def unit_vector(graph: StarGraph, v: int) -> IVec:
     return tuple(int(i == v) for i in range(graph.n_vertices))
 
@@ -134,18 +125,6 @@ def bilinear_form(graph: StarGraph, x: GVec, y: GVec) -> int | Fraction:
         raise GraphError("vector/graph mismatch")
     xy = tuple(a + b for a, b in zip(x, y))
     return tits_form(graph, xy) - tits_form(graph, x) - tits_form(graph, y)
-
-
-def form_matrix(graph: StarGraph) -> IMat:
-    """Gram matrix of the bilinear form: 2I minus the adjacency matrix."""
-    n = graph.n_vertices
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 2
-    for a, b in graph.edges:
-        m[a][b] = -1
-        m[b][a] = -1
-    return tuple(tuple(row) for row in m)
 
 
 @dataclass(frozen=True)

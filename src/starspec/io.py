@@ -1,4 +1,5 @@
-"""JSON serialization: instances, vectors, matrices, representations.
+"""JSON serialization: instances, vectors, matrices, verdicts and algebra
+representations, the files the command line reads and writes.
 
 Rationals travel as JSON integers when integral and as "p/q" strings
 otherwise, never as floats.  Complex matrices are row-major arrays of
@@ -17,9 +18,9 @@ from typing import Any, Optional
 import numpy as np
 
 from .feasibility import FeasibilityVerdict
-from .graph import GVec, StarGraph, build_star
+from .graph import GVec, StarGraph
 from .rational import parse_fraction
-from .reps import AlgebraRep, GraphRep
+from .reps import AlgebraRep
 from .transfer import GeneralizedDimension, SpectralInstance, make_instance
 
 
@@ -173,38 +174,6 @@ def algebra_rep_from_dict(data: dict) -> AlgebraRep:
     if any(p.shape != (n0, n0) for branch in projections for p in branch):
         raise IOError_(f"projections must be {n0}x{n0} matrices")
     return AlgebraRep(instance=inst, n0=n0, projections=projections)
-
-
-def graph_rep_to_dict(rep: GraphRep, metadata: Optional[dict] = None) -> dict:
-    out = {
-        "type": "graph_rep",
-        "branches": list(rep.graph.branch_lengths),
-        "dims": list(rep.dims),
-        "edges": {
-            f"{far},{near}": matrix_out(m) for (far, near), m in sorted(rep.ops.items())
-        },
-    }
-    if rep.character is not None:
-        out["character"] = gvec_out(rep.character)
-    if metadata:
-        out["metadata"] = _jsonable(metadata)
-    return out
-
-
-def graph_rep_from_dict(data: dict) -> GraphRep:
-    try:
-        graph = build_star(data["branches"])
-        dims = tuple(int_in(v) for v in data["dims"])
-        ops = {}
-        for key, mat in data["edges"].items():
-            far, near = (int(p) for p in key.split(","))
-            ops[(far, near)] = matrix_in(mat)
-        character = None
-        if "character" in data:
-            character = gvec_in(graph, data["character"])
-    except (KeyError, TypeError, ValueError):
-        raise IOError_("not a valid graph representation file")
-    return GraphRep(graph=graph, dims=dims, ops=ops, character=character)
 
 
 def dumps(obj: dict) -> str:

@@ -3,7 +3,7 @@
 Characters, spectra, chi and the drift-normalized Coxeter power tables are
 ``fractions.Fraction`` so that verdicts are exact.  Everything whose values
 are integers stays a plain int: dimension vectors, roots, and the parity,
-Coxeter, form, transfer and condition matrices.  The decision layer clears
+Coxeter, transfer and condition matrices.  The decision layer clears
 the denominators of chi or of a character once and then evaluates its
 conditions as integer sums.  Matrices are tuples of tuples and vectors are
 tuples; the helpers below work on int and Fraction entries alike and keep

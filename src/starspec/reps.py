@@ -45,6 +45,7 @@ from .transfer import (
     n_from_dim,
     nondegenerate_dim,
 )
+from .verify import commutant_dimension
 
 
 class RepError(RuntimeError):
@@ -105,15 +106,15 @@ def simple_rep(graph: StarGraph, g: int, character: Optional[GVec] = None) -> Gr
 
 
 def _kernel_basis(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(m) as columns, in the dtype of m."""
+    """Orthonormal basis of ker(m) as columns, in the dtype of m.  The rank
+    counts the singular values above 1e-10 times the largest."""
     rows, cols = m.shape
     if cols == 0:
         return np.zeros((0, 0), m.dtype)
     if rows == 0:
         return np.eye(cols, dtype=m.dtype)
     u, s, vh = np.linalg.svd(m)
-    tol = max(rows, cols) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > max(tol, 1e-10 * (s[0] if s.size else 1.0))))
+    rank = int(np.sum(s > 1e-10 * s[0]))
     return vh.conj().T[:, rank:]
 
 
@@ -407,8 +408,6 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
                 for j in range(3)
             )
             rep = AlgebraRep(instance=inst, n0=3, projections=projections)
-            from .verify import commutant_dimension
-
             if commutant_dimension(rep) == 1:
                 return rep
             best = best or "reducible"

@@ -12,36 +12,22 @@ of height h - 1 plus a simple root, and a positive integer vector is a
 root of the finite diagram exactly when its form value is 1.  Delta
 restricted to the finite diagram is its highest root, so every entry of
 the table is bounded by delta.
+
+A delta-series is named by that representative, its base: its members are
+base + k*delta.  `coxeter_series` returns the sorted bases of one orbit
+under the parity maps, and the table with its negatives is the set of all
+series bases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Optional
 
 from .coxeter import coxeter_dim, defect
-from .graph import (
-    EVEN,
-    ODD,
-    GraphError,
-    GVec,
-    IVec,
-    StarGraph,
-    classify,
-    is_positive_vector,
-    tits_form,
-    unit_vector,
-)
+from .graph import EVEN, ODD, GVec, IVec, StarGraph, classify, tits_form, unit_vector
 
 
 class RootError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Root:
-    vector: IVec
-    kind: Literal["real", "imaginary"]
-    sign: Literal["positive", "negative"]
 
 
 def is_root(graph: StarGraph, x: GVec) -> Optional[str]:
@@ -60,19 +46,6 @@ def is_root(graph: StarGraph, x: GVec) -> Optional[str]:
     if q == 0:
         return "imaginary"
     return None
-
-
-def classify_root(graph: StarGraph, x: GVec) -> Root:
-    kind = is_root(graph, x)
-    if kind is None:
-        raise RootError(f"{x} is not a root")
-    if is_positive_vector(x):
-        sign = "positive"
-    elif is_positive_vector(tuple(-e for e in x)):
-        sign = "negative"
-    else:
-        raise RootError(f"root {x} is neither positive nor negative")
-    return Root(vector=tuple(int(e) for e in x), kind=kind, sign=sign)
 
 
 def fundamental_roots(
@@ -118,38 +91,15 @@ def fundamental_roots(
     return result
 
 
-@dataclass(frozen=True)
-class DeltaSeries:
-    """Coset base + k*delta, keyed by the representative with zero e-entry."""
-
-    base: GVec
-    delta: GVec
-
-    def member(self, k: int) -> GVec:
-        return tuple(b + k * d for b, d in zip(self.base, self.delta))
-
-
-@dataclass(frozen=True)
-class CSeries:
-    """Orbit of a root under the two parity maps, as a set of delta-series."""
-
-    series: tuple[DeltaSeries, ...]
-
-    def bases(self) -> tuple[GVec, ...]:
-        return tuple(s.base for s in self.series)
-
-    def __len__(self) -> int:
-        return len(self.series)
-
-
 def series_base(x: GVec, delta: GVec, extending: int) -> GVec:
     """Normalize a root to its coset representative with zero e-entry."""
     k = x[extending]  # delta has entry 1 there
     return tuple(a - k * d for a, d in zip(x, delta))
 
 
-def coxeter_series(graph: StarGraph, seed: GVec) -> CSeries:
-    """Closure of the seed's delta-series under both parity maps."""
+def coxeter_series(graph: StarGraph, seed: GVec) -> tuple[GVec, ...]:
+    """Closure of the seed's delta-series under both parity maps: the sorted
+    bases of its series, each the representative with zero e-entry."""
     cls = classify(graph)
     if cls.kind != "ExtendedDynkin":
         raise RootError("Coxeter series require an extended Dynkin graph")
@@ -169,33 +119,12 @@ def coxeter_series(graph: StarGraph, seed: GVec) -> CSeries:
                     seen.add(rep)
                     nxt.append(img)
         frontier = nxt
-    ordered = sorted(seen)
-    return CSeries(tuple(DeltaSeries(base=b, delta=delta) for b in ordered))
-
-
-def branch_permutation(graph: StarGraph, x: GVec, perm: Sequence[int]) -> GVec:
-    """Push a G-vector along a permutation of equal-length branches."""
-    if sorted(graph.branch_lengths[p] for p in perm) != sorted(graph.branch_lengths):
-        raise GraphError("permutation does not preserve branch lengths")
-    out = [0] * graph.n_vertices
-    out[graph.root] = x[graph.root]
-    for b, src in enumerate(perm):
-        if graph.branch_lengths[b] != graph.branch_lengths[src]:
-            raise GraphError("permutation does not preserve branch lengths")
-        for t, v in enumerate(graph.branches[b]):
-            out[v] = x[graph.branches[src][t]]
-    return tuple(out)
-
-
-def all_series_bases(graph: StarGraph) -> set[GVec]:
-    """Bases of all 2*|Delta_f| signed delta-series."""
-    pos = fundamental_roots(graph)
-    return set(pos) | {tuple(-v for v in x) for x in pos}
+    return tuple(sorted(seen))
 
 
 def singular_and_regular_series(graph: StarGraph) -> tuple[set[GVec], set[GVec]]:
-    """Split series bases into singular (nonzero defect) and regular (zero
-    defect) parts.
+    """Split the series bases, the table and its negatives, into singular
+    (nonzero defect) and regular (zero defect) parts.
 
     The defect is constant along a series, since delta has defect 0.  The
     positive members of a singular series walk down to a simple root; those
@@ -204,6 +133,6 @@ def singular_and_regular_series(graph: StarGraph) -> tuple[set[GVec], set[GVec]]
     """
     singular: set[GVec] = set()
     regular: set[GVec] = set()
-    for base in all_series_bases(graph):
+    for base in fundamental_roots(graph, include_negative=True):
         (regular if defect(graph, base) == 0 else singular).add(base)
     return singular, regular

@@ -86,12 +86,6 @@ class GeneralizedDimension:
         out.append(self.n0)
         return tuple(out)
 
-    def is_nondegenerate(self) -> bool:
-        ok = self.n0 >= 1
-        for b in self.branches:
-            ok = ok and all(v >= 1 for v in b) and sum(b) < self.n0
-        return ok
-
 
 def _check_graph(graph: StarGraph, lengths: Sequence[int]) -> None:
     if graph.branch_lengths != tuple(lengths):
@@ -204,17 +198,6 @@ def nondegenerate_dim(graph: StarGraph, d: GVec) -> bool:
             prev = d[v]
         if prev >= d0:
             return False
-    return True
-
-
-def nondegenerate_char(graph: StarGraph, f: GVec) -> bool:
-    """Strict chains 0 < f_leaf < ... < f_inner per branch."""
-    for path in graph.branches:
-        prev = Q(0)
-        for v in path:
-            if f[v] <= prev:
-                return False
-            prev = f[v]
     return True
 
 

@@ -26,13 +26,15 @@ copies keep complex arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .graph import GVec, StarGraph
-from .reps import AlgebraRep, GraphRep
 from .transfer import trace_pairing
+
+if TYPE_CHECKING:
+    from .reps import AlgebraRep, GraphRep
 
 _GOLDEN = (5 ** 0.5 - 1) / 2
 

@@ -10,6 +10,8 @@
   schedule, then every upward step recomputed by `coxeter_char`.
 * The Horn margins of the (2,2,2) star as Fraction sums over chi.
 * The root table of an extended star by a scan of the box 0 <= x <= delta.
+* One-vertex reflections, the form's Gram matrix and branch permutations,
+  the single steps that the library only takes in bulk or never.
 """
 import functools
 import itertools
@@ -90,6 +92,35 @@ def hom_dimension(rep1: GraphRep, rep2: GraphRep, tol: float = 1e-8) -> int:
     if system.shape[0] == 0:
         return total
     return total - _rank(np.linalg.svd(system, compute_uv=False), tol)
+
+
+def reflect(graph, g: int, x: tuple) -> tuple:
+    """Reflection at vertex g: entry g becomes -x_g plus the sum over its
+    neighbours; `coxeter_dim` takes this step at a whole parity class."""
+    y = list(x)
+    y[g] = -x[g] + sum(x[h] for h in graph.neighbors[g])
+    return tuple(y)
+
+
+def form_matrix(graph) -> tuple:
+    """Gram matrix of the bilinear form: 2I minus the adjacency matrix."""
+    n = graph.n_vertices
+    m = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for a, b in graph.edges:
+        m[a][b] = m[b][a] = -1
+    return tuple(map(tuple, m))
+
+
+def branch_permutation(graph, x: tuple, perm) -> tuple:
+    """x pushed along a permutation of equal-length branches: branch b
+    takes the entries of branch perm[b]."""
+    lengths = graph.branch_lengths
+    assert all(lengths[b] == lengths[src] for b, src in enumerate(perm))
+    out = list(x)
+    for b, src in enumerate(perm):
+        for v, w in zip(graph.branches[b], graph.branches[src]):
+            out[v] = x[w]
+    return tuple(out)
 
 
 def transpose(a: QMat) -> QMat:

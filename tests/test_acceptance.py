@@ -73,9 +73,9 @@ def test_criterion_1_root_tables(e6):
         k1 = coxeter_series(e6, unit_vector(e6, 0))
         k2 = coxeter_series(e6, unit_vector(e6, 1))
         k3 = coxeter_series(e6, unit_vector(e6, e6.root))
-        assert set(k1.bases()) == {tuple(Q(v) for v in t) for t in K1_BASES}
-        assert set(k2.bases()) == {tuple(Q(v) for v in t) for t in K2_BASES}
-        assert set(k3.bases()) == {tuple(Q(v) for v in t) for t in K3_BASES}
+        assert set(k1) == {tuple(Q(v) for v in t) for t in K1_BASES}
+        assert set(k2) == {tuple(Q(v) for v in t) for t in K2_BASES}
+        assert set(k3) == {tuple(Q(v) for v in t) for t in K3_BASES}
         assert (len(k1), len(k2), len(k3)) == (12, 6, 4)
 
 

@@ -19,6 +19,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+GOLDEN = ROOT / "tests" / "data" / "golden"
+# one "name argv..." line per command, paths relative to the repository root
+GOLDEN_COMMANDS = [line.split() for line in
+                   (GOLDEN / "commands.txt").read_text().splitlines() if line]
+
+
 def write_instance(tmp_path, name, branches, gamma, **extra):
     data = instance_to_dict(make_instance(branches, gamma))
     data.update(extra)
@@ -272,6 +278,17 @@ def test_coxeter_domain_error_is_an_input_error(capsys, tmp_path):
     assert "vertex 6" in parsed["message"]
 
 
+@pytest.mark.parametrize("pair", [[1, 2], "d", 3, None, {"d": [1, 2, 1, 2, 1, 2, 3]}])
+def test_coxeter_pair_must_be_an_object_with_d_and_f(capsys, tmp_path, pair):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    code, out, err = run_cli(capsys, "coxeter", "--branches", "2,2,2",
+                             "--word", "even", "--pair", str(path))
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "IOError_"
+
+
 @pytest.mark.parametrize("change", ["missing", "extra"])
 def test_verify_rejects_projection_count(capsys, tmp_path, change):
     inst = write_instance(tmp_path, "inst.json", [[2, 1], [2, 1], [2, 1]], 3)
@@ -509,3 +526,14 @@ def test_closed_stdout_is_not_bad_input(argv):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("name,argv", [(c[0], c[1:]) for c in GOLDEN_COMMANDS],
+                         ids=[c[0] for c in GOLDEN_COMMANDS])
+def test_cli_stdout_matches_golden_file(capsys, monkeypatch, name, argv):
+    """stdout is byte-identical to tests/data/golden/<name>.txt; the CI smoke
+    step diffs the same commands run as `python -m starspec`."""
+    monkeypatch.chdir(ROOT)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.txt").read_text()

@@ -14,7 +14,6 @@ from starspec import (
     elementary_coxeter_matrix,
     iterative_feasible,
     reduction_schedule,
-    reflect,
     tits_form,
     unit_vector,
 )
@@ -26,9 +25,9 @@ from starspec.coxeter import (
 )
 from starspec.feasibility import FAMILIES, trajectory_dim
 from starspec.rational import mat_mul, mat_pow, mat_vec, identity
-from starspec.roots import all_series_bases
+from starspec.roots import fundamental_roots
 
-from oracles import transpose
+from oracles import reflect, transpose
 
 DELTA = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 3))
 
@@ -266,7 +265,7 @@ def test_schedule_matches_relaxed_walk(lengths):
     g = build_star(lengths)
     cls = classify(g)
     seen = {-1: 0, 0: 0, 1: 0}
-    for base in all_series_bases(g):
+    for base in fundamental_roots(g, include_negative=True):
         k = max(-v // dv for v, dv in zip(base, cls.delta))
         while True:
             d = tuple(b + k * dv for b, dv in zip(base, cls.delta))

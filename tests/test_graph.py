@@ -9,11 +9,12 @@ from starspec import (
     bilinear_form,
     build_star,
     classify,
-    gvector,
     tits_form,
     unit_vector,
 )
 from starspec.graph import is_positive_vector
+
+from oracles import determinant, form_matrix
 
 DELTA_E6 = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 3))
 
@@ -49,7 +50,7 @@ def test_build_star_errors():
 
 def test_tits_form_values(e6):
     assert tits_form(e6, DELTA_E6) == 0
-    zero = gvector(e6, [0] * 7)
+    zero = (Q(0),) * 7
     assert tits_form(e6, zero) == 0
     assert tits_form(e6, unit_vector(e6, e6.root)) == 1
 
@@ -73,7 +74,7 @@ def test_bilinear_form_adjacent_pair(e6):
 @given(st.lists(st.integers(-6, 6), min_size=7, max_size=7))
 def test_polarization(vals):
     e6 = build_star([2, 2, 2])
-    x = gvector(e6, vals)
+    x = tuple(Q(v) for v in vals)
     assert bilinear_form(e6, x, x) == 2 * tits_form(e6, x)
 
 
@@ -84,7 +85,7 @@ def test_polarization(vals):
 )
 def test_bilinear_symmetry(a, b):
     e6 = build_star([2, 2, 2])
-    x, y = gvector(e6, a), gvector(e6, b)
+    x, y = tuple(map(Q, a)), tuple(map(Q, b))
     assert bilinear_form(e6, x, y) == bilinear_form(e6, y, x)
 
 
@@ -153,15 +154,18 @@ def test_delta_minus_extending_is_highest_root(e6, e6_class):
         assert tits_form(e6, x) == 1
 
 
+def test_form_matrix_oracle_is_the_bilinear_form(e6):
+    m = form_matrix(e6)
+    units = [unit_vector(e6, v) for v in range(e6.n_vertices)]
+    assert m == tuple(tuple(bilinear_form(e6, x, y) for y in units) for x in units)
+
+
 def _sylvester_kind(g):
     """Reference classification from the leading principal minors of the
     form matrix.  The first n-1 vertices are disjoint paths, so those minors
     are always positive and the sign of the full determinant decides:
     positive definite, semidefinite with a one-dimensional radical, or
     indefinite."""
-    from starspec.graph import form_matrix
-    from oracles import determinant
-
     m = form_matrix(g)
     minors = [
         determinant(tuple(row[:k] for row in m[:k])) for k in range(1, len(m) + 1)
@@ -179,7 +183,6 @@ def test_classify_matches_sylvester_reference():
     from itertools import combinations_with_replacement
     from math import gcd
 
-    from starspec.graph import form_matrix
     from starspec.rational import mat_vec
 
     shapes = [
@@ -218,7 +221,6 @@ def test_integer_vectors_are_ints():
     )
     from starspec.coxeter import parity_matrix, signed_delta_e6
     from starspec.feasibility import _condition_matrix_e6, candidate_dimensions
-    from starspec.graph import form_matrix
     from starspec.rational import identity
 
     for lengths in ([1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]):
@@ -230,8 +232,8 @@ def test_integer_vectors_are_ints():
             + candidate_dimensions(g, 12)
         )
         for mat in (parity_matrix(g, "even"), parity_matrix(g, "odd"),
-                    elementary_coxeter_matrix(g), form_matrix(g),
-                    mf_matrix(g), md_matrix(g), identity(g.n_vertices)):
+                    elementary_coxeter_matrix(g), mf_matrix(g), md_matrix(g),
+                    identity(g.n_vertices)):
             vectors += list(mat)
         for v in vectors:
             assert all(type(e) is int for e in v), (lengths, v)

@@ -11,17 +11,10 @@ from starspec import (
     tits_form,
     unit_vector,
 )
-from starspec.roots import (
-    RootError,
-    all_series_bases,
-    branch_permutation,
-    classify_root,
-    series_base,
-    singular_and_regular_series,
-)
+from starspec.roots import RootError, series_base, singular_and_regular_series
 from starspec.feasibility import candidate_dimensions
 
-from oracles import box_scan_roots
+from oracles import box_scan_roots, branch_permutation
 
 # Full table of the 36 positive coset representatives on the (2,2,2) star,
 # extending vertex = branch-1 leaf (first coordinate).
@@ -101,13 +94,6 @@ def test_is_root(e6, e6_class):
         is_root(e6, (Q(1, 2),) * 7)
 
 
-def test_classify_root(e6, e6_class):
-    r = classify_root(e6, e6_class.delta)
-    assert r.kind == "imaginary" and r.sign == "positive"
-    neg = classify_root(e6, tuple(-v for v in unit_vector(e6, 0)))
-    assert neg.sign == "negative"
-
-
 def test_root_shift_closure(e6, e6_class):
     delta = e6_class.delta
     for base in fundamental_roots(e6)[:12]:
@@ -119,30 +105,25 @@ def test_coxeter_series_k1_k2_k3(e6):
     k1 = coxeter_series(e6, unit_vector(e6, 0))
     k2 = coxeter_series(e6, unit_vector(e6, 1))
     k3 = coxeter_series(e6, unit_vector(e6, e6.root))
-    assert len(k1) == 12 and set(k1.bases()) == {as_q(t) for t in K1_BASES}
-    assert len(k2) == 6 and set(k2.bases()) == {as_q(t) for t in K2_BASES}
-    assert len(k3) == 4 and set(k3.bases()) == {as_q(t) for t in K3_BASES}
+    assert len(k1) == 12 and set(k1) == {as_q(t) for t in K1_BASES}
+    assert len(k2) == 6 and set(k2) == {as_q(t) for t in K2_BASES}
+    assert len(k3) == 4 and set(k3) == {as_q(t) for t in K3_BASES}
+    for k in (k1, k2, k3):
+        assert list(k) == sorted(k)
 
 
 def test_coxeter_series_closure(e6, e6_class):
     k3 = coxeter_series(e6, unit_vector(e6, e6.root))
-    bases = set(k3.bases())
     e = e6_class.extending[0]
-    for s in k3.series:
+    for base in k3:
         for token in ("even", "odd"):
-            img = coxeter_dim(e6, token, s.member(0))
-            assert series_base(img, e6_class.delta, e) in bases
+            img = coxeter_dim(e6, token, base)
+            assert series_base(img, e6_class.delta, e) in k3
 
 
 def test_coxeter_series_rejects_non_root(e6):
     with pytest.raises(RootError):
         coxeter_series(e6, (Q(2),) * 7)
-
-
-def test_delta_series_member(e6, e6_class):
-    k3 = coxeter_series(e6, unit_vector(e6, e6.root))
-    s = k3.series[-1]
-    assert s.member(2) == tuple(b + 2 * d for b, d in zip(s.base, e6_class.delta))
 
 
 def test_reflections_preserve_form(e6):
@@ -246,7 +227,7 @@ def test_regular_series_orbit_sizes(e6):
     sizes = []
     while left:
         seed = next(iter(left))
-        orbit = set(coxeter_series(e6, seed).bases())
+        orbit = set(coxeter_series(e6, seed))
         sizes.append(len(orbit))
         left -= orbit
     assert sorted(sizes) == [2, 6, 6]
@@ -259,6 +240,3 @@ def test_d4_fundamental_roots():
     assert len(roots) == 12
     assert all(tits_form(g, r) == 1 for r in roots)
 
-
-def test_all_series_bases(e6):
-    assert len(all_series_bases(e6)) == 72

@@ -15,7 +15,6 @@ from starspec import (
     md_matrix,
     mf_matrix,
     n_from_dim,
-    nondegenerate_char,
     nondegenerate_dim,
 )
 from starspec.graph import ODD
@@ -118,7 +117,9 @@ def test_chi_roundtrip_long_branches(case):
     lengths, inst = case
     g = build_star(lengths)
     f = char_from_chi(g, inst)
-    assert nondegenerate_char(g, f)
+    for path in g.branches:  # strict chains 0 < f_leaf < ... < f_inner
+        chain = [0] + [f[v] for v in path]
+        assert all(a < b for a, b in zip(chain, chain[1:]))
     assert chi_from_char(g, f) == inst
 
 
@@ -142,7 +143,7 @@ def test_dim_degenerate_zero_levels(e6):
     d = tuple(Q(v) for v in (0, 1, 0, 1, 0, 1, 1))
     n = n_from_dim(e6, d)
     assert n.branches == ((1, 0), (1, 0), (1, 0))
-    assert not n.is_nondegenerate()
+    assert not nondegenerate_dim(e6, d)
 
 
 def test_n_from_dim_rejects_negative(e6):
@@ -163,13 +164,6 @@ def test_nondegenerate_dim(e6):
     assert nondegenerate_dim(e6, DELTA)
     e_root = tuple(Q(int(i == 6)) for i in range(7))
     assert not nondegenerate_dim(e6, e_root)
-
-
-def test_nondegenerate_char(e6):
-    inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
-    assert nondegenerate_char(e6, char_from_chi(e6, inst))
-    flat = tuple(Q(1) for _ in range(7))
-    assert not nondegenerate_char(e6, flat)
 
 
 def test_transfer_matrices_unimodular(e6):

@@ -224,7 +224,7 @@ def cmd_solve_batch(args) -> int:
             entry["branch_taken"] = verdict.branch_taken
             counts[verdict.status] += 1
         except (IOError_, TransferError, FeasibilityError, GraphError,
-                json.JSONDecodeError, OSError) as exc:
+                json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
             entry["status"] = "error"
             entry["message"] = str(exc)
             counts["error"] += 1
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     except (GraphError, TransferError, FeasibilityError, RepError,
             CoxeterDomainError, IOError_) as exc:
         return _fail(EXIT_USAGE, type(exc).__name__, str(exc))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         return _fail(EXIT_USAGE, "bad_input", str(exc))
 
 

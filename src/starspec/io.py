@@ -5,13 +5,16 @@ Rationals travel as JSON integers when integral and as "p/q" strings
 otherwise, never as floats.  Complex matrices are row-major arrays of
 [re, im] pairs; real matrices are written the same way with im 0.0.  All
 emitters sort keys so output is byte-stable.
+
+``algebra_rep_to_dict`` keeps each projection as its ndarray, and
+``dumps_pretty`` writes the [re, im] pair text of such a matrix itself, so a
+representation file is never built as nested Python lists; ``json.dumps``
+takes such a dict with ``default=matrix_out`` and gives the same text.
 """
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from typing import Any, Optional
 
@@ -145,13 +148,14 @@ def _jsonable(x):
 
 
 def algebra_rep_to_dict(rep: AlgebraRep, metadata: Optional[dict] = None) -> dict:
+    """The file form of an algebra representation.  The projections stay
+    ndarrays, as ``dumps_pretty`` writes them (pass ``default=matrix_out`` to
+    ``json.dumps``); ``algebra_rep_from_dict`` reads the parsed text back."""
     out = {
         "type": "algebra_rep",
         "instance": instance_to_dict(rep.instance),
         "n0": rep.n0,
-        "projections": [
-            [matrix_out(p) for p in branch] for branch in rep.projections
-        ],
+        "projections": [list(branch) for branch in rep.projections],
     }
     if metadata:
         out["metadata"] = _jsonable(metadata)
@@ -184,14 +188,15 @@ _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def dumps_pretty(obj: dict) -> str:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``.
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2,
+    default=matrix_out)``.
 
     With an indent the standard library falls back to its pure-Python
-    encoder, one generator step per number.  Here every scalar, and every
-    list whose leaves all sit at one depth and are numbers, booleans or
-    nulls (a matrix of [re, im] pairs, a branch of them, a spectrum), is
-    encoded by the compact C encoder, and the list is re-indented by
-    string replacement; only dicts and other lists are walked here.
+    encoder, one generator step per number.  Here dicts and lists are walked,
+    scalars are encoded by the compact C encoder, and a float64 or
+    complex128 matrix with finite entries (a projection) is written row by
+    row from the reprs of its entries, as the encoder writes ``matrix_out``
+    of it.
     """
     return _pretty(obj, "\n")
 
@@ -205,16 +210,41 @@ def _pretty(x, nl: str) -> str:
         items = (_compact(_key(k)) + ": " + _pretty(v, inner)
                  for k, v in sorted(x.items()))
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(x, np.ndarray):
+        if (x.ndim == 2 and x.dtype in (np.float64, np.complex128)
+                and np.isfinite(x).all()):
+            return _pretty_matrix(x, nl)
+        return _pretty(matrix_out(x), nl)
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        text = _compact(x)
-        depth = len(text) - len(text.lstrip("["))
-        if _uniform_list(depth).fullmatch(text):
-            return _reindent(text, depth, nl)
         items = (_pretty(v, inner) for v in x)
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     return _compact(x)
+
+
+def _pretty_matrix(m: np.ndarray, nl: str) -> str:
+    """Indented text of ``matrix_out(m)`` for a finite float64 or complex128
+    matrix: each row of [re, im] pairs is one join over the entry reprs."""
+    if not len(m):
+        return "[]"
+    row_nl, pair_nl, num_nl = nl + "  ", nl + "    ", nl + "      "
+    head = "[" + pair_nl + "[" + num_nl
+    tail = pair_nl + "]" + row_nl + "]"
+    between = pair_nl + "]," + pair_nl + "[" + num_nl
+    mid = "," + num_nl
+    if not m.shape[1]:
+        rows = ["[]"] * len(m)
+    elif m.dtype == np.float64:
+        zero = mid + "0.0"
+        rows = [head + (zero + between).join(map(float.__repr__, row)) + zero + tail
+                for row in m.tolist()]
+    else:
+        rows = [head + between.join(map(mid.join, zip(map(float.__repr__, re),
+                                                      map(float.__repr__, im))))
+                + tail
+                for re, im in zip(m.real.tolist(), m.imag.tolist())]
+    return "[" + row_nl + ("," + row_nl).join(rows) + nl + "]"
 
 
 def _key(k) -> str:
@@ -226,40 +256,6 @@ def _key(k) -> str:
     raise TypeError(
         f"keys must be str, int, float, bool or None, not {type(k).__name__}"
     )
-
-
-_LEAF = r'[^\[\]{},"]+'
-
-
-@lru_cache(maxsize=None)
-def _uniform_list(depth: int) -> "re.Pattern":
-    """Compact text of a list whose leaves all sit at ``depth`` and hold no
-    brackets, braces, commas or quotes: between two leaves k lists close and
-    k open, for some k < depth."""
-    seps = "|".join(r"\]" * k + "," + r"\[" * k for k in range(depth))
-    return re.compile(rf"\[{{{depth}}}{_LEAF}(?:(?:{seps}){_LEAF})*\]{{{depth}}}")
-
-
-def _reindent(text: str, depth: int, nl: str) -> str:
-    """Indent the compact text of a uniform list opened at ``nl``.
-
-    The separators between leaves are replaced longest first, each by a
-    non-ASCII placeholder (the encoder writes only ASCII), then by its
-    indented form.
-    """
-    def ind(level: int) -> str:
-        return nl + "  " * level
-
-    for k in range(depth - 1, 0, -1):
-        text = text.replace("]" * k + "," + "[" * k, chr(0xE000 + k))
-    text = text.replace(",", "," + ind(depth))
-    for k in range(1, depth):
-        text = text.replace(chr(0xE000 + k), "".join(
-            [ind(depth - 1 - i) + "]" for i in range(k)] + [","]
-            + [ind(depth - k + i) + "[" for i in range(k)] + [ind(depth)]))
-    head = "[" + "".join(ind(i) + "[" for i in range(1, depth)) + ind(depth)
-    tail = "".join(ind(i) + "]" for i in range(depth - 1, -1, -1))
-    return head + text[depth:len(text) - depth] + tail
 
 
 JSON_SCHEMAS = {

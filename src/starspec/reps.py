@@ -105,17 +105,22 @@ def simple_rep(graph: StarGraph, g: int, character: Optional[GVec] = None) -> Gr
     )
 
 
-def _kernel_basis(m: np.ndarray) -> np.ndarray:
+def _kernel_basis(m: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal basis of ker(m) as columns, in the dtype of m.  The rank
-    counts the singular values above 1e-10 times the largest."""
+    counts the singular values above 1e-10 times the largest; ``dim``, the
+    expected kernel dimension, is confirmed by the two singular values
+    around rank ``cols - dim``, and only when they disagree are all of them
+    counted."""
     rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0), m.dtype)
-    if rows == 0:
+    if rows == 0 or cols == 0:
         return np.eye(cols, dtype=m.dtype)
     u, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    return vh.conj().T[:, rank:]
+    floor = 1e-10 * s[0]
+    rank = cols - dim
+    if not (0 <= rank <= len(s) and (rank == 0 or s[rank - 1] > floor)
+            and (rank == len(s) or s[rank] <= floor)):
+        rank = int(np.sum(s > floor))
+    return vh[rank:].conj().T
 
 
 def reflect_rep(
@@ -145,12 +150,16 @@ def _reflect(
     each token-parity vertex v is scaled by sqrt(weights[v])."""
     act = graph.even if token == EVEN else graph.odd
     new_rep = GraphRep(graph=graph, dims=new_dims, character=character)
-    edge_set = set(graph.edges)
+    ops = rep.ops
     for v in act:
         nb = graph.neighbors[v]
-        blocks = [rep.gamma(v, h) for h in nb]
-        assembled = np.hstack(blocks) if blocks else np.zeros((rep.dims[v], 0))
-        k_basis = _kernel_basis(assembled)
+        # the blocks H_h -> H_v: the adjoint of the stored map when v is the
+        # far endpoint, else the stored map itself
+        blocks = [ops[(v, h)].conj().T if (v, h) in ops else ops[(h, v)]
+                  for h in nb]
+        # every vertex of a star has a neighbour
+        assembled = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        k_basis = _kernel_basis(assembled, new_dims[v])
         if k_basis.shape[1] != new_dims[v]:
             raise RepError(
                 f"kernel dimension {k_basis.shape[1]} at vertex {v} does not "
@@ -162,7 +171,7 @@ def _reflect(
             dh = rep.dims[h]
             block = k_basis[off:off + dh, :]  # maps H_v^new into H_h
             off += dh
-            if (v, h) in edge_set:
+            if (v, h) in ops:
                 # v is the far endpoint: store Gamma_{h,v} = H_v^new -> H_h
                 new_rep.ops[(v, h)] = scale * block
             else:

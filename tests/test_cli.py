@@ -100,6 +100,15 @@ def test_feasible_parse_error(capsys, tmp_path):
     assert "error" in err
 
 
+def test_feasible_non_utf8_file_is_bad_input(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    code, out, err = run_cli(capsys, "feasible", "--instance", str(bad))
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "bad_input"
+
+
 def test_construct_and_verify_closure(capsys, tmp_path):
     inst = write_instance(tmp_path, "inst.json", [[2, 1], [2, 1], [2, 1]], 3)
     out_path = tmp_path / "rep.json"
@@ -338,6 +347,18 @@ def test_solve_batch(capsys, tmp_path):
     assert summary["counts"]["infeasible"] == 1
     assert summary["counts"]["error"] == 1
     assert len(summary["results"]) == 3
+
+
+def test_solve_batch_records_non_utf8_file(capsys, tmp_path):
+    write_instance(tmp_path, "a.json", [[2, 1], [2, 1], [2, 1]], 3)
+    (tmp_path / "b.json").write_bytes(b"\xff\xfe{}\n")
+    code, out, _ = run_cli(capsys, "solve-batch", str(tmp_path),
+                           "--scan-bound", "8")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["counts"] == {"feasible": 1, "infeasible": 0,
+                                 "degenerate": 0, "error": 1}
+    assert [r["status"] for r in summary["results"]] == ["feasible", "error"]
 
 
 def test_solve_batch_empty(capsys, tmp_path):

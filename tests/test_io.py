@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -6,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starspec import build_hyperplane_rep, make_instance
+from starspec import (
+    build_graph_rep,
+    build_hyperplane_rep,
+    build_star,
+    make_instance,
+    reduction_schedule,
+    to_algebra_rep,
+)
+from starspec.feasibility import candidate_dimensions
 from starspec.io import (
     JSON_SCHEMAS,
     IOError_,
@@ -22,6 +31,18 @@ from starspec.io import (
     rational_in,
     rational_out,
 )
+
+from conftest import feasible_character
+
+
+def _pretty_json(obj) -> str:
+    """The text ``dumps_pretty`` must reproduce."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=matrix_out)
+
+
+def _rep_file(rep, metadata=None):
+    """The parsed text of a representation file."""
+    return json.loads(dumps_pretty(algebra_rep_to_dict(rep, metadata)))
 
 
 def test_rational_io():
@@ -50,7 +71,7 @@ def test_int_io():
 
 def test_integer_fields_reject_non_integers():
     inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
-    rep = algebra_rep_to_dict(build_hyperplane_rep(inst, seed=0))
+    rep = _rep_file(build_hyperplane_rep(inst, seed=0))
     for bad in (3.0, True, "7/2"):
         with pytest.raises(IOError_):
             algebra_rep_from_dict(dict(rep, n0=bad))
@@ -109,7 +130,7 @@ def test_matrix_out_real_writes_zero_imaginary_part():
 
 def test_algebra_rep_rejects_wrong_projection_shape():
     inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
-    data = json.loads(dumps(algebra_rep_to_dict(build_hyperplane_rep(inst, seed=0))))
+    data = _rep_file(build_hyperplane_rep(inst, seed=0))
     data["projections"][2][1] = [row[:2] for row in data["projections"][2][1]]
     with pytest.raises(IOError_, match="3x3"):
         algebra_rep_from_dict(data)
@@ -118,7 +139,7 @@ def test_algebra_rep_rejects_wrong_projection_shape():
 @pytest.mark.parametrize("n0", [0, -1])
 def test_algebra_rep_rejects_nonpositive_n0(n0):
     inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
-    data = json.loads(dumps(algebra_rep_to_dict(build_hyperplane_rep(inst, seed=0))))
+    data = _rep_file(build_hyperplane_rep(inst, seed=0))
     data["n0"] = n0
     data["projections"] = [[[] for _ in branch] for branch in data["projections"]]
     with pytest.raises(IOError_, match="n0 must be a positive integer"):
@@ -141,8 +162,25 @@ def _matrices(draw):
             for _ in range(rows)]
 
 
+@st.composite
+def _arrays(draw):
+    """float64 and complex128 matrices as `algebra_rep_to_dict` keeps
+    projections, NaN, infinities and empty shapes included."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+    def part():
+        return np.array([draw(_floats) for _ in range(rows * cols)],
+                        float).reshape(rows, cols)
+
+    m = part()
+    if draw(st.booleans()):
+        m = m.astype(complex)
+        m.imag = part()  # leaves the real parts, infinities included
+    return m
+
+
 _json = st.recursive(
-    _scalars | _matrices(),
+    _scalars | _matrices() | _arrays(),
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
     max_leaves=30,
@@ -152,13 +190,17 @@ _json = st.recursive(
 @settings(max_examples=300)
 @given(_json)
 def test_dumps_pretty_matches_indented_json(obj):
-    assert dumps_pretty(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert dumps_pretty(obj) == _pretty_json(obj)
 
 
 def test_dumps_pretty_matches_on_files_and_schemas():
-    inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
-    rep = algebra_rep_to_dict(build_hyperplane_rep(inst, seed=0),
-                              metadata={"seed": 0, "residual": 1e-12})
+    # complex128 projections of the hyperplane optimizer
+    horn = []
+    for spectra in ([[2, 1], [2, 1], [2, 1]], [[20, 10], [23, 7], [17, 13]]):
+        inst = make_instance(spectra, Q(sum(map(sum, spectra)), 3))
+        horn += [algebra_rep_to_dict(build_hyperplane_rep(inst, seed=seed),
+                                     metadata={"seed": seed, "residual": 1e-12})
+                 for seed in (0, 1)]
     # the simple E6~ graph representation at the root: empty edge maps
     grep = {"branches": [2, 2, 2], "dims": [0, 0, 0, 0, 0, 0, 1],
             "edges": {"0,1": [], "1,6": [[]], "2,3": [], "3,6": [[]],
@@ -166,14 +208,44 @@ def test_dumps_pretty_matches_on_files_and_schemas():
             "type": "graph_rep"}
     nested = {"a": [[1, [2]], [], [[]], [{}], ["x", 1.5]], "3": {"b": None}}
     number_keys = {1: [1], 2.5: {}, True: "t"}
-    for obj in (rep, grep, JSON_SCHEMAS, nested, number_keys, [[[-0.0, 1e-310]]]):
-        assert dumps_pretty(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    for obj in (*horn, grep, JSON_SCHEMAS, nested, number_keys, [[[-0.0, 1e-310]]]):
+        assert dumps_pretty(obj) == _pretty_json(obj)
+
+
+@pytest.mark.parametrize("lengths", [[1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]])
+def test_dumps_pretty_matches_on_reflection_reps(lengths):
+    """Real float64 projections of reflection-functor constructions, the
+    smallest and the largest schedulable candidate with root entry <= 6."""
+    g = build_star(lengths)
+    dims = [d for d in candidate_dimensions(g, 6)
+            if reduction_schedule(g, d) is not None]
+    rng = random.Random(5)
+    for d in (dims[0], max(dims, key=sum)):
+        f, inst = feasible_character(g, d, rng)
+        arep = to_algebra_rep(g, build_graph_rep(g, d, f), inst)
+        assert all(p.dtype == np.float64 for b in arep.projections for p in b)
+        obj = algebra_rep_to_dict(arep, metadata={"dimension": list(d)})
+        assert dumps_pretty(obj) == _pretty_json(obj)
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[-0.0, 1.5], [1e-310, -2.5e300]]),
+    np.array([[complex(1, -0.0), complex(-0.0, -0.0)], [0.5j, -1e-310]]),
+    np.array([[np.nan, np.inf], [-np.inf, 1.0]]),
+    np.array([[complex(np.nan, 0.0), complex(1.0, -np.inf)]]),
+    np.zeros((0, 0)), np.zeros((3, 0)), np.zeros((0, 3)), np.zeros((2, 0), complex),
+    np.array([[1, 2], [3, 4]]), np.array([[0.1]], np.float32), np.array([0.5, -0.0]),
+], ids=["negative-zero", "complex-negative-zero", "nonfinite", "complex-nonfinite",
+        "0x0", "3x0", "0x3", "complex-2x0", "int", "float32", "1d"])
+def test_dumps_pretty_matches_on_array_leaves(m):
+    for obj in (m, [m, m], {"b": {"m": m}, "a": [[m]]}):
+        assert dumps_pretty(obj) == _pretty_json(obj)
 
 
 def test_algebra_rep_roundtrip():
     inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
     rep = build_hyperplane_rep(inst, seed=0)
-    data = json.loads(dumps(algebra_rep_to_dict(rep, metadata={"seed": 0})))
+    data = _rep_file(rep, metadata={"seed": 0})
     again = algebra_rep_from_dict(data)
     assert again.instance == rep.instance
     assert again.n0 == rep.n0
@@ -188,7 +260,7 @@ def test_algebra_rep_roundtrip():
 @pytest.mark.parametrize("change", ["missing", "extra"])
 def test_algebra_rep_projection_count(change):
     inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
-    data = json.loads(dumps(algebra_rep_to_dict(build_hyperplane_rep(inst, seed=0))))
+    data = _rep_file(build_hyperplane_rep(inst, seed=0))
     branch = data["projections"][1]
     if change == "missing":
         branch.pop()

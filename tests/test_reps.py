@@ -74,6 +74,20 @@ def test_reflect_rep_double_is_identity_up_to_unitary(e6, rng):
     assert hom_dimension(rep, rep) == 1
 
 
+@pytest.mark.parametrize("branch", [0, 2])
+def test_reflect_rep_rejects_wrong_kernel_dimension(e6, rng, branch):
+    """With one root-edge map zeroed the assembled map at its inner vertex
+    loses rank, so its kernel no longer has the reflected dimension."""
+    d, f, inst = random_feasible_instance(e6, FAMILY_ROOT, 5, rng)
+    rep = build_graph_rep(e6, d, f)
+    inner = e6.branches[branch][-1]
+    rep.ops[(inner, e6.root)] = np.zeros_like(rep.ops[(inner, e6.root)])
+    token = "even" if inner in e6.even else "odd"
+    with pytest.raises(RepError, match=f"kernel dimension .* at vertex {inner} "
+                                       "does not match"):
+        reflect_rep(e6, token, rep, DimCharPair(d, f))
+
+
 def test_reflect_rep_keeps_zero_outside_parity(e6):
     f = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 0))
     rep = simple_rep(e6, e6.root, character=f)

@@ -55,7 +55,7 @@ print("instance spectra:", [[str(a) for a in b] for b in inst.branches],
 
 rep = build_graph_rep(g, d, f)
 print("graph representation dims:", rep.dims)
-print("locally scalar:", verify_graph_rep(g, rep, d, f, tol=1e-10).overall)
+print("locally scalar:", verify_graph_rep(g, rep, d, f).overall)
 
 can = canonicalize(g, rep)
 print("canonical leaf-edge block (branch 1):")

@@ -94,21 +94,24 @@ def matrix_out(m: np.ndarray) -> list:
 
 
 def matrix_in(data) -> np.ndarray:
-    """A complex128 matrix from row-major [re, im] pairs of JSON numbers.
+    """A complex128 matrix from row-major [re, im] pairs of finite JSON
+    numbers.
 
-    Pairs of any other length, booleans, strings, nulls and ragged rows are
-    rejected.  An empty matrix comes back with zero columns."""
+    Pairs of any other length, booleans, strings, nulls, NaN, infinities
+    and ragged rows are rejected.  An empty matrix comes back with zero
+    columns."""
     try:
         entries = chain.from_iterable(chain.from_iterable(data))
         if set(map(type, entries)) <= {int, float}:
             pairs = np.array(data, dtype=float)
-            if pairs.ndim == 3 and pairs.shape[2] == 2:
+            if pairs.ndim == 3 and pairs.shape[2] == 2 and np.isfinite(pairs).all():
                 return pairs.view(complex)[..., 0]
             if pairs.size == 0 and pairs.ndim <= 2:
                 return np.zeros((len(pairs), 0), complex)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise IOError_("matrices must be row-major arrays of [re, im] pairs")
+    raise IOError_("matrices must be row-major arrays of [re, im] pairs of "
+                   "finite numbers")
 
 
 def gen_dim_to_dict(n: GeneralizedDimension) -> dict:
@@ -130,21 +133,11 @@ def verdict_to_dict(v: FeasibilityVerdict) -> dict:
         "status": v.status,
         "feasible": v.feasible,
         "branch_taken": v.branch_taken,
-        "certificate": _jsonable(v.certificate),
+        "certificate": v.certificate,
     }
     if v.witness_dimension is not None:
         out["witness_dimension"] = gen_dim_to_dict(v.witness_dimension)
     return out
-
-
-def _jsonable(x):
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, Fraction):
-        return rational_out(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
 
 
 def algebra_rep_to_dict(rep: AlgebraRep, metadata: Optional[dict] = None) -> dict:
@@ -158,7 +151,7 @@ def algebra_rep_to_dict(rep: AlgebraRep, metadata: Optional[dict] = None) -> dic
         "projections": [list(branch) for branch in rep.projections],
     }
     if metadata:
-        out["metadata"] = _jsonable(metadata)
+        out["metadata"] = metadata
     return out
 
 

@@ -45,7 +45,7 @@ from .transfer import (
     n_from_dim,
     nondegenerate_dim,
 )
-from .verify import commutant_dimension
+from .verify import RTOL, commutant_dimension, instance_scale, verify_algebra_rep
 
 
 class RepError(RuntimeError):
@@ -199,11 +199,6 @@ def build_graph_rep(graph: StarGraph, d: GVec, f: GVec) -> GraphRep:
     return rep
 
 
-# eigenvalues of a root branch operator within this multiple of
-# max(1, a_1) of their spectrum point pass; eigh's error scales with the norm
-_SPEC_TOL = 1e-8
-
-
 def _eigenspaces(graph: StarGraph, rep: GraphRep) -> list:
     """Eigenspaces of each root branch operator T T^*, split by rank.
 
@@ -249,7 +244,9 @@ def to_algebra_rep(
     The branch operator at the root is the in-out composition over the root
     edge.  Its eigenspaces, taken largest first in the ranks of the
     generalized dimension, give the projections; each block must lie at its
-    spectrum point and the rest at 0, within ``_SPEC_TOL * max(1, a_1)``.
+    spectrum point and the rest at 0, within verify's bound ``RTOL * s``
+    (``verify.instance_scale``): an eigenvalue off by more would show in
+    the weighted sum of the projections.
     """
     if rep.character is None:
         raise RepError("to_algebra_rep needs the representation character")
@@ -258,12 +255,12 @@ def to_algebra_rep(
     if inst.branch_lengths != graph.branch_lengths:
         raise RepError("instance does not match the graph")
     split = _eigenspaces(graph, rep)
+    bound = RTOL * instance_scale(inst)
     for j, (spec, blocks) in enumerate(zip(inst.branches, split)):
-        tol = _SPEC_TOL * max(1.0, float(spec[0]))
         for a, (vals, _) in zip([*map(float, spec), 0.0], blocks):
-            if np.any(np.abs(vals - a) > tol):
+            if np.any(np.abs(vals - a) > bound):
                 raise RepError(f"eigenvalues {vals.tolist()} of branch {j + 1} "
-                               f"are not within {tol:.3g} of {a}")
+                               f"are not within {bound:.3g} of {a}")
     projections = tuple(tuple(vecs @ vecs.conj().T for _, vecs in blocks[:-1])
                         for blocks in split)
     return AlgebraRep(instance=inst, n0=rep.dims[graph.root], projections=projections)
@@ -353,6 +350,11 @@ class AlgebraRep:
             out = out + self.branch_operator(j)
         return out
 
+    def residual(self) -> float:
+        """Largest entry modulus of the weighted sum minus gamma I."""
+        return float(np.abs(self.weighted_sum()
+                            - float(self.instance.gamma) * np.eye(self.n0)).max())
+
     def generalized_dimension(self) -> GeneralizedDimension:
         ranks = tuple(
             tuple(int(round(float(np.real(np.trace(p))))) for p in branch)
@@ -361,12 +363,9 @@ class AlgebraRep:
         return GeneralizedDimension(n0=self.n0, branches=ranks)
 
 
-# optimizer budget and residuals of build_hyperplane_rep: a restart stops
-# iterating below the target and is accepted below the acceptance residual
+# optimizer budget of build_hyperplane_rep
 _RESTARTS = 32
 _MAX_ITERS = 10_000
-_TARGET_RESIDUAL = 1e-10
-_ACCEPT_RESIDUAL = 1e-8
 
 
 def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
@@ -376,7 +375,10 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     gamma I over unitary orbits with fixed spectra, by cyclic eigenvector
     alignment: each branch operator is re-diagonalized against what the
     other branches leave over.  Restarts are seeded deterministically and
-    start from random unitaries, so the projections are complex128.
+    start from random unitaries, so the projections are complex128.  A
+    restart iterates until its Frobenius residual is below a tenth of
+    verify's bound ``RTOL * s``, and is accepted only when
+    ``verify_algebra_rep`` passes it and its commutant is one-dimensional.
     """
     if inst.branch_lengths != (2, 2, 2):
         raise FeasibilityError("hyperplane constructor applies to the (2,2,2) star")
@@ -385,8 +387,9 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
         raise FeasibilityError(f"instance is not Horn-feasible: {check.status}")
     gamma = float(inst.gamma)
     diags = [np.array([float(a) for a in spec] + [0.0]) for spec in inst.branches]
+    stop = RTOL * instance_scale(inst) / 10
     n = 3
-    best = None
+    reducible = False
     for r in range(_RESTARTS):
         rng = np.random.default_rng((seed, r))
         units = []
@@ -395,8 +398,7 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
             q, _ = np.linalg.qr(z)
             units.append(q)
         ops = [u @ np.diag(dg) @ u.conj().T for u, dg in zip(units, diags)]
-        res = np.inf
-        for it in range(_MAX_ITERS):
+        for _ in range(_MAX_ITERS):
             for j in range(3):
                 target = gamma * np.eye(n) - sum(ops[i] for i in range(3) if i != j)
                 target = (target + target.conj().T) / 2
@@ -405,24 +407,20 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
                 u = evecs[:, order]
                 units[j] = u
                 ops[j] = u @ np.diag(diags[j]) @ u.conj().T
-            res = float(np.linalg.norm(sum(ops) - gamma * np.eye(n)))
-            if res < _TARGET_RESIDUAL:
+            if np.linalg.norm(sum(ops) - gamma * np.eye(n)) < stop:
                 break
-        if res < _ACCEPT_RESIDUAL:
-            projections = tuple(
-                tuple(
-                    np.outer(units[j][:, i], units[j][:, i].conj())
-                    for i in range(2)
-                )
-                for j in range(3)
-            )
-            rep = AlgebraRep(instance=inst, n0=3, projections=projections)
+        projections = tuple(
+            tuple(np.outer(units[j][:, i], units[j][:, i].conj()) for i in range(2))
+            for j in range(3)
+        )
+        rep = AlgebraRep(instance=inst, n0=3, projections=projections)
+        if verify_algebra_rep(rep).overall:
             if commutant_dimension(rep) == 1:
                 return rep
-            best = best or "reducible"
+            reducible = True
     detail = (
-        "every converged restart was reducible" if best else
-        f"no restart reached residual {_ACCEPT_RESIDUAL}"
+        "every verified restart was reducible" if reducible else
+        "no restart passed verification"
     )
     raise ConstructionError(
         f"construction failed: {detail} (existence is asserted by the "

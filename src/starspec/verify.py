@@ -22,21 +22,50 @@ matrix has a nonzero imaginary part the commutant is computed in real
 arithmetic, which gives the same dimension exactly (see
 `commutant_dimension`).  Hyperplane-optimizer representations and rotated
 copies keep complex arithmetic.
+
+One rule sizes every check whose residual carries the instance's scale:
+it passes at ``RTOL * s``, where s = max(|gamma|, a_1 of each branch) is
+the instance's scale (`instance_scale`) and, for a graph representation,
+max |f| over its character.  Scaling every parameter by t > 0 scales both
+the residuals and s by t, so a representation passes or fails alike at
+every scale.  That covers the weighted sum and the spectra here, the
+eigenvalue check of `reps.to_algebra_rep` and the stop and acceptance of
+`reps.build_hyperplane_rep`.  The checks that do not depend on scale keep
+fixed bounds: the projection axioms (entries of norm-one matrices), the
+rank trace test and the relative rank floor of the commutant.  None of
+these bounds is a parameter.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .graph import GVec, StarGraph
-from .transfer import trace_pairing
+from .transfer import GeneralizedDimension, SpectralInstance, trace_pairing
 
 if TYPE_CHECKING:
     from .reps import AlgebraRep, GraphRep
 
+# the relative bound of every scale-carrying residual.  Over the
+# construct-verify benchmark inputs of seeds 1-3 the worst weighted-sum
+# residual is 5.8e-13 s, from the hyperplane optimizer, which stops at a
+# tenth of this bound; reflection-functor reps stay below 3.1e-15 s
+RTOL = 1e-11
+# scale-free bounds: projection axioms, the distance of a trace from its
+# rank, and the relative rank floor of the commutant
+_AXIOM_TOL = 1e-9
+_TRACE_TOL = 1e-6
+_RANK_TOL = 1e-8
 _GOLDEN = (5 ** 0.5 - 1) / 2
+
+
+def instance_scale(inst: SpectralInstance) -> float:
+    """s = max(|gamma|, a_1 of each branch), the scale that ``RTOL``
+    multiplies; a_1 is the largest point of a branch spectrum."""
+    return max(abs(float(inst.gamma)), *(float(spec[0]) for spec in inst.branches))
 
 
 @dataclass(frozen=True)
@@ -56,9 +85,9 @@ def verify_graph_rep(
     rep: GraphRep,
     d: Optional[GVec] = None,
     f: Optional[GVec] = None,
-    tol: float = 1e-9,
 ) -> VerificationReport:
-    """Dimension match and scalarity of every vertex operator."""
+    """Dimension match, scalarity of every vertex operator and adjoint edge
+    pairs, both residuals within ``RTOL * max |f|``."""
     checks = []
     if d is not None:
         ok = tuple(d) == rep.dims
@@ -67,13 +96,14 @@ def verify_graph_rep(
     if f is None:
         checks.append(("character", False, "no character available"))
         return VerificationReport(tuple(checks))
+    bound = RTOL * max(abs(float(v)) for v in f)
     for g in range(graph.n_vertices):
         if rep.dims[g] == 0:
             continue
         op = rep.vertex_operator(g)
         res = float(np.abs(op - float(f[g]) * np.eye(rep.dims[g])).max())
         checks.append(
-            (f"scalar@{graph.vertex_label(g)}", res <= tol, f"residual {res:.3e}")
+            (f"scalar@{graph.vertex_label(g)}", res <= bound, f"residual {res:.3e}")
         )
     for far, near in graph.edges:
         a = rep.gamma(near, far)
@@ -86,31 +116,30 @@ def verify_graph_rep(
         checks.append(
             (
                 f"adjoint@({far},{near})",
-                res <= tol and shapes_ok,
+                res <= bound and shapes_ok,
                 f"residual {res:.3e}, shapes {a.shape}/{b.shape}",
             )
         )
     return VerificationReport(tuple(checks))
 
 
-def verify_algebra_rep(
-    rep: AlgebraRep, tol: float = 1e-9, spec_tol: float = 1e-8
-) -> VerificationReport:
+def verify_algebra_rep(rep: AlgebraRep) -> VerificationReport:
     """Projection axioms, weighted sum, non-degeneracy, spectra, trace rank
-    identity."""
+    identity.  The weighted sum and the spectra pass within ``RTOL * s``
+    (s from `instance_scale`).  Entries that overflow fail checks and raise
+    nothing."""
     checks = []
     inst = rep.instance
     n0 = rep.n0
-    eye = np.eye(n0)
     for j, branch in enumerate(rep.projections):
         for k, p in enumerate(branch):
             herm = float(np.abs(p - p.conj().T).max())
             idem = float(np.abs(p @ p - p).max())
             checks.append(
-                (f"hermitian P{k + 1}^({j + 1})", herm <= tol, f"{herm:.3e}")
+                (f"hermitian P{k + 1}^({j + 1})", herm <= _AXIOM_TOL, f"{herm:.3e}")
             )
             checks.append(
-                (f"idempotent P{k + 1}^({j + 1})", idem <= tol, f"{idem:.3e}")
+                (f"idempotent P{k + 1}^({j + 1})", idem <= _AXIOM_TOL, f"{idem:.3e}")
             )
         for k in range(len(branch)):
             for l in range(k + 1, len(branch)):
@@ -118,23 +147,28 @@ def verify_algebra_rep(
                 checks.append(
                     (
                         f"orthogonal P{k + 1}P{l + 1}^({j + 1})",
-                        orth <= tol,
+                        orth <= _AXIOM_TOL,
                         f"{orth:.3e}",
                     )
                 )
-    wsum = rep.weighted_sum()
-    res = float(np.abs(wsum - float(inst.gamma) * eye).max())
-    checks.append(("weighted sum = gamma I", res <= tol, f"residual {res:.3e}"))
-    n = rep.generalized_dimension()
-    for j, branch in enumerate(rep.projections):
-        ranks = n.branches[j]
-        for k, p in enumerate(branch):
-            tr = float(np.real(np.trace(p)))
-            ok = abs(tr - ranks[k]) <= 1e-6 and ranks[k] >= 1
+    bound = RTOL * instance_scale(inst)
+    res = rep.residual()
+    checks.append(("weighted sum = gamma I", res <= bound,
+                   f"residual {res:.3e}, bound {bound:.3e}"))
+    traces = [[float(np.real(np.trace(p))) for p in branch]
+              for branch in rep.projections]
+    finite = all(math.isfinite(t) for branch in traces for t in branch)
+    # a non-finite trace has no rank; 0 fails its rank check
+    ranks = tuple(tuple(round(t) if math.isfinite(t) else 0 for t in branch)
+                  for branch in traces)
+    for j, branch in enumerate(traces):
+        for k, tr in enumerate(branch):
+            r = ranks[j][k]
             checks.append(
-                (f"rank P{k + 1}^({j + 1}) = {ranks[k]}", ok, f"trace {tr:.6f}")
+                (f"rank P{k + 1}^({j + 1}) = {r}",
+                 abs(tr - r) <= _TRACE_TOL and r >= 1, f"trace {tr:.6f}")
             )
-        total = sum(ranks)
+        total = sum(ranks[j])
         checks.append(
             (
                 f"branch {j + 1} projections do not resolve identity",
@@ -144,44 +178,50 @@ def verify_algebra_rep(
         )
     for j in range(len(rep.projections)):
         a_op = rep.branch_operator(j)
-        evals = np.linalg.eigvalsh(a_op)
-        allowed = [float(a) for a in inst.branches[j]] + [0.0]
-        worst = float(max(min(abs(e - a) for a in allowed) for e in evals))
+        allowed = np.array([float(a) for a in inst.branches[j]] + [0.0])
+        # eigvalsh may not converge on an operator that overflowed
+        worst = (float(np.abs(np.linalg.eigvalsh(a_op)[:, None] - allowed)
+                       .min(axis=1).max())
+                 if np.isfinite(a_op).all() else np.inf)
         checks.append(
             (
-                f"spectrum branch {j + 1} within {spec_tol}",
-                worst <= spec_tol,
-                f"worst eigenvalue distance {worst:.3e}",
+                f"spectrum branch {j + 1}",
+                worst <= bound,
+                f"worst eigenvalue distance {worst:.3e}, bound {bound:.3e}",
             )
         )
-    exact = trace_pairing(inst, n)
-    checks.append(
-        ("exact rank trace identity", exact == 0, f"defect {exact}")
-    )
+    if finite:
+        exact = trace_pairing(inst, GeneralizedDimension(n0=n0, branches=ranks))
+        checks.append(
+            ("exact rank trace identity", exact == 0, f"defect {exact}")
+        )
+    else:
+        checks.append(("exact rank trace identity", False,
+                       "a projection trace is not finite"))
     return VerificationReport(tuple(checks))
 
 
-def commutant_dimension(rep: AlgebraRep, tol: float = 1e-8) -> int:
+def commutant_dimension(rep: AlgebraRep) -> int:
     """Dimension of the self-intertwiner space; 1 means irreducible.
 
     This is the dimension of the space of X with PX = XP for every given
     matrix P, found on a basis of candidate X that shrinks as each matrix
     is imposed.  The start comes from A = sum c_i P_i over the given
-    matrices that are Hermitian within ``tol``, with fixed weights c_i (the
-    fractional parts of i times the golden ratio).  Its eigenvalues are
+    matrices that are Hermitian within ``_RANK_TOL``, with fixed weights c_i
+    (the fractional parts of i times the golden ratio).  Its eigenvalues are
     cut into clusters wherever neighbours differ by more than
-    ``tol * max(|lambda|_max, 1)``, and the start is the sum r_i^2 matrix
-    units, in A's eigenbasis, that are block-diagonal over the clusters
-    (r_i the cluster sizes).  This is exact, not a heuristic: an X that
-    commutes with every P_i commutes with A and so is block-diagonal over
-    its eigenspaces, so the start always contains the commutant.  With
+    ``_RANK_TOL * max(|lambda|_max, 1)``, and the start is the sum r_i^2
+    matrix units, in A's eigenbasis, that are block-diagonal over the
+    clusters (r_i the cluster sizes).  This is exact, not a heuristic: an X
+    that commutes with every P_i commutes with A and so is block-diagonal
+    over its eigenspaces, so the start always contains the commutant.  With
     generic weights A's spectrum is simple unless the span of the P_i
     forces a multiplicity, so the start is usually n0 matrices; merged
-    clusters only make it larger.  Without a Hermitian matrix the start is all n0^2 matrix
-    units.  Every given P, those inside A included, then maps the basis
-    through X -> PX - XP, and the basis becomes the nullspace of that
-    n0^2 x m image (singular values at or below ``tol * max(s_max, 1)``
-    count as zero).  The result is the number of basis matrices left.
+    clusters only make it larger.  Without a Hermitian matrix the start is
+    all n0^2 matrix units.  Every given P, those inside A included, then
+    maps the basis through X -> PX - XP, and the basis becomes the
+    nullspace of that n0^2 x m image (rank by `_rank`).  The result is the
+    number of basis matrices left.
 
     When no matrix has a nonzero imaginary part (tested exactly), the whole
     computation runs on the real parts.  This is exact as well: the
@@ -194,12 +234,12 @@ def commutant_dimension(rep: AlgebraRep, tol: float = 1e-8) -> int:
     mats = [p for branch in rep.projections for p in branch]
     if not any(m.imag.any() for m in mats):
         mats = [m.real for m in mats]
-    herm = [m for m in mats if np.abs(m - m.conj().T).max() <= tol]
+    herm = [m for m in mats if np.abs(m - m.conj().T).max() <= _RANK_TOL]
     same_block = np.ones((n, n), bool)
     if herm:
         a = sum((i * _GOLDEN) % 1.0 * m for i, m in enumerate(herm, 1))
         w, v = np.linalg.eigh(a)
-        cut = tol * max(np.abs(w).max(), 1.0)
+        cut = _RANK_TOL * max(np.abs(w).max(), 1.0)
         cluster = np.cumsum(np.r_[0, np.diff(w) > cut])
         same_block = cluster[:, None] == cluster[None, :]
         # the commutant dimension does not change under a unitary change of
@@ -208,11 +248,11 @@ def commutant_dimension(rep: AlgebraRep, tol: float = 1e-8) -> int:
     basis = np.eye(n * n)[same_block.ravel()].reshape(-1, n, n)
     for m in mats:
         image = (m @ basis - basis @ m).reshape(len(basis), n * n).T
-        basis = np.tensordot(_nullspace(image, tol), basis, axes=1)
+        basis = np.tensordot(_nullspace(image), basis, axes=1)
     return len(basis)
 
 
-def _nullspace(image: np.ndarray, tol: float) -> np.ndarray:
+def _nullspace(image: np.ndarray) -> np.ndarray:
     """Orthonormal coefficient vectors, as rows, spanning the nullspace of a
     tall ``image`` (rank by `_rank`).
 
@@ -225,10 +265,10 @@ def _nullspace(image: np.ndarray, tol: float) -> np.ndarray:
     except np.linalg.LinAlgError:
         u, s, _ = np.linalg.svd(image.conj().T, full_matrices=False)
         vh = u.conj().T
-    return vh[_rank(s, tol):].conj()
+    return vh[_rank(s):].conj()
 
 
-def _rank(s: np.ndarray, tol: float) -> int:
+def _rank(s: np.ndarray) -> int:
     """Numerical rank from singular values sorted in descending order: the
-    count above ``tol * max(s_max, 1)``."""
-    return int(np.sum(s > tol * max(s[0] if s.size else 0.0, 1.0)))
+    count above ``_RANK_TOL * max(s_max, 1)``."""
+    return int(np.sum(s > _RANK_TOL * max(s[0] if s.size else 0.0, 1.0)))

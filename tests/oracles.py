@@ -27,7 +27,7 @@ from starspec.reps import AlgebraRep, GraphRep, reflect_rep, simple_rep
 from starspec.verify import _rank
 
 
-def stacked_commutant_dimension(rep: AlgebraRep, tol: float = 1e-8) -> int:
+def stacked_commutant_dimension(rep: AlgebraRep) -> int:
     """Nullity of the stacked system of PX - XP = 0 over every given matrix
     P, one dense SVD of k n0^2 x n0^2 (column-major vec)."""
     n = rep.n0
@@ -36,7 +36,7 @@ def stacked_commutant_dimension(rep: AlgebraRep, tol: float = 1e-8) -> int:
         np.kron(p.T, eye) - np.kron(eye, p)
         for branch in rep.projections for p in branch
     ])
-    return n * n - _rank(np.linalg.svd(system, compute_uv=False), tol)
+    return n * n - _rank(np.linalg.svd(system, compute_uv=False))
 
 
 def graph_intertwiner_system(
@@ -82,7 +82,7 @@ def graph_intertwiner_system(
     return system, sizes
 
 
-def hom_dimension(rep1: GraphRep, rep2: GraphRep, tol: float = 1e-8) -> int:
+def hom_dimension(rep1: GraphRep, rep2: GraphRep) -> int:
     """Dimension of the space of intertwiners rep1 -> rep2; with rep1 ==
     rep2 it is the commutant dimension of a graph representation."""
     system, sizes = graph_intertwiner_system(rep1, rep2)
@@ -91,7 +91,7 @@ def hom_dimension(rep1: GraphRep, rep2: GraphRep, tol: float = 1e-8) -> int:
         return 0
     if system.shape[0] == 0:
         return total
-    return total - _rank(np.linalg.svd(system, compute_uv=False), tol)
+    return total - _rank(np.linalg.svd(system, compute_uv=False))
 
 
 def reflect(graph, g: int, x: tuple) -> tuple:

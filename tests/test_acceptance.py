@@ -196,7 +196,7 @@ def test_criterion_6_construction_soundness(e6):
                 rep = build_graph_rep(e6, d, f)
                 can = canonicalize(e6, rep)
                 arep = to_algebra_rep(e6, can, inst)
-                report = verify_algebra_rep(arep, tol=1e-9, spec_tol=1e-8)
+                report = verify_algebra_rep(arep)
                 assert report.overall, (fam.name, k, report.failures())
                 resid = float(np.abs(
                     arep.weighted_sum() - float(inst.gamma) * np.eye(arep.n0)
@@ -232,7 +232,7 @@ def test_criterion_7_hyperplane_construction(e6):
                 rep.weighted_sum() - float(gamma) * np.eye(3)
             ).max())
             assert resid < 1e-8
-            report = verify_algebra_rep(rep, tol=1e-8, spec_tol=1e-8)
+            report = verify_algebra_rep(rep)
             assert report.overall, report.failures()
             assert commutant_dimension(rep) == 1
             built += 1

@@ -142,8 +142,8 @@ def test_construct_close_spectrum(capsys, tmp_path):
 
 
 def test_construct_large_character(capsys, tmp_path):
-    """A character scaled by 10^6 constructs; verify's absolute tolerances
-    then name the residuals, and pass once loosened."""
+    """A character scaled by 10^6 constructs and verifies with the default
+    bounds, which scale with the instance."""
     inst = write_instance(tmp_path, "inst.json",
                           [[94 * 10**6, 35 * 10**6], [90 * 10**6, 32 * 10**6],
                            [88 * 10**6, 21 * 10**6]], 158 * 10**6)
@@ -152,11 +152,6 @@ def test_construct_large_character(capsys, tmp_path):
                            "-o", str(out_path))
     assert code == 0, out
     code, out, _ = run_cli(capsys, "verify", "--rep", str(out_path))
-    assert code == 1
-    failed = {c["name"] for c in json.loads(out)["checks"] if not c["ok"]}
-    assert "weighted sum = gamma I" in failed
-    code, out, _ = run_cli(capsys, "verify", "--rep", str(out_path),
-                           "--tol", "1e-6", "--spec-tol", "1e-6")
     assert code == 0
     report = json.loads(out)
     assert report["overall"] is True
@@ -407,6 +402,29 @@ def test_verify_rejects_malformed_matrix(capsys, tmp_path, change):
     assert json.loads(err)["error"] == "IOError_"
 
 
+@pytest.mark.parametrize("entry,code", [("NaN", 64), ("Infinity", 64),
+                                        ("1e308", 1)])
+def test_verify_non_finite_or_overflowing_entry(capsys, tmp_path, entry, code):
+    """NaN and infinities are malformed matrices (exit 64); a finite
+    diagonal entry whose products overflow fails checks (exit 1), where
+    eigvalsh once failed to converge (exit 3).  Neither raises."""
+    rep = _rep_file(capsys, tmp_path)
+    data = json.loads(rep.read_text())
+    data["projections"][0][0][1][1][0] = "ENTRY"
+    rep.write_text(json.dumps(data).replace('"ENTRY"', entry))
+    got, out, err = run_cli(capsys, "verify", "--rep", str(rep))
+    assert got == code
+    if code == 64:
+        assert out == ""
+        assert json.loads(err)["error"] == "IOError_"
+    else:
+        assert err == ""
+        report = json.loads(out)
+        assert report["overall"] is False
+        failed = {c["name"] for c in report["checks"] if not c["ok"]}
+        assert {"idempotent P1^(1)", "weighted sum = gamma I"} <= failed
+
+
 def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch):
     """A LAPACK routine that gives up is a numerical failure (exit 3), not
     the infeasible code."""
@@ -492,6 +510,50 @@ def test_negative_scan_bound_is_a_usage_error(capsys, tmp_path):
     assert code == 64
     assert out == ""
     assert json.loads(err)["error"] == "FeasibilityError"
+
+
+def test_negative_seed_is_a_usage_error(capsys, tmp_path):
+    """The optimizer seeds numpy's generator, which takes no negative seed:
+    the CLI rejects one before any work, from the flag or the file."""
+    inst = write_instance(tmp_path, "inst.json", [[2, 1], [2, 1], [2, 1]], 3)
+    code, out, err = run_cli(capsys, "construct", "--instance", inst,
+                             "--seed", "-1")
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "bad_seed"
+    inst = write_instance(tmp_path, "neg.json", [[2, 1], [2, 1], [2, 1]], 3,
+                          seed=-5)
+    code, out, err = run_cli(capsys, "construct", "--instance", inst)
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "bad_seed"
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasible"],
+    ["feasible", "--instance", "x.json", "--scan-bound", "abc"],
+    ["bogus"],
+    ["verify", "--rep", "x.json", "--tol", "1e-6"],
+    ["verify", "--rep", "x.json", "--spec-tol", "1e-6"],
+], ids=["missing-instance", "scan-bound-abc", "unknown-command", "tol",
+        "spec-tol"])
+def test_usage_errors_exit_64(capsys, argv):
+    """argparse's usage errors exit 64 like every other input error, not 2,
+    the degenerate verdict; verify has no tolerance options."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["--version"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_solve_batch_rejects_negative_bound(capsys, tmp_path):

@@ -56,7 +56,7 @@ def test_reflect_rep_matches_pair_maps(e6, rng):
     out = reflect_rep(e6, "even", rep, pair)
     newpair = coxeter_char(e6, "even", pair)
     assert out.dims == tuple(int(v) for v in newpair.d)
-    report = verify_graph_rep(e6, out, newpair.d, newpair.f, tol=1e-10)
+    report = verify_graph_rep(e6, out, newpair.d, newpair.f)
     assert report.overall, report.failures()
 
 
@@ -102,7 +102,7 @@ def test_build_graph_rep_families(e6, rng):
         d, f, inst = random_feasible_instance(e6, fam, k, rng)
         rep = build_graph_rep(e6, d, f)
         assert rep.dims == tuple(int(v) for v in d)
-        report = verify_graph_rep(e6, rep, d, f, tol=1e-10)
+        report = verify_graph_rep(e6, rep, d, f)
         assert report.overall, (fam.name, report.failures())
         assert hom_dimension(rep, rep) == 1
 
@@ -127,7 +127,7 @@ def test_canonicalize_leaf_edge_form(e6, rng):
     can = canonicalize(e6, rep)
     # character and dimension are untouched
     assert can.dims == rep.dims
-    report = verify_graph_rep(e6, can, d, f, tol=1e-9)
+    report = verify_graph_rep(e6, can, d, f)
     assert report.overall, report.failures()
     for leaf, inner, spec in ((0, 1, inst.branches[0]), (2, 3, inst.branches[1]),
                               (4, 5, inst.branches[2])):
@@ -177,9 +177,9 @@ def test_long_branch_pipeline(rng):
         except Exception:
             continue
         rep = build_graph_rep(g, d, f)
-        assert verify_graph_rep(g, rep, d, f, tol=1e-9).overall
+        assert verify_graph_rep(g, rep, d, f).overall
         can = canonicalize(g, rep)
-        assert verify_graph_rep(g, can, d, f, tol=1e-8).overall
+        assert verify_graph_rep(g, can, d, f).overall
         # canonical non-root edges have at most one nonzero entry per row
         # and per column (zero block next to scaled identity blocks)
         for path in g.branches:
@@ -221,7 +221,7 @@ def test_canonicalize_is_isomorphic_and_keeps_root():
                 t_rep, t_can = (r.gamma(g.root, path[-1]) for r in (rep, can))
                 gram_gap = np.abs(t_rep @ t_rep.T - t_can @ t_can.T).max()
                 assert gram_gap < 1e-10 * scale, (lengths, d)
-            report = verify_graph_rep(g, can, d, f, tol=1e-9)
+            report = verify_graph_rep(g, can, d, f)
             assert report.overall, (lengths, d, report.failures())
             n_cases += 1
     assert n_cases >= 40
@@ -373,7 +373,7 @@ def test_build_hyperplane_rep_symmetric():
     rep = build_hyperplane_rep(inst, seed=7)
     resid = np.abs(rep.weighted_sum() - 3.0 * np.eye(3)).max()
     assert resid < 1e-8
-    report = verify_algebra_rep(rep, tol=1e-8)
+    report = verify_algebra_rep(rep)
     assert report.overall, report.failures()
     assert commutant_dimension(rep) == 1
 
@@ -399,7 +399,7 @@ def test_injected_fault_detected(e6, rng):
     rep = build_graph_rep(e6, d, f)
     key = next(iter(rep.ops))
     rep.ops[key] = rep.ops[key] + 1e-3
-    report = verify_graph_rep(e6, rep, d, f, tol=1e-9)
+    report = verify_graph_rep(e6, rep, d, f)
     assert not report.overall
     worst = max(
         float(detail.split()[-1])
@@ -418,7 +418,7 @@ def test_from_algebra_rep_roundtrip_hyperplane(e6):
     arep = build_hyperplane_rep(inst, seed=1)
     grep = from_algebra_rep(e6, arep)
     assert grep.dims == (1, 2, 1, 2, 1, 2, 3)
-    assert verify_graph_rep(e6, grep, tol=1e-9).overall
+    assert verify_graph_rep(e6, grep).overall
     back = to_algebra_rep(e6, grep, inst)
     worst = max(
         np.abs(p1 - p2).max()
@@ -448,7 +448,7 @@ def test_from_algebra_rep_roundtrip_real_root(e6, rng):
     arep = to_algebra_rep(e6, rep, inst)
     grep = from_algebra_rep(e6, arep)
     assert grep.dims == rep.dims
-    assert verify_graph_rep(e6, grep, d, f, tol=1e-9).overall
+    assert verify_graph_rep(e6, grep, d, f).overall
     back = to_algebra_rep(e6, grep, inst)
     worst = max(
         np.abs(p1 - p2).max()
@@ -503,6 +503,6 @@ def test_from_algebra_rep_long_branch(rng):
         arep = to_algebra_rep(g, rep, inst)
         grep = from_algebra_rep(g, arep)
         assert grep.dims == rep.dims
-        assert verify_graph_rep(g, grep, d, f, tol=1e-8).overall
+        assert verify_graph_rep(g, grep, d, f).overall
         return
     pytest.skip("no valid sample drawn")

@@ -1,4 +1,7 @@
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +12,20 @@ from starspec import (
     build_hyperplane_rep,
     build_star,
     canonicalize,
+    char_from_chi,
+    dim_from_n,
     make_instance,
+    n_from_dim,
     simple_rep,
+    solve,
     to_algebra_rep,
     verify_algebra_rep,
     verify_graph_rep,
 )
 from starspec.reps import AlgebraRep, GraphRep
-from starspec.verify import commutant_dimension
+from starspec.io import instance_from_dict
+from starspec.transfer import SpectralInstance
+from starspec.verify import RTOL, commutant_dimension, instance_scale
 
 from conftest import feasible_character, random_feasible_instance
 from oracles import hom_dimension, stacked_commutant_dimension
@@ -357,3 +366,103 @@ def test_verify_graph_rep_empty_edge_maps(e6):
     assert all(m.size == 0 for m in rep.ops.values())
     report = verify_graph_rep(e6, rep)
     assert report.overall, report.failures()
+
+
+# ---------------------------------------------------------------------------
+# One relative bound at every scale
+# ---------------------------------------------------------------------------
+
+SCALES = [Fraction(1, 10**6), Fraction(1), Fraction(10**6), Fraction(10**12)]
+HORN_SCALES = [Fraction(1, 10**6), Fraction(1, 10**3), Fraction(1),
+               Fraction(10**3), Fraction(10**6)]
+# move sizes, in units of RTOL relative to s, of the weighted-sum change
+MOVES = [10.5, 100.0, 1e4, 1e8]
+
+
+def _scaled(inst, t):
+    return SpectralInstance(tuple(tuple(a * t for a in spec) for spec in inst.branches),
+                            inst.gamma * t)
+
+
+def _moved(inst, p, q, step):
+    """Spectrum point p = (branch, index) raised by step * r_q and q lowered
+    by step * r_p, so that the exact rank trace identity still holds."""
+    (bp, ip, rp), (bq, iq, rq) = p, q
+    branches = [list(spec) for spec in inst.branches]
+    branches[bp][ip] += step * rq
+    branches[bq][iq] -= step * rp
+    return SpectralInstance(tuple(map(tuple, branches)), inst.gamma)
+
+
+def _move_points(rep):
+    """Two spectrum points with their ranks: the top two of the longest
+    branch, or the tops of the first two branches when every branch has
+    one point (D4~)."""
+    n = rep.generalized_dimension()
+    j = max(range(len(n.branches)), key=lambda b: len(n.branches[b]))
+    pts = [(j, 0), (j, 1)] if len(n.branches[j]) > 1 else [(0, 0), (1, 0)]
+    return [(b, i, n.branches[b][i]) for b, i in pts]
+
+
+def _check_ladder(rep):
+    """The build verifies and is irreducible; every move whose weighted-sum
+    change exceeds 10 RTOL s is rejected by the weighted-sum check alone."""
+    report = verify_algebra_rep(rep)
+    assert report.overall, report.failures()
+    assert commutant_dimension(rep) == 1
+    inst = rep.instance
+    s = instance_scale(inst)
+    p, q = _move_points(rep)
+    # weighted-sum change per unit step
+    unit = np.abs(q[2] * rep.projections[p[0]][p[1]]
+                  - p[2] * rep.projections[q[0]][q[1]]).max()
+    for m in MOVES:
+        step = Fraction(m * RTOL * s / unit)
+        moved = AlgebraRep(instance=_moved(inst, p, q, step), n0=rep.n0,
+                           projections=rep.projections)
+        change = np.abs(moved.weighted_sum() - rep.weighted_sum()).max() / s
+        assert change > 10 * RTOL
+        failed = {name for name, _, _ in verify_algebra_rep(moved).failures()}
+        assert failed == {"weighted sum = gamma I"}, (m, failed)
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=lambda t: f"x{float(t):g}")
+@pytest.mark.parametrize(
+    "branches,d", [(b, dims[0]) for b, dims in ORACLE_DIMS.items()],
+    ids=lambda x: "".join(map(str, x)) if len(x) <= 4 else f"n0={x[-1]}",
+)
+def test_scale_ladder_reflection_reps(branches, d, scale):
+    g = build_star(branches)
+    f, inst = feasible_character(g, d, random.Random(7))
+    rep = build_graph_rep(g, d, tuple(x * scale for x in f))
+    arep = to_algebra_rep(g, rep, _scaled(inst, scale))
+    assert arep.generalized_dimension() == n_from_dim(g, d)
+    _check_ladder(arep)
+
+
+@pytest.mark.parametrize("scale", HORN_SCALES, ids=lambda t: f"x{float(t):g}")
+def test_scale_ladder_hyperplane_rep(scale):
+    inst = _scaled(make_instance([[20, 10], [21, 9], [19, 11]], 30), scale)
+    rep = build_hyperplane_rep(inst, seed=0)
+    assert rep.residual() <= RTOL * instance_scale(inst) / 10
+    _check_ladder(rep)
+
+
+def test_small_scale_move_is_rejected():
+    """tests/data/e8_feasible.json divided by 10^6, checked against an
+    instance whose branch-3 top two points (ranks 1 and 1) moved by +-1e-9,
+    1.3e-5 relative to that branch's a_1: an absolute bound of 1e-9 on the
+    weighted sum accepted this representation."""
+    data = json.loads((Path(__file__).parent / "data" / "e8_feasible.json").read_text())
+    inst = _scaled(instance_from_dict(data), Fraction(1, 10**6))
+    g = build_star(inst.branch_lengths)
+    verdict = solve(g, inst)
+    assert verdict.feasible
+    d = dim_from_n(g, verdict.witness_dimension)
+    arep = to_algebra_rep(g, build_graph_rep(g, d, char_from_chi(g, inst)), inst)
+    assert verify_algebra_rep(arep).overall
+    r = verdict.witness_dimension.branches[2]
+    moved = _moved(inst, (2, 0, r[0]), (2, 1, r[1]), Fraction(1, 10**9))
+    report = verify_algebra_rep(AlgebraRep(instance=moved, n0=arep.n0,
+                                           projections=arep.projections))
+    assert {name for name, _, _ in report.failures()} == {"weighted sum = gamma I"}

@@ -8,6 +8,10 @@ Exit codes: 0 success/feasible, 1 infeasible, 2 degenerate or boundary,
 3 construction or numerical failure, 64 usage or parse errors, 141 the
 reader closed stdout (128 + SIGPIPE, as a shell reports a command killed by
 a closed pipe).
+
+Only `construct` and `verify` import the numerical layer (numpy, `reps`,
+`verify`), in their handlers; every other command and `--version` run
+without numpy.
 """
 from __future__ import annotations
 
@@ -16,8 +20,6 @@ import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .coxeter import CoxeterDomainError, DimCharPair, coxeter_char
@@ -37,10 +39,8 @@ from .io import (
     verdict_to_dict,
     JSON_SCHEMAS,
 )
-from .reps import ConstructionError, RepError, build_graph_rep, build_hyperplane_rep, to_algebra_rep
 from .roots import coxeter_series, fundamental_roots
-from .transfer import TransferError, char_from_chi, dim_from_n
-from .verify import RTOL, commutant_dimension, verify_algebra_rep
+from .transfer import RTOL, TransferError, char_from_chi, dim_from_n
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -65,6 +65,20 @@ def _parse_branches(text: str) -> list[int]:
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def _loaded(module: str, *names: str) -> tuple:
+    """The named exception classes of a module if it is loaded, else ():
+    none of them can have been raised before their module is imported."""
+    home = sys.modules.get(module)
+    return tuple(getattr(home, name) for name in names) if home else ()
+
+
+def _scan_bound(args, data: dict) -> int:
+    """--scan-bound, else the instance file's scan_bound, else 60."""
+    if args.scan_bound is not None:
+        return args.scan_bound
+    return int_in(data.get("scan_bound", 60))
 
 
 def cmd_classify(args) -> int:
@@ -136,15 +150,15 @@ def cmd_feasible(args) -> int:
     data = _load_json(args.instance)
     inst = instance_from_dict(data)
     graph = build_star(inst.branch_lengths)
-    bound = args.scan_bound
-    if bound is None:
-        bound = int_in(data.get("scan_bound", 60))
-    verdict = solve(graph, inst, scan_bound=bound)
+    verdict = solve(graph, inst, scan_bound=_scan_bound(args, data))
     print(dumps(verdict_to_dict(verdict)))
     return _verdict_exit(verdict.status)
 
 
 def cmd_construct(args) -> int:
+    from .reps import build_graph_rep, build_hyperplane_rep, to_algebra_rep
+    from .verify import commutant_dimension
+
     data = _load_json(args.instance)
     inst = instance_from_dict(data)
     graph = build_star(inst.branch_lengths)
@@ -160,7 +174,7 @@ def cmd_construct(args) -> int:
         else:
             d = gvec_in(graph, ddata, int_in)
     else:
-        verdict = solve(graph, inst, scan_bound=args.scan_bound)
+        verdict = solve(graph, inst, scan_bound=_scan_bound(args, data))
         if not verdict.feasible:
             print(dumps(verdict_to_dict(verdict)))
             return _verdict_exit(verdict.status)
@@ -190,6 +204,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
+    from .verify import commutant_dimension, verify_algebra_rep
+
     rep = algebra_rep_from_dict(_load_json(args.rep))
     if args.instance:
         inst = instance_from_dict(_load_json(args.instance))
@@ -199,7 +217,13 @@ def cmd_verify(args) -> int:
     # entries that overflow fail checks; numpy need not warn about them
     with np.errstate(all="ignore"):
         report = verify_algebra_rep(rep)
-        commutant = commutant_dimension(rep)
+        try:
+            commutant = commutant_dimension(rep)
+        except np.linalg.LinAlgError:
+            raise
+        except ValueError:
+            # a value of the commutant equations is not finite: no dimension
+            commutant = None
     out = {
         "overall": bool(report.overall),
         "commutant_dimension": commutant,
@@ -216,15 +240,17 @@ def cmd_solve_batch(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         return _fail(EXIT_USAGE, "not_a_directory", str(directory))
-    check_scan_bound(args.scan_bound)
+    if args.scan_bound is not None:
+        check_scan_bound(args.scan_bound)
     results = []
     counts = {"feasible": 0, "infeasible": 0, "degenerate": 0, "error": 0}
     for path in sorted(directory.glob("*.json")):
         entry: dict = {"file": path.name}
         try:
-            inst = instance_from_dict(_load_json(str(path)))
+            data = _load_json(str(path))
+            inst = instance_from_dict(data)
             graph = build_star(inst.branch_lengths)
-            verdict = solve(graph, inst, scan_bound=args.scan_bound)
+            verdict = solve(graph, inst, scan_bound=_scan_bound(args, data))
             entry["status"] = verdict.status
             entry["branch_taken"] = verdict.branch_taken
             counts[verdict.status] += 1
@@ -285,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--dimension", help="target dimension JSON (optional)")
     b.add_argument("-o", "--output", help="write the representation here")
     b.add_argument("--seed", type=int)
-    b.add_argument("--scan-bound", type=int, default=60)
+    b.add_argument("--scan-bound", type=int)
     b.set_defaults(func=cmd_construct)
 
     v = sub.add_parser(
@@ -302,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve-batch", help="solve every instance in a directory")
     s.add_argument("directory")
-    s.add_argument("--scan-bound", type=int, default=60)
+    s.add_argument("--scan-bound", type=int)
     s.set_defaults(func=cmd_solve_batch)
     return p
 
@@ -329,13 +355,13 @@ def main(argv=None) -> int:
         # is still buffered cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except ConstructionError as exc:
+    except _loaded("starspec.reps", "ConstructionError") as exc:
         return _fail(EXIT_CONSTRUCTION, "construction_failed", str(exc))
-    except np.linalg.LinAlgError as exc:
+    except _loaded("numpy.linalg", "LinAlgError") as exc:
         # a LAPACK routine gave up: a numerical failure, not a verdict
         return _fail(EXIT_CONSTRUCTION, "numerical_failure", str(exc))
-    except (GraphError, TransferError, FeasibilityError, RepError,
-            CoxeterDomainError, IOError_) as exc:
+    except (GraphError, TransferError, FeasibilityError, CoxeterDomainError,
+            IOError_, *_loaded("starspec.reps", "RepError")) as exc:
         return _fail(EXIT_USAGE, type(exc).__name__, str(exc))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         return _fail(EXIT_USAGE, "bad_input", str(exc))

@@ -10,21 +10,30 @@ emitters sort keys so output is byte-stable.
 ``dumps_pretty`` writes the [re, im] pair text of such a matrix itself, so a
 representation file is never built as nested Python lists; ``json.dumps``
 takes such a dict with ``default=matrix_out`` and gives the same text.
+
+Instances, dimensions, verdicts and ``dumps``/``dumps_pretty`` of plain data
+need no numpy, so the decision commands never load it.  The matrix and
+representation functions import numpy and ``reps`` when first called, and
+``dumps_pretty`` looks for ndarrays only once numpy is loaded: before that
+none can exist.
 """
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Optional
 
 from .feasibility import FeasibilityVerdict
 from .graph import GVec, StarGraph
 from .rational import parse_fraction
-from .reps import AlgebraRep
 from .transfer import GeneralizedDimension, SpectralInstance, make_instance
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .reps import AlgebraRep
 
 
 class IOError_(ValueError):
@@ -89,6 +98,8 @@ def instance_from_dict(data: dict) -> SpectralInstance:
 
 def matrix_out(m: np.ndarray) -> list:
     """Row-major [re, im] pairs of floats; a real matrix writes im as 0.0."""
+    import numpy as np
+
     m = np.asarray(m)
     return np.stack((m.real, m.imag), axis=-1).astype(float, copy=False).tolist()
 
@@ -100,6 +111,8 @@ def matrix_in(data) -> np.ndarray:
     Pairs of any other length, booleans, strings, nulls, NaN, infinities
     and ragged rows are rejected.  An empty matrix comes back with zero
     columns."""
+    import numpy as np
+
     try:
         entries = chain.from_iterable(chain.from_iterable(data))
         if set(map(type, entries)) <= {int, float}:
@@ -156,6 +169,8 @@ def algebra_rep_to_dict(rep: AlgebraRep, metadata: Optional[dict] = None) -> dic
 
 
 def algebra_rep_from_dict(data: dict) -> AlgebraRep:
+    from .reps import AlgebraRep
+
     try:
         inst = instance_from_dict(data["instance"])
         n0 = int_in(data["n0"])
@@ -203,16 +218,18 @@ def _pretty(x, nl: str) -> str:
         items = (_compact(_key(k)) + ": " + _pretty(v, inner)
                  for k, v in sorted(x.items()))
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(x, np.ndarray):
-        if (x.ndim == 2 and x.dtype in (np.float64, np.complex128)
-                and np.isfinite(x).all()):
-            return _pretty_matrix(x, nl)
-        return _pretty(matrix_out(x), nl)
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
         items = (_pretty(v, inner) for v in x)
         return "[" + inner + ("," + inner).join(items) + nl + "]"
+    # an ndarray exists only once numpy is loaded
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(x, np.ndarray):
+        if (x.ndim == 2 and x.dtype in (np.float64, np.complex128)
+                and np.isfinite(x).all()):
+            return _pretty_matrix(x, nl)
+        return _pretty(matrix_out(x), nl)
     return _compact(x)
 
 
@@ -228,7 +245,7 @@ def _pretty_matrix(m: np.ndarray, nl: str) -> str:
     mid = "," + num_nl
     if not m.shape[1]:
         rows = ["[]"] * len(m)
-    elif m.dtype == np.float64:
+    elif m.dtype == float:
         zero = mid + "0.0"
         rows = [head + (zero + between).join(map(float.__repr__, row)) + zero + tail
                 for row in m.tolist()]

@@ -34,18 +34,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coxeter import EVEN, DimCharPair, Token, coxeter_char
-from .feasibility import FeasibilityError, _walk_pair, horn_check_e6
+# Public functions of other layers are called through their modules: a name
+# copied by `from ... import` keeps the binding of the moment this module is
+# imported, which may be a wrapper later undone (perfbench's tracer rebinds
+# them while set-up imports this module).
+from . import feasibility, transfer, verify
+from .feasibility import FeasibilityError, _walk_pair
 from .graph import GVec, StarGraph
 from .transfer import (
+    RTOL,
     GeneralizedDimension,
     SpectralInstance,
     _windows,
-    char_from_chi,
-    chi_from_char,
-    n_from_dim,
+    instance_scale,
     nondegenerate_dim,
 )
-from .verify import RTOL, commutant_dimension, instance_scale, verify_algebra_rep
 
 
 class RepError(RuntimeError):
@@ -208,7 +211,7 @@ def _eigenspaces(graph: StarGraph, rep: GraphRep) -> list:
     """
     if not nondegenerate_dim(graph, rep.dims):
         raise RepError("representation dimension is degenerate")
-    n = n_from_dim(graph, rep.dims)
+    n = transfer.n_from_dim(graph, rep.dims)
     out = []
     for path, ranks in zip(graph.branches, n.branches):
         t_map = rep.gamma(graph.root, path[-1])
@@ -245,13 +248,13 @@ def to_algebra_rep(
     edge.  Its eigenspaces, taken largest first in the ranks of the
     generalized dimension, give the projections; each block must lie at its
     spectrum point and the rest at 0, within verify's bound ``RTOL * s``
-    (``verify.instance_scale``): an eigenvalue off by more would show in
+    (``transfer.instance_scale``): an eigenvalue off by more would show in
     the weighted sum of the projections.
     """
     if rep.character is None:
         raise RepError("to_algebra_rep needs the representation character")
     if inst is None:
-        inst = chi_from_char(graph, rep.character)
+        inst = transfer.chi_from_char(graph, rep.character)
     if inst.branch_lengths != graph.branch_lengths:
         raise RepError("instance does not match the graph")
     split = _eigenspaces(graph, rep)
@@ -278,7 +281,7 @@ def from_algebra_rep(graph: StarGraph, arep: "AlgebraRep") -> GraphRep:
     isometries = [[vecs[:, vals > 0.5] for vals, vecs in branch] for branch in eigs]
     spectra = [[float(a) for a in spec] for spec in inst.branches]
     return _layout(graph, spectra, arep.n0, isometries,
-                   char_from_chi(graph, inst))
+                   transfer.char_from_chi(graph, inst))
 
 
 def _layout(
@@ -382,7 +385,7 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     """
     if inst.branch_lengths != (2, 2, 2):
         raise FeasibilityError("hyperplane constructor applies to the (2,2,2) star")
-    check = horn_check_e6(inst)
+    check = feasibility.horn_check_e6(inst)
     if not check.feasible:
         raise FeasibilityError(f"instance is not Horn-feasible: {check.status}")
     gamma = float(inst.gamma)
@@ -414,8 +417,8 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
             for j in range(3)
         )
         rep = AlgebraRep(instance=inst, n0=3, projections=projections)
-        if verify_algebra_rep(rep).overall:
-            if commutant_dimension(rep) == 1:
+        if verify.verify_algebra_rep(rep).overall:
+            if verify.commutant_dimension(rep) == 1:
                 return rep
             reducible = True
     detail = (

@@ -25,11 +25,12 @@ copies keep complex arithmetic.
 
 One rule sizes every check whose residual carries the instance's scale:
 it passes at ``RTOL * s``, where s = max(|gamma|, a_1 of each branch) is
-the instance's scale (`instance_scale`) and, for a graph representation,
-max |f| over its character.  Scaling every parameter by t > 0 scales both
-the residuals and s by t, so a representation passes or fails alike at
-every scale.  That covers the weighted sum and the spectra here, the
-eigenvalue check of `reps.to_algebra_rep` and the stop and acceptance of
+the instance's scale (``RTOL`` and `instance_scale` live in `transfer`)
+and, for a graph representation, max |f| over its character.  Scaling
+every parameter by t > 0 scales both the residuals and s by t, so a
+representation passes or fails alike at every scale.  That covers the
+weighted sum and the spectra here, the eigenvalue check of
+`reps.to_algebra_rep` and the stop and acceptance of
 `reps.build_hyperplane_rep`.  The checks that do not depend on scale keep
 fixed bounds: the projection axioms (entries of norm-one matrices), the
 rank trace test and the relative rank floor of the commutant.  None of
@@ -44,28 +45,17 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .graph import GVec, StarGraph
-from .transfer import GeneralizedDimension, SpectralInstance, trace_pairing
+from .transfer import RTOL, GeneralizedDimension, instance_scale, trace_pairing
 
 if TYPE_CHECKING:
     from .reps import AlgebraRep, GraphRep
 
-# the relative bound of every scale-carrying residual.  Over the
-# construct-verify benchmark inputs of seeds 1-3 the worst weighted-sum
-# residual is 5.8e-13 s, from the hyperplane optimizer, which stops at a
-# tenth of this bound; reflection-functor reps stay below 3.1e-15 s
-RTOL = 1e-11
 # scale-free bounds: projection axioms, the distance of a trace from its
 # rank, and the relative rank floor of the commutant
 _AXIOM_TOL = 1e-9
 _TRACE_TOL = 1e-6
 _RANK_TOL = 1e-8
 _GOLDEN = (5 ** 0.5 - 1) / 2
-
-
-def instance_scale(inst: SpectralInstance) -> float:
-    """s = max(|gamma|, a_1 of each branch), the scale that ``RTOL``
-    multiplies; a_1 is the largest point of a branch spectrum."""
-    return max(abs(float(inst.gamma)), *(float(spec[0]) for spec in inst.branches))
 
 
 @dataclass(frozen=True)
@@ -126,8 +116,8 @@ def verify_graph_rep(
 def verify_algebra_rep(rep: AlgebraRep) -> VerificationReport:
     """Projection axioms, weighted sum, non-degeneracy, spectra, trace rank
     identity.  The weighted sum and the spectra pass within ``RTOL * s``
-    (s from `instance_scale`).  Entries that overflow fail checks and raise
-    nothing."""
+    (s from `transfer.instance_scale`).  Entries that overflow fail checks
+    and raise nothing."""
     checks = []
     inst = rep.instance
     n0 = rep.n0
@@ -229,9 +219,18 @@ def commutant_dimension(rep: AlgebraRep) -> int:
     solution space is the complexification of the real one and has the
     same dimension (a real basis of one is a complex basis of the other),
     and a real image has the same singular values over R as over C.
+
+    Raises ValueError when the sum of squares of a given matrix's entries is
+    not finite: an entry is NaN or infinite, or squaring it overflows, and
+    no rank of such values means anything.  When every given matrix passes,
+    every matrix formed here (A, the matrices in A's eigenbasis, the images)
+    has a norm bounded by sums of the given norms and stays finite too.
     """
     n = rep.n0
     mats = [p for branch in rep.projections for p in branch]
+    if not all(np.isfinite(np.vdot(m, m)) for m in mats):
+        raise ValueError("a matrix has entries that are not finite or whose "
+                         "squares overflow")
     if not any(m.imag.any() for m in mats):
         mats = [m.real for m in mats]
     herm = [m for m in mats if np.abs(m - m.conj().T).max() <= _RANK_TOL]

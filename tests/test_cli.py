@@ -407,7 +407,8 @@ def test_verify_rejects_malformed_matrix(capsys, tmp_path, change):
 def test_verify_non_finite_or_overflowing_entry(capsys, tmp_path, entry, code):
     """NaN and infinities are malformed matrices (exit 64); a finite
     diagonal entry whose products overflow fails checks (exit 1), where
-    eigvalsh once failed to converge (exit 3).  Neither raises."""
+    eigvalsh once failed to converge (exit 3), and has no commutant
+    dimension.  Neither raises."""
     rep = _rep_file(capsys, tmp_path)
     data = json.loads(rep.read_text())
     data["projections"][0][0][1][1][0] = "ENTRY"
@@ -423,6 +424,27 @@ def test_verify_non_finite_or_overflowing_entry(capsys, tmp_path, entry, code):
         assert report["overall"] is False
         failed = {c["name"] for c in report["checks"] if not c["ok"]}
         assert {"idempotent P1^(1)", "weighted sum = gamma I"} <= failed
+        assert report["commutant_dimension"] is None
+
+
+def test_verify_overflowing_horn_rep_has_no_commutant(capsys, tmp_path):
+    """Two diagonal entries of 1e308 in P1^(1) of a Horn rep: the checks
+    fail, and the commutant dimension is null instead of a rank of values
+    that overflow."""
+    inst = write_instance(tmp_path, "inst.json", [[20, 10], [21, 9], [19, 11]], 30)
+    rep = tmp_path / "rep.json"
+    assert run_cli(capsys, "construct", "--instance", inst, "-o", str(rep))[0] == 0
+    data = json.loads(rep.read_text())
+    assert data["metadata"]["route"] == "hyperplane_optimizer"
+    for i in (0, 1):
+        data["projections"][0][0][i][i][0] = 1e308
+    rep.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--rep", str(rep))
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["overall"] is False
+    assert report["commutant_dimension"] is None
+    assert '"commutant_dimension":null' in out
 
 
 def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch):
@@ -496,6 +518,49 @@ def test_scan_bound_zero_is_honoured(capsys, tmp_path):
                            "--scan-bound", "0")
     assert code == 1
     assert "root entry <= 0 (0 candidates tested)" in out
+
+
+# feasible only in (4,9,5,10,5,10,15), whose root entry 15 is above the
+# file's scan bound
+E6_ABOVE_FILE_BOUND = ([[214, 100], [214, 97], [239, 128]], 324)
+
+
+def test_construct_honours_the_file_scan_bound(capsys, tmp_path):
+    """construct decides with the same bound as feasible: the file's
+    scan_bound unless --scan-bound is given."""
+    inst = write_instance(tmp_path, "inst.json", *E6_ABOVE_FILE_BOUND,
+                          scan_bound=12)
+    code, out, _ = run_cli(capsys, "feasible", "--instance", inst)
+    assert code == 1
+    assert "(174 candidates tested)" in out
+    assert run_cli(capsys, "construct", "--instance", inst) == (code, out, "")
+    rep = tmp_path / "rep.json"
+    code, out, _ = run_cli(capsys, "construct", "--instance", inst,
+                           "--scan-bound", "15", "-o", str(rep))
+    assert code == 0
+    assert json.loads(out)["n0"] == 15
+    code, out, _ = run_cli(capsys, "feasible", "--instance", inst,
+                           "--scan-bound", "15")
+    assert code == 0
+    assert json.loads(out)["witness_dimension"]["n0"] == 15
+
+
+def test_batch_honours_the_file_scan_bound(capsys, tmp_path):
+    """A batch entry decides with its file's scan_bound, as feasible does;
+    --scan-bound overrides every file."""
+    inst = write_instance(tmp_path, "inst.json", *E6_ABOVE_FILE_BOUND,
+                          scan_bound=12)
+    code, out, _ = run_cli(capsys, "feasible", "--instance", inst)
+    verdict = json.loads(out)
+    assert (code, verdict["status"]) == (1, "infeasible")
+    code, out, _ = run_cli(capsys, "solve-batch", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["results"] == [
+        {"file": "inst.json", "status": verdict["status"],
+         "branch_taken": verdict["branch_taken"]}]
+    code, out, _ = run_cli(capsys, "solve-batch", str(tmp_path),
+                           "--scan-bound", "15")
+    assert json.loads(out)["results"][0]["status"] == "feasible"
 
 
 def test_negative_scan_bound_is_a_usage_error(capsys, tmp_path):

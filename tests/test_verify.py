@@ -466,3 +466,19 @@ def test_small_scale_move_is_rejected():
     report = verify_algebra_rep(AlgebraRep(instance=moved, n0=arep.n0,
                                            projections=arep.projections))
     assert {name for name, _, _ in report.failures()} == {"weighted sum = gamma I"}
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308])
+def test_commutant_rejects_entries_that_are_not_finite_or_overflow(entry):
+    """No rank of NaN, infinite or overflowing values means anything, so
+    the commutant dimension raises instead of counting them."""
+    rep = _construction((1, 3, 3), (5, 3, 5, 7, 3, 5, 7, 10))
+    first = rep.projections[0][0].copy()
+    first[0, 0] = entry
+    broken = AlgebraRep(
+        instance=rep.instance,
+        n0=rep.n0,
+        projections=((first,) + rep.projections[0][1:],) + rep.projections[1:],
+    )
+    with pytest.raises(ValueError, match="not finite"):
+        commutant_dimension(broken)

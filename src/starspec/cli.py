@@ -11,7 +11,8 @@ a closed pipe).
 
 Only `construct` and `verify` import the numerical layer (numpy, `reps`,
 `verify`), in their handlers; every other command and `--version` run
-without numpy.
+without numpy.  Without numpy those two write a `missing_dependency` error
+and exit 3: no verdict was reached.
 """
 from __future__ import annotations
 
@@ -355,6 +356,11 @@ def main(argv=None) -> int:
         # is still buffered cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").partition(".")[0] != "numpy":
+            raise
+        return _fail(EXIT_CONSTRUCTION, "missing_dependency",
+                     f"the numerical layer needs numpy: {exc}")
     except _loaded("starspec.reps", "ConstructionError") as exc:
         return _fail(EXIT_CONSTRUCTION, "construction_failed", str(exc))
     except _loaded("numpy.linalg", "LinAlgError") as exc:

@@ -27,6 +27,7 @@ end to end.  Only the hyperplane optimizer works over C.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -347,15 +348,24 @@ class AlgebraRep:
             out = out + float(a) * p
         return out
 
-    def weighted_sum(self) -> np.ndarray:
+    def weighted_sum(
+        self, branch_ops: Optional[Sequence[np.ndarray]] = None,
+    ) -> np.ndarray:
+        """Sum of the branch operators in branch order; ``branch_ops``
+        passes them already built."""
+        if branch_ops is None:
+            branch_ops = [self.branch_operator(j)
+                          for j in range(len(self.projections))]
         out = np.zeros((self.n0, self.n0))
-        for j in range(len(self.projections)):
-            out = out + self.branch_operator(j)
+        for op in branch_ops:
+            out = out + op
         return out
 
-    def residual(self) -> float:
+    def residual(
+        self, branch_ops: Optional[Sequence[np.ndarray]] = None,
+    ) -> float:
         """Largest entry modulus of the weighted sum minus gamma I."""
-        return float(np.abs(self.weighted_sum()
+        return float(np.abs(self.weighted_sum(branch_ops)
                             - float(self.instance.gamma) * np.eye(self.n0)).max())
 
     def generalized_dimension(self) -> GeneralizedDimension:
@@ -377,12 +387,17 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     Minimizes the Frobenius distance of the weighted projection sum from
     gamma I over unitary orbits with fixed spectra, by cyclic eigenvector
     alignment: each branch operator is re-diagonalized against what the
-    other branches leave over.  Restarts are seeded deterministically and
-    start from random unitaries, so the projections are complex128.  A
+    other branches leave over.  Restart r of a seed starts from the QR
+    unitaries of complex Gaussian matrices drawn from the standard library's
+    ``random.Random(seed * _RESTARTS + r)``, so the output is deterministic
+    per seed and the projections are complex128; a negative seed is a
+    ``ValueError``, as it would share its draws with a non-negative one.  A
     restart iterates until its Frobenius residual is below a tenth of
     verify's bound ``RTOL * s``, and is accepted only when
     ``verify_algebra_rep`` passes it and its commutant is one-dimensional.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if inst.branch_lengths != (2, 2, 2):
         raise FeasibilityError("hyperplane constructor applies to the (2,2,2) star")
     check = feasibility.horn_check_e6(inst)
@@ -394,11 +409,13 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     n = 3
     reducible = False
     for r in range(_RESTARTS):
-        rng = np.random.default_rng((seed, r))
+        # one integer per (seed, restart); each matrix draws its n * n real
+        # parts, then its n * n imaginary parts
+        rng = random.Random(seed * _RESTARTS + r)
         units = []
         for _ in range(3):
-            z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            q, _ = np.linalg.qr(z)
+            z = np.array([rng.normalvariate(0.0, 1.0) for _ in range(2 * n * n)])
+            q, _ = np.linalg.qr((z[:n * n] + 1j * z[n * n:]).reshape(n, n))
             units.append(q)
         ops = [u @ np.diag(dg) @ u.conj().T for u, dg in zip(units, diags)]
         for _ in range(_MAX_ITERS):

@@ -142,7 +142,9 @@ def verify_algebra_rep(rep: AlgebraRep) -> VerificationReport:
                     )
                 )
     bound = RTOL * instance_scale(inst)
-    res = rep.residual()
+    # built once, for the weighted sum and for the spectra
+    branch_ops = [rep.branch_operator(j) for j in range(len(rep.projections))]
+    res = rep.residual(branch_ops)
     checks.append(("weighted sum = gamma I", res <= bound,
                    f"residual {res:.3e}, bound {bound:.3e}"))
     traces = [[float(np.real(np.trace(p))) for p in branch]
@@ -166,8 +168,7 @@ def verify_algebra_rep(rep: AlgebraRep) -> VerificationReport:
                 f"sum of ranks {total} vs n0 {n0}",
             )
         )
-    for j in range(len(rep.projections)):
-        a_op = rep.branch_operator(j)
+    for j, a_op in enumerate(branch_ops):
         allowed = np.array([float(a) for a in inst.branches[j]] + [0.0])
         # eigvalsh may not converge on an operator that overflowed
         worst = (float(np.abs(np.linalg.eigvalsh(a_op)[:, None] - allowed)

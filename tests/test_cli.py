@@ -578,8 +578,9 @@ def test_negative_scan_bound_is_a_usage_error(capsys, tmp_path):
 
 
 def test_negative_seed_is_a_usage_error(capsys, tmp_path):
-    """The optimizer seeds numpy's generator, which takes no negative seed:
-    the CLI rejects one before any work, from the flag or the file."""
+    """The optimizer takes no negative seed (it would share its draws with a
+    non-negative one): the CLI rejects one before any work, from the flag
+    or the file."""
     inst = write_instance(tmp_path, "inst.json", [[2, 1], [2, 1], [2, 1]], 3)
     code, out, err = run_cli(capsys, "construct", "--instance", inst,
                              "--seed", "-1")
@@ -634,14 +635,18 @@ def test_solve_batch_rejects_negative_bound(capsys, tmp_path):
                                "message": "scan bound -2 is negative"}
 
 
-def run_module(*argv, stdout=subprocess.PIPE):
+def run_python(*args, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    return subprocess.run([sys.executable, "-m", "starspec", *argv], cwd=ROOT,
-                          env=env, stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+
+
+def run_module(*argv, stdout=subprocess.PIPE):
+    return run_python("-m", "starspec", *argv, stdout=stdout)
 
 
 def test_python_m_starspec(capsys):
@@ -685,3 +690,50 @@ def test_cli_stdout_matches_golden_file(capsys, monkeypatch, name, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+# Runs construct and verify through cli.main in an interpreter where numpy
+# cannot be imported, and prints each exit code and stderr line.
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+import starspec.cli
+for argv in (["construct", "--instance", sys.argv[1]],
+             ["verify", "--rep", sys.argv[2]]):
+    print(starspec.cli.main(argv))
+"""
+
+
+def test_numerical_commands_without_numpy_exit_3(capsys, tmp_path):
+    """construct and verify need numpy: without it they report a missing
+    dependency and exit 3, not a traceback and the infeasible code 1."""
+    inst = str(ROOT / "tests" / "data" / "e8_feasible.json")
+    rep = tmp_path / "rep.json"
+    assert run_cli(capsys, "construct", "--instance", inst, "-o", str(rep))[0] == 0
+    proc = run_python("-c", WITHOUT_NUMPY, inst, str(rep))
+    assert proc.stdout.split() == ["3", "3"], proc.stderr
+    errors = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert [e["error"] for e in errors] == ["missing_dependency"] * 2
+    assert all("numpy" in e["message"] for e in errors)
+
+
+@pytest.mark.parametrize("name, caught", [
+    ("numpy", True), ("numpy.linalg", True), ("numpyx", False), (None, False),
+])
+def test_only_a_missing_numpy_is_a_missing_dependency(monkeypatch, capsys,
+                                                       name, caught):
+    """A missing numpy (or numpy submodule) exits 3; any other missing
+    module is a fault of the program and propagates."""
+    import starspec.cli as cli
+
+    def missing(args):
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+    monkeypatch.setattr(cli, "cmd_classify", missing)
+    if not caught:
+        with pytest.raises(ModuleNotFoundError):
+            cli.main(["classify", "--branches", "2,2,2"])
+        return
+    code, out, err = run_cli(capsys, "classify", "--branches", "2,2,2")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "missing_dependency"

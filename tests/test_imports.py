@@ -67,13 +67,53 @@ assert not loaded, loaded
 """
 
 
-def test_decision_commands_load_no_numpy():
+def run_fresh(script: str):
+    """Run ``script`` in a fresh interpreter on the repository's src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run([sys.executable, "-c", DECIDE_WITHOUT_NUMPY], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_decision_commands_load_no_numpy():
+    proc = run_fresh(DECIDE_WITHOUT_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Builds a Horn representation and a reflection representation with
+# `construct -o`, then reads each file back with `verify --rep`, which
+# verifies it and computes its commutant, all in a fresh interpreter; fails
+# if numpy.random was loaded on the way.
+CONSTRUCT_WITHOUT_NUMPY_RANDOM = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+
+import starspec.cli
+
+with tempfile.TemporaryDirectory() as tmp:
+    horn = Path(tmp, "horn.json")
+    horn.write_text(json.dumps({"branches": [[5, 2], [4, 1], [6, 3]], "gamma": 7}))
+    routes = []
+    for inst in (horn, Path("tests/data/e8_feasible.json")):
+        rep = Path(tmp, f"{inst.stem}_rep.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert starspec.cli.main(["construct", "--instance", str(inst),
+                                      "-o", str(rep)]) == 0
+        routes.append(json.loads(rep.read_text())["metadata"]["route"])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert starspec.cli.main(["verify", "--rep", str(rep)]) == 0
+        report = json.loads(out.getvalue())
+        assert report["commutant_dimension"] == 1, report
+assert routes == ["hyperplane_optimizer", "reflection_functors"], routes
+assert "numpy.random" not in sys.modules
+"""
+
+
+def test_constructions_load_no_numpy_random():
+    proc = run_fresh(CONSTRUCT_WITHOUT_NUMPY_RANDOM)
     assert proc.returncode == 0, proc.stderr
 
 

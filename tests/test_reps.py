@@ -387,6 +387,16 @@ def test_build_hyperplane_rep_reproducible():
             assert np.abs(p1 - p2).max() == 0
 
 
+def test_build_hyperplane_rep_rejects_negative_seed():
+    """Restart r of seed s draws from random.Random(s * 32 + r), which
+    seeds from the absolute value: a negative seed would reuse the draws of
+    non-negative ones, so it is refused."""
+    inst = make_instance([[5, 2], [4, 1], [6, 3]], 7)
+    with pytest.raises(ValueError, match="non-negative"):
+        build_hyperplane_rep(inst, seed=-1)
+    assert verify_algebra_rep(build_hyperplane_rep(inst, seed=0)).overall
+
+
 def test_build_hyperplane_rep_rejects_infeasible():
     with pytest.raises(FeasibilityError):
         build_hyperplane_rep(make_instance([[10, 1], [2, 1], [2, 1]], "17/3"))

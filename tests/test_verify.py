@@ -448,6 +448,33 @@ def test_scale_ladder_hyperplane_rep(scale):
     _check_ladder(rep)
 
 
+@pytest.mark.parametrize("route", ["reflection", "horn"])
+def test_verify_builds_each_branch_operator_once(monkeypatch, route):
+    """verify_algebra_rep builds each branch operator once, for both the
+    weighted sum and the spectra, and its weighted-sum check reports
+    AlgebraRep.residual() unchanged."""
+    if route == "reflection":
+        rep = _construction((1, 2, 5), (7, 5, 10, 2, 5, 8, 10, 12, 15))
+    else:
+        rep = build_hyperplane_rep(make_instance([[20, 10], [21, 9], [19, 11]], 30))
+    res = rep.residual()
+    bound = RTOL * instance_scale(rep.instance)
+    build = AlgebraRep.branch_operator
+    assert rep.residual([build(rep, j) for j in range(3)]) == res
+    built = []
+
+    def counted(self, j):
+        built.append(j)
+        return build(self, j)
+
+    monkeypatch.setattr(AlgebraRep, "branch_operator", counted)
+    report = verify_algebra_rep(rep)
+    assert built == [0, 1, 2]
+    assert report.overall, report.failures()
+    assert ("weighted sum = gamma I", True,
+            f"residual {res:.3e}, bound {bound:.3e}") in report.checks
+
+
 def test_small_scale_move_is_rejected():
     """tests/data/e8_feasible.json divided by 10^6, checked against an
     instance whose branch-3 top two points (ranks 1 and 1) moved by +-1e-9,

@@ -19,13 +19,12 @@ even when the defect is negative and odd when it is positive.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
 from .graph import EVEN, ODD, GVec, GraphError, IVec, Parity, StarGraph, classify
-from .rational import IMat, QMat, mat_mul, mat_pow
+from .rational import IMat, QMat, mat_mul, mat_pow, matrix_of
 
 Token = Parity
 
@@ -144,13 +143,11 @@ class ReductionSchedule:
     terminal: int
 
 
-@functools.lru_cache(maxsize=8192)
 def reduction_schedule(graph: StarGraph, d: GVec) -> Optional[ReductionSchedule]:
     """The whole ``descent`` of a positive real root, or None when it misses
     a unit vector (imaginary and regular roots).
 
-    The schedule's dimensions are ints whatever numeric type d arrives in:
-    the cache answers every equal d with the same schedule.
+    The schedule's dimensions are ints whatever numeric type d arrives in.
     """
     states = list(descent(graph, tuple(int(v) for v in d)))
     if not states or states[-1][1] is not None:
@@ -178,20 +175,9 @@ def char_transport_up(
 # ---------------------------------------------------------------------------
 
 def parity_matrix(graph: StarGraph, token: Token) -> IMat:
-    """Matrix of the parity reflection in the canonical vertex basis."""
-    n = graph.n_vertices
-    rows = []
-    pset = set(_parity_set(graph, token))
-    for i in range(n):
-        if i in pset:
-            row = [0] * n
-            row[i] = -1
-            for h in graph.neighbors[i]:
-                row[h] += 1
-            rows.append(tuple(row))
-        else:
-            rows.append(tuple(int(j == i) for j in range(n)))
-    return tuple(rows)
+    """Matrix of the parity reflection in the canonical vertex basis: the
+    columns of ``coxeter_dim`` on the unit vectors."""
+    return matrix_of(lambda x: coxeter_dim(graph, token, x), graph.n_vertices)
 
 
 def elementary_coxeter_matrix(graph: StarGraph) -> IMat:

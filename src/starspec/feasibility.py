@@ -30,6 +30,9 @@ from .coxeter import (
     EVEN,
     ODD,
     Token,
+    _char_step,
+    _other,
+    _parity_set,
     coxeter_dim,
     defect,
     descent,
@@ -103,7 +106,6 @@ def _chi_names(n_spectra: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n_spectra)] + ["gamma"]
 
 
-@functools.lru_cache(maxsize=64)
 def hyperplane(graph: StarGraph) -> Hyperplane:
     """Trace-identity hyperplane of an extended Dynkin star."""
     delta = classify(graph).delta
@@ -207,10 +209,7 @@ class SeriesFamily:
 
     def token_at(self, level: int) -> Token:
         """Parity map that builds the given level from the one below."""
-        alt = (level - 2) % 2 == 0
-        if alt:
-            return self.first_token
-        return ODD if self.first_token == EVEN else EVEN
+        return self.first_token if level % 2 == 0 else _other(self.first_token)
 
 
 # Frozen anchor condition matrices (rows act on characters in vertex order;
@@ -280,9 +279,7 @@ def _condition_matrix_e6(family_name: str, k: int) -> IMat:
     graph = e6_graph()
     rows = family.anchor_rows
     for level in range(family.anchor_k + 1, k + 1):
-        token = family.token_at(level)
-        other = ODD if token == EVEN else EVEN
-        rows = mat_mul(rows, parity_matrix(graph, other))
+        rows = mat_mul(rows, parity_matrix(graph, _other(family.token_at(level))))
     return rows
 
 
@@ -413,27 +410,20 @@ def _check_walk(
     Also returns the states walked, (dimension, token, integer character)
     from d down, the last one with token "terminal" when the walk got there.
     """
-    neighbors = graph.neighbors
     strict: list[int] = []
     states = []
     for dcur, token in descent(graph, d):
         if token is None:
             break
-        act, other = ((graph.even, graph.odd) if token == EVEN
-                      else (graph.odd, graph.even))
         margins = [fcur[g] for g in range(graph.n_vertices) if dcur[g] == 0]
-        margins += [fcur[g] for g in act if dcur[g] != 0]
+        margins += [fcur[g] for g in _parity_set(graph, token) if dcur[g] != 0]
         states.append((dcur, token, fcur))
         if not collect_trajectory and min(margins, default=0) < 0:
             return FeasibilityVerdict(
                 status="infeasible", branch_taken="iterative",
                 certificate=(("terminal_value", "0", True),)), states
         strict += margins
-        nf = list(fcur)
-        for g in other:
-            if dcur[g] != 0:
-                nf[g] = -fcur[g] + sum(fcur[h] for h in neighbors[g])
-        fcur = nf
+        fcur = _char_step(graph, token, dcur, fcur)
     else:
         raise FeasibilityError(f"dimension {list(d)} has nonzero defect but "
                                "its walk misses a unit vector")

@@ -24,6 +24,12 @@ def identity(n: int) -> IMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def matrix_of(linear_map, n: int):
+    """Matrix of a linear map on length-n vectors: its columns are the
+    images of the unit vectors."""
+    return tuple(zip(*map(linear_map, identity(n))))
+
+
 def mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0])
     assert len(a[0]) == m

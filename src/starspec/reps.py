@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coxeter import EVEN, DimCharPair, Token, coxeter_char
+from .coxeter import DimCharPair, Token, _parity_set, coxeter_char
 # Public functions of other layers are called through their modules: a name
 # copied by `from ... import` keeps the binding of the moment this module is
 # imported, which may be a wrapper later undone (perfbench's tracer rebinds
@@ -152,15 +152,10 @@ def _reflect(
 ) -> GraphRep:
     """The matrix step of ``reflect_rep`` into ``new_dims``: the kernel at
     each token-parity vertex v is scaled by sqrt(weights[v])."""
-    act = graph.even if token == EVEN else graph.odd
     new_rep = GraphRep(graph=graph, dims=new_dims, character=character)
-    ops = rep.ops
-    for v in act:
+    for v in _parity_set(graph, token):
         nb = graph.neighbors[v]
-        # the blocks H_h -> H_v: the adjoint of the stored map when v is the
-        # far endpoint, else the stored map itself
-        blocks = [ops[(v, h)].conj().T if (v, h) in ops else ops[(h, v)]
-                  for h in nb]
+        blocks = [rep.gamma(v, h) for h in nb]
         # every vertex of a star has a neighbour
         assembled = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         k_basis = _kernel_basis(assembled, new_dims[v])
@@ -175,7 +170,7 @@ def _reflect(
             dh = rep.dims[h]
             block = k_basis[off:off + dh, :]  # maps H_v^new into H_h
             off += dh
-            if (v, h) in ops:
+            if (v, h) in rep.ops:
                 # v is the far endpoint: store Gamma_{h,v} = H_v^new -> H_h
                 new_rep.ops[(v, h)] = scale * block
             else:
@@ -241,7 +236,7 @@ def canonicalize(graph: StarGraph, rep: GraphRep) -> GraphRep:
 
 
 def to_algebra_rep(
-    graph: StarGraph, rep: GraphRep, inst: Optional[SpectralInstance] = None,
+    graph: StarGraph, rep: GraphRep, inst: SpectralInstance,
 ) -> "AlgebraRep":
     """Extract the tuple of spectral projections from a graph representation.
 
@@ -252,10 +247,6 @@ def to_algebra_rep(
     (``transfer.instance_scale``): an eigenvalue off by more would show in
     the weighted sum of the projections.
     """
-    if rep.character is None:
-        raise RepError("to_algebra_rep needs the representation character")
-    if inst is None:
-        inst = transfer.chi_from_char(graph, rep.character)
     if inst.branch_lengths != graph.branch_lengths:
         raise RepError("instance does not match the graph")
     split = _eigenspaces(graph, rep)

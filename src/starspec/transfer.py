@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graph import GVec, IVec, StarGraph
-from .rational import IMat, Q, parse_fraction
+from .graph import ODD, GVec, IVec, StarGraph
+from .rational import IMat, Q, matrix_of, parse_fraction
 
 
 class TransferError(ValueError):
@@ -123,13 +123,20 @@ def char_from_chi(graph: StarGraph, inst: SpectralInstance) -> GVec:
     carries gamma.
     """
     _check_graph(graph, inst.branch_lengths)
-    f = [Q(0)] * graph.n_vertices
-    f[graph.root] = inst.gamma
-    for path, spec in zip(graph.branches, inst.branches):
+    return _char(graph, inst.chi())
+
+
+def _char(graph: StarGraph, chi: Sequence) -> tuple:
+    """``char_from_chi`` on a flat chi of the graph's shape, unchecked."""
+    f = [0] * graph.n_vertices
+    f[graph.root] = chi[-1]
+    offset = 0
+    for path, m in zip(graph.branches, graph.branch_lengths):
         outward = path[::-1]
-        f[outward[0]] = spec[0]
-        for v, (lo, hi) in zip(outward[1:], _windows(len(spec))):
-            f[v] = spec[lo] - spec[hi]
+        f[outward[0]] = chi[offset]
+        for v, (lo, hi) in zip(outward[1:], _windows(m)):
+            f[v] = chi[offset + lo] - chi[offset + hi]
+        offset += m
     return tuple(f)
 
 
@@ -217,37 +224,28 @@ def nondegenerate_dim(graph: StarGraph, d: GVec) -> bool:
 
 @functools.lru_cache(maxsize=64)
 def mf_matrix(graph: StarGraph) -> IMat:
-    """Matrix of char_from_chi: rows in vertex order, columns in chi order."""
-    n = graph.n_vertices
-    rows = [[0] * n for _ in range(n)]
-    rows[graph.root][n - 1] = 1
-    offset = 0
-    for path, m in zip(graph.branches, graph.branch_lengths):
-        outward = path[::-1]
-        rows[outward[0]][offset] = 1
-        for v, (lo, hi) in zip(outward[1:], _windows(m)):
-            rows[v][offset + lo] = 1
-            rows[v][offset + hi] = -1
-        offset += m
-    return tuple(tuple(r) for r in rows)
+    """Matrix of char_from_chi: rows in vertex order, columns in chi order,
+    read off its window rule on the unit chi vectors."""
+    return matrix_of(lambda chi: _char(graph, chi), graph.n_vertices)
 
 
 def md_matrix(graph: StarGraph) -> IMat:
     """Matrix of n_from_dim: rows in chi order (n0 last), columns in vertex
-    order."""
+    order.
+
+    It is the signed transpose of ``mf_matrix``, by the trace identity
+    sum_k a_k n_k - gamma n0 = -P(d, f), with P(d, f) = sum eps_v d_v f_v
+    and eps = +1 on odd and -1 on even vertices (``coxeter.pairing``):
+    md[i][v] = s_i * eps_v * mf[v][i], with s = -1 on the spectrum rows and
+    +1 on the n0 row.
+    """
     n = graph.n_vertices
-    rows = [[0] * n for _ in range(n)]
-    rows[n - 1][graph.root] = 1
-    offset = 0
-    for path, m in zip(graph.branches, graph.branch_lengths):
-        outward = path[::-1]
-        for t, (lo, hi) in enumerate(_windows(m)):
-            row = rows[offset + (hi if t % 2 else lo)]
-            row[outward[t]] = 1
-            if t + 1 < m:
-                row[outward[t + 1]] = -1
-        offset += m
-    return tuple(tuple(r) for r in rows)
+    mf = mf_matrix(graph)
+    eps = [1 if p == ODD else -1 for p in graph.parity]
+    return tuple(
+        tuple((1 if i == n - 1 else -1) * eps[v] * mf[v][i] for v in range(n))
+        for i in range(n)
+    )
 
 
 def trace_pairing(inst: SpectralInstance, n: GeneralizedDimension) -> Fraction:

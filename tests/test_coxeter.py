@@ -64,13 +64,25 @@ def test_coxeter_dim_radical(e6):
     assert coxeter_dim(e6, "even", coxeter_dim(e6, "odd", DELTA)) == DELTA
 
 
-def test_coxeter_dim_is_simultaneous_reflection(e6, rng):
+@pytest.mark.parametrize("token", ["even", "odd"])
+@pytest.mark.parametrize("lengths", [(1, 1, 1, 1), (2, 2, 2), (1, 3, 3), (1, 2, 5)],
+                         ids=["D4~", "E6~", "E7~", "E8~"])
+def test_coxeter_dim_is_simultaneous_reflection(lengths, token, rng):
+    g = build_star(lengths)
+    n = g.n_vertices
+    pset = g.even if token == "even" else g.odd
     for _ in range(10):
-        x = tuple(Q(rng.randint(-4, 4)) for _ in range(7))
+        x = tuple(Q(rng.randint(-4, 4)) for _ in range(n))
         expected = x
-        for g in e6.even:
-            expected = reflect(e6, g, expected)
-        assert coxeter_dim(e6, "even", x) == expected
+        for v in pset:
+            expected = reflect(g, v, expected)
+        assert coxeter_dim(g, token, x) == expected
+    # parity_matrix is read off coxeter_dim; check it against the product of
+    # the oracle's one-vertex reflection matrices instead
+    product = identity(n)
+    for v in pset:
+        product = mat_mul(transpose([reflect(g, v, e) for e in identity(n)]), product)
+    assert parity_matrix(g, token) == product
 
 
 def test_coxeter_char_support_restriction(e6):

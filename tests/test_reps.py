@@ -17,6 +17,7 @@ from starspec import (
     build_star,
     canonicalize,
     char_from_chi,
+    chi_from_char,
     coxeter_char,
     make_instance,
     reduction_schedule,
@@ -270,7 +271,7 @@ def test_large_characters_construct(lengths, scale):
     assert len(pairs) == 2
     for d, f in pairs:
         f = tuple(scale * x for x in f)
-        arep = to_algebra_rep(g, build_graph_rep(g, d, f))
+        arep = to_algebra_rep(g, build_graph_rep(g, d, f), chi_from_char(g, f))
         gamma = float(arep.instance.gamma)
         residual = np.abs(arep.weighted_sum() - gamma * np.eye(arep.n0)).max()
         assert residual < 1e-13 * gamma, (d, scale, residual)
@@ -356,9 +357,8 @@ def test_to_algebra_rep_d4_star(rng):
 def test_to_algebra_rep_rejects_degenerate(e6):
     f = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 0))
     rep = build_graph_rep(e6, unit_vector(e6, e6.root), f)
-    rep.character = f
     with pytest.raises(RepError):
-        to_algebra_rep(e6, rep)
+        to_algebra_rep(e6, rep, chi_from_char(e6, f))
 
 
 def test_to_algebra_rep_rejects_instance_of_another_star(e6, rng):

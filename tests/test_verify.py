@@ -338,12 +338,25 @@ def test_fault_wrong_character_detected(e6, rng):
     assert not report.overall
 
 
-def test_adjoint_pair_check(e6, rng):
+def test_verify_graph_rep_reports_bad_edge_maps(e6, rng):
+    """A root-edge map one row too tall, missing, or stored leafward fails
+    its edge check, and no vertex operator is built from it."""
     d, f, inst = random_feasible_instance(e6, FAMILY_ROOT, 5, rng)
     rep = build_graph_rep(e6, d, f)
-    report = verify_graph_rep(e6, rep, d, f)
-    assert any(name.startswith("adjoint") for name, _, _ in report.checks)
-    assert report.overall
+    assert verify_graph_rep(e6, rep, d, f).overall
+    far, near = e6.edges[-1]
+    tall = dict(rep.ops)
+    tall[(far, near)] = np.vstack([rep.ops[(far, near)], rep.ops[(far, near)][:1]])
+    missing = dict(rep.ops)
+    del missing[(far, near)]
+    extra = dict(rep.ops)
+    extra[(near, far)] = rep.ops[(far, near)].T
+    for ops in (tall, missing, extra):
+        bad = GraphRep(graph=e6, dims=rep.dims, ops=ops, character=rep.character)
+        report = verify_graph_rep(e6, bad, d, f)
+        assert not report.overall
+        assert all(name.startswith("edge@") for name, _, _ in report.failures())
+        assert not any(name.startswith("scalar@") for name, _, _ in report.checks)
 
 
 def test_rank_threshold_flips_with_fault():

@@ -13,6 +13,13 @@ one-dimensional seed constructs an irreducible representation in any
 feasible real-root dimension; the level-hyperplane case is handled by a
 small alternating eigenvector-alignment optimizer instead.
 
+`reflect_rep` and `build_graph_rep` take the same step, `_reflect_step`,
+on an ordered-edge table: ``maps[(a, b)]`` holds the map H_b -> H_a for
+every ordered edge, one direction stored as the adjoint of the other.  A
+step reads each incident block by its key, with no orientation test, and
+a replay keeps one table from the seed to the last step, building no
+representation in between.
+
 Graph and algebra representations meet at the root: `_eigenspaces` splits
 each root branch operator T T^* by the ranks of the dimension, largest
 eigenvalues first, and `_layout` lays a branch out along the transfer
@@ -27,6 +34,7 @@ end to end.  Only the hyperplane optimizer works over C.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -119,12 +127,61 @@ def _kernel_basis(m: np.ndarray, dim: int) -> np.ndarray:
     if rows == 0 or cols == 0:
         return np.eye(cols, dtype=m.dtype)
     u, s, vh = np.linalg.svd(m)
+    s = s.tolist()
     floor = 1e-10 * s[0]
     rank = cols - dim
     if not (0 <= rank <= len(s) and (rank == 0 or s[rank - 1] > floor)
             and (rank == len(s) or s[rank] <= floor)):
-        rank = int(np.sum(s > floor))
+        rank = sum(x > floor for x in s)
     return vh[rank:].conj().T
+
+
+def _edge_table(graph: StarGraph, ops: dict) -> dict:
+    """The ordered-edge table of rootward maps ``ops``: ``maps[(a, b)]`` is
+    the map H_b -> H_a for every ordered edge, the leafward map stored as
+    the adjoint of the rootward one."""
+    maps = {}
+    for far, near in graph.edges:
+        maps[(near, far)] = ops[(far, near)]
+        maps[(far, near)] = ops[(far, near)].conj().T
+    return maps
+
+
+def _reflect_step(
+    graph: StarGraph, token: Token, maps: dict, dims: GVec, weights: GVec,
+) -> None:
+    """One reflection functor on the edge table ``maps``, in place, into the
+    reflected dimension ``dims``.  The new space at each token-parity vertex
+    v is the kernel of its assembled incident map, and its blocks are the
+    kernel-inclusion slices scaled by sqrt(weights[v]).  No two vertices of
+    one parity class are adjacent, so the class reads only maps that no
+    other vertex of it writes, and every edge is rewritten by its one
+    endpoint in the class."""
+    for v in _parity_set(graph, token):
+        nb = graph.neighbors[v]
+        # every vertex of a star has a neighbour
+        k_basis = _kernel_basis(
+            np.concatenate([maps[(v, h)] for h in nb], axis=1), dims[v])
+        if k_basis.shape[1] != dims[v]:
+            raise RepError(
+                f"kernel dimension {k_basis.shape[1]} at vertex {v} does not "
+                f"match the reflected dimension {dims[v]}"
+            )
+        k_basis = math.sqrt(weights[v]) * k_basis
+        off = 0
+        for h in nb:
+            # h is of the other parity, so dims[h] did not change
+            block = k_basis[off:off + dims[h], :]  # H_v^new -> H_h
+            off += dims[h]
+            maps[(h, v)] = block
+            maps[(v, h)] = block.conj().T
+
+
+def _from_table(
+    graph: StarGraph, maps: dict, dims: GVec, character: Optional[GVec],
+) -> GraphRep:
+    ops = {(far, near): maps[(near, far)] for far, near in graph.edges}
+    return GraphRep(graph=graph, dims=tuple(dims), ops=ops, character=character)
 
 
 def reflect_rep(
@@ -140,43 +197,15 @@ def reflect_rep(
     d, f = pair
     if tuple(d) != rep.dims:
         raise RepError("pair dimension does not match the representation")
-    # validates the domain; rep.dims equals d and keeps the new dims ints
+    for far, near in graph.edges:
+        if (far, near) not in rep.ops:
+            raise RepError(f"no rootward map on the edge ({far},{near})")
+    # validates the domain, so f is positive on the parity class; rep.dims
+    # equals d and keeps the new dims ints
     new_pair = coxeter_char(graph, token, DimCharPair(rep.dims, f))
-    return _reflect(graph, token, rep, new_pair.d, [float(v) for v in f],
-                    new_pair.f)
-
-
-def _reflect(
-    graph: StarGraph, token: Token, rep: GraphRep, new_dims: tuple[int, ...],
-    weights: Sequence[float], character: Optional[GVec],
-) -> GraphRep:
-    """The matrix step of ``reflect_rep`` into ``new_dims``: the kernel at
-    each token-parity vertex v is scaled by sqrt(weights[v])."""
-    new_rep = GraphRep(graph=graph, dims=new_dims, character=character)
-    for v in _parity_set(graph, token):
-        nb = graph.neighbors[v]
-        blocks = [rep.gamma(v, h) for h in nb]
-        # every vertex of a star has a neighbour
-        assembled = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-        k_basis = _kernel_basis(assembled, new_dims[v])
-        if k_basis.shape[1] != new_dims[v]:
-            raise RepError(
-                f"kernel dimension {k_basis.shape[1]} at vertex {v} does not "
-                f"match the reflected dimension {new_dims[v]}"
-            )
-        scale = float(np.sqrt(weights[v]))
-        off = 0
-        for h in nb:
-            dh = rep.dims[h]
-            block = k_basis[off:off + dh, :]  # maps H_v^new into H_h
-            off += dh
-            if (v, h) in rep.ops:
-                # v is the far endpoint: store Gamma_{h,v} = H_v^new -> H_h
-                new_rep.ops[(v, h)] = scale * block
-            else:
-                # h is the far endpoint: store Gamma_{v,h} = H_h -> H_v^new
-                new_rep.ops[(h, v)] = scale * block.conj().T
-    return new_rep
+    maps = _edge_table(graph, rep.ops)
+    _reflect_step(graph, token, maps, new_pair.d, f)
+    return _from_table(graph, maps, new_pair.d, new_pair.f)
 
 
 def build_graph_rep(graph: StarGraph, d: GVec, f: GVec) -> GraphRep:
@@ -184,18 +213,19 @@ def build_graph_rep(graph: StarGraph, d: GVec, f: GVec) -> GraphRep:
 
     Requires the pair to be feasible.  Replays the states of its
     feasibility walk upward from the simple representation at the terminal
-    vertex: each step takes its dimension from the state and its character
-    from the walk's integer entries over their common denominator (int / int
-    rounds correctly, as float(Fraction) does).
+    vertex, on one edge table: each step takes its dimension from the state
+    and its character from the walk's integer entries over their common
+    denominator (int / int rounds correctly, as float(Fraction) does).  A
+    feasible walk is positive on every reflected parity class.
     """
     verdict, states, scale = _walk_pair(graph, d, f, False)
     if not verdict.feasible:
         raise FeasibilityError(f"({list(d)}, f) is not feasible: {verdict.status}")
-    rep = simple_rep(graph, states[-1][0].index(1))
+    seed = simple_rep(graph, states[-1][0].index(1))
+    maps = _edge_table(graph, seed.ops)
     for dcur, token, fcur in reversed(states[:-1]):
-        rep = _reflect(graph, token, rep, dcur, [x / scale for x in fcur], None)
-    rep.character = tuple(f)
-    return rep
+        _reflect_step(graph, token, maps, dcur, [x / scale for x in fcur])
+    return _from_table(graph, maps, states[0][0], tuple(f))
 
 
 def _eigenspaces(graph: StarGraph, rep: GraphRep) -> list:
@@ -208,10 +238,11 @@ def _eigenspaces(graph: StarGraph, rep: GraphRep) -> list:
     if not nondegenerate_dim(graph, rep.dims):
         raise RepError("representation dimension is degenerate")
     n = transfer.n_from_dim(graph, rep.dims)
+    t_maps = [rep.gamma(graph.root, path[-1]) for path in graph.branches]
+    # one stacked eigh: LAPACK decomposes each n0 x n0 operator on its own
+    stacked = np.linalg.eigh(np.stack([t @ t.conj().T for t in t_maps]))
     out = []
-    for path, ranks in zip(graph.branches, n.branches):
-        t_map = rep.gamma(graph.root, path[-1])
-        evals, evecs = np.linalg.eigh(t_map @ t_map.conj().T)
+    for ranks, evals, evecs in zip(n.branches, *stacked):
         # block bounds from the top: n0, n0 - r_1, n0 - r_1 - r_2, ..., 0
         cuts = [len(evals) - c for c in accumulate(ranks, initial=0)] + [0]
         out.append([(evals[lo:hi], evecs[:, lo:hi]) for hi, lo in zip(cuts, cuts[1:])])
@@ -394,10 +425,10 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     check = feasibility.horn_check_e6(inst)
     if not check.feasible:
         raise FeasibilityError(f"instance is not Horn-feasible: {check.status}")
-    gamma = float(inst.gamma)
+    n = 3
+    gamma_eye = float(inst.gamma) * np.eye(n)
     diags = [np.array([float(a) for a in spec] + [0.0]) for spec in inst.branches]
     stop = RTOL * instance_scale(inst) / 10
-    n = 3
     reducible = False
     for r in range(_RESTARTS):
         # one integer per (seed, restart); each matrix draws its n * n real
@@ -408,17 +439,16 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
             z = np.array([rng.normalvariate(0.0, 1.0) for _ in range(2 * n * n)])
             q, _ = np.linalg.qr((z[:n * n] + 1j * z[n * n:]).reshape(n, n))
             units.append(q)
-        ops = [u @ np.diag(dg) @ u.conj().T for u, dg in zip(units, diags)]
+        ops = [(u * dg) @ u.conj().T for u, dg in zip(units, diags)]
         for _ in range(_MAX_ITERS):
-            for j in range(3):
-                target = gamma * np.eye(n) - sum(ops[i] for i in range(3) if i != j)
+            for j, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+                target = gamma_eye - (ops[a] + ops[b])
                 target = (target + target.conj().T) / 2
-                evals, evecs = np.linalg.eigh(target)
-                order = np.argsort(evals)[::-1]
-                u = evecs[:, order]
+                # eigh sorts ascending; reversed, the largest comes first
+                u = np.linalg.eigh(target)[1][:, ::-1]
                 units[j] = u
-                ops[j] = u @ np.diag(diags[j]) @ u.conj().T
-            if np.linalg.norm(sum(ops) - gamma * np.eye(n)) < stop:
+                ops[j] = (u * diags[j]) @ u.conj().T
+            if np.linalg.norm(ops[0] + ops[1] + ops[2] - gamma_eye) < stop:
                 break
         projections = tuple(
             tuple(np.outer(units[j][:, i], units[j][:, i].conj()) for i in range(2))

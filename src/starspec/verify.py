@@ -11,9 +11,10 @@ A = sum c_i P_i of the given Hermitian matrices, that are block-diagonal
 over A's eigenvalue clusters: every X in the commutant commutes with A, so
 the start contains the commutant, and a generic A has simple spectrum, so
 the start is n0 matrices.  Each given P, those inside A included, then
-cuts the basis to the nullspace of X -> PX - XP.  Without a Hermitian
-matrix the start is all n0^2 matrix units.  Every rank uses the same
-relative floor (`_rank`).
+cuts the basis to the nullspace of X -> PX - XP, until the basis is one
+matrix: the identity is in every commutant, so that matrix spans it.
+Without a Hermitian matrix the start is all n0^2 matrix units.  Every
+rank uses the same relative floor (`_rank`).
 
 Representations built by the reflection functors are real, and their files
 carry [re, 0.0] pairs: the functors start from a zero seed and only take
@@ -78,8 +79,9 @@ def verify_graph_rep(
 ) -> VerificationReport:
     """Dimension match, one rootward map of shape (dims[near], dims[far])
     on each edge and no other map, and scalarity of every vertex operator
-    within ``RTOL * max |f|``.  Edge maps that fail are reported before any
-    vertex operator is built, so a malformed rep raises nothing."""
+    within ``RTOL * max |f|``.  Edge maps that fail, and a character that
+    is missing or not one value per vertex, are reported before any vertex
+    operator is built, so a malformed rep raises nothing."""
     checks = []
     if d is not None:
         ok = tuple(d) == rep.dims
@@ -94,9 +96,11 @@ def verify_graph_rep(
               for key in rep.ops if key not in graph.edges]
     checks += edges
     f = f if f is not None else rep.character
-    if f is None:
-        checks.append(("character", False, "no character available"))
-    if f is None or not all(ok for _, ok, _ in edges):
+    ok_f = f is not None and len(f) == graph.n_vertices
+    if not ok_f:
+        checks.append(("character", False, "no character available" if f is None
+                       else f"{len(f)} values for {graph.n_vertices} vertices"))
+    if not ok_f or not all(ok for _, ok, _ in edges):
         return VerificationReport(tuple(checks))
     bound = RTOL * max(abs(float(v)) for v in f)
     for g in range(graph.n_vertices):
@@ -211,6 +215,13 @@ def commutant_dimension(rep: AlgebraRep) -> int:
     nullspace of that n0^2 x m image (rank by `_rank`).  The result is the
     number of basis matrices left.
 
+    The imposition stops once one basis matrix is left, which is exact too:
+    the identity commutes with every matrix, so it lies in the commutant and
+    hence in the span of every basis, and a one-matrix basis spans the
+    identity alone.  The commutant is then that span, and no later P can
+    cut it.  On an irreducible representation the first P usually leaves
+    one matrix, so the remaining images are never decomposed.
+
     When no matrix has a nonzero imaginary part (tested exactly), the whole
     computation runs on the real parts.  This is exact as well: the
     equations PX - XP = 0 then have real coefficients, so their complex
@@ -244,6 +255,8 @@ def commutant_dimension(rep: AlgebraRep) -> int:
         mats = [v.conj().T @ m @ v for m in mats]
     basis = np.eye(n * n)[same_block.ravel()].reshape(-1, n, n)
     for m in mats:
+        if len(basis) == 1:
+            break  # the identity: no matrix can cut it
         image = (m @ basis - basis @ m).reshape(len(basis), n * n).T
         basis = np.tensordot(_nullspace(image), basis, axes=1)
     return len(basis)

@@ -13,6 +13,19 @@ from starspec import (
 )
 
 
+# Real-root dimensions with a reduction schedule and strict branch chains,
+# small and medium root entries on each extended star, one with n0 >= 10 on
+# each and one with n0 = 15.
+ORACLE_DIMS = {
+    (1, 1, 1, 1): [(2, 1, 1, 1, 3), (5, 4, 4, 4, 9), (6, 5, 5, 5, 11)],
+    (2, 2, 2): [(2, 3, 1, 3, 1, 3, 5), (3, 7, 3, 6, 3, 6, 10)],
+    (1, 3, 3): [(3, 2, 3, 4, 2, 3, 4, 6), (5, 3, 5, 7, 3, 5, 7, 10)],
+    (1, 2, 5): [(2, 2, 4, 1, 2, 3, 4, 5, 6), (5, 3, 7, 2, 4, 5, 7, 9, 11),
+                (7, 5, 10, 2, 5, 8, 10, 12, 15)],
+}
+ORACLE_CASES = [(b, d) for b, dims in ORACLE_DIMS.items() for d in dims]
+
+
 @pytest.fixture(scope="session")
 def e6():
     return build_star([2, 2, 2])

@@ -12,19 +12,27 @@
 * The root table of an extended star by a scan of the box 0 <= x <= delta.
 * One-vertex reflections, the form's Gram matrix and branch permutations,
   the single steps that the library only takes in bulk or never.
+* The reflection replay with one `GraphRep` per step, each block read
+  through `GraphRep.gamma` and stored by an orientation test, and the Horn
+  sweep with its constants rebuilt on every pass, to check the library's
+  edge-table replay and its hyperplane optimizer against bit for bit.
 """
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 
-from starspec.coxeter import DimCharPair, reduction_schedule
-from starspec.feasibility import HORN_E6
+from starspec.coxeter import DimCharPair, _parity_set, reduction_schedule
+from starspec.feasibility import HORN_E6, _walk_pair
 from starspec.graph import EVEN, classify, tits_form
 from starspec.rational import Q, QMat
-from starspec.reps import AlgebraRep, GraphRep, reflect_rep, simple_rep
-from starspec.verify import _rank
+from starspec.reps import (
+    _MAX_ITERS, _RESTARTS, AlgebraRep, GraphRep, reflect_rep, simple_rep,
+)
+from starspec.transfer import RTOL, instance_scale
+from starspec.verify import _rank, commutant_dimension, verify_algebra_rep
 
 
 def stacked_commutant_dimension(rep: AlgebraRep) -> int:
@@ -225,3 +233,95 @@ def box_scan_roots(graph, include_negative=False, include_zero=False) -> list:
     if include_negative:
         result.extend(tuple(-v for v in x) for x in out)
     return result
+
+
+def kernel_basis(m: np.ndarray, dim: int) -> np.ndarray:
+    """Orthonormal basis of ker(m) as columns, rank confirmed at ``dim`` as
+    `starspec.reps` does, with the comparisons made on numpy scalars."""
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        return np.eye(cols, dtype=m.dtype)
+    _, s, vh = np.linalg.svd(m)
+    floor = 1e-10 * s[0]
+    rank = cols - dim
+    if not (0 <= rank <= len(s) and (rank == 0 or s[rank - 1] > floor)
+            and (rank == len(s) or s[rank] <= floor)):
+        rank = int(np.sum(s > floor))
+    return vh[rank:].conj().T
+
+
+def graph_rep_reflection(graph, token, rep: GraphRep, new_dims, weights) -> GraphRep:
+    """One reflection functor into a new `GraphRep`: the kernel at each
+    token-parity vertex v, from the incident maps read through
+    `GraphRep.gamma`, is scaled by sqrt(weights[v]), and each block is
+    stored rootward by testing which endpoint is the far one."""
+    new_rep = GraphRep(graph=graph, dims=tuple(new_dims))
+    for v in _parity_set(graph, token):
+        nb = graph.neighbors[v]
+        blocks = [rep.gamma(v, h) for h in nb]
+        assembled = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        k_basis = kernel_basis(assembled, new_dims[v])
+        assert k_basis.shape[1] == new_dims[v]
+        scale = float(np.sqrt(weights[v]))
+        off = 0
+        for h in nb:
+            block = k_basis[off:off + rep.dims[h], :]  # H_v^new -> H_h
+            off += rep.dims[h]
+            if (v, h) in rep.ops:
+                new_rep.ops[(v, h)] = scale * block
+            else:
+                new_rep.ops[(h, v)] = scale * block.conj().T
+    return new_rep
+
+
+def graph_rep_replay(graph, d, f) -> GraphRep:
+    """`starspec.reps.build_graph_rep` with one `GraphRep` per step: the
+    feasibility walk's states replayed upward from the simple
+    representation at the terminal vertex.  Assumes the pair is feasible."""
+    verdict, states, scale = _walk_pair(graph, d, f, False)
+    assert verdict.feasible, verdict.status
+    rep = simple_rep(graph, states[-1][0].index(1))
+    for dcur, token, fcur in reversed(states[:-1]):
+        rep = graph_rep_reflection(graph, token, rep, dcur,
+                                   [x / scale for x in fcur])
+    rep.character = tuple(f)
+    return rep
+
+
+def horn_sweep(inst, seed: int = 0) -> AlgebraRep:
+    """`starspec.reps.build_hyperplane_rep` with gamma I, the partial sums
+    and each diagonal matrix rebuilt on every pass, and the eigenvectors
+    put in descending order by argsort.  Raises AssertionError where the
+    library raises ConstructionError; assumes a Horn-feasible E6~ instance
+    and a non-negative seed."""
+    gamma = float(inst.gamma)
+    diags = [np.array([float(a) for a in spec] + [0.0]) for spec in inst.branches]
+    stop = RTOL * instance_scale(inst) / 10
+    n = 3
+    for r in range(_RESTARTS):
+        rng = random.Random(seed * _RESTARTS + r)
+        units = []
+        for _ in range(3):
+            z = np.array([rng.normalvariate(0.0, 1.0) for _ in range(2 * n * n)])
+            q, _ = np.linalg.qr((z[:n * n] + 1j * z[n * n:]).reshape(n, n))
+            units.append(q)
+        ops = [u @ np.diag(dg) @ u.conj().T for u, dg in zip(units, diags)]
+        for _ in range(_MAX_ITERS):
+            for j in range(3):
+                target = gamma * np.eye(n) - sum(ops[i] for i in range(3) if i != j)
+                target = (target + target.conj().T) / 2
+                evals, evecs = np.linalg.eigh(target)
+                order = np.argsort(evals)[::-1]
+                u = evecs[:, order]
+                units[j] = u
+                ops[j] = u @ np.diag(diags[j]) @ u.conj().T
+            if np.linalg.norm(sum(ops) - gamma * np.eye(n)) < stop:
+                break
+        projections = tuple(
+            tuple(np.outer(units[j][:, i], units[j][:, i].conj()) for i in range(2))
+            for j in range(3)
+        )
+        rep = AlgebraRep(instance=inst, n0=3, projections=projections)
+        if verify_algebra_rep(rep).overall and commutant_dimension(rep) == 1:
+            return rep
+    raise AssertionError("no restart gave a verified irreducible representation")

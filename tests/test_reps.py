@@ -33,8 +33,14 @@ from starspec import (
 from starspec.reps import RepError
 from starspec.verify import commutant_dimension
 
-from conftest import feasible_character, random_feasible_instance
-from oracles import fraction_route_rep, hom_dimension
+from conftest import ORACLE_CASES, feasible_character, random_feasible_instance
+from oracles import (
+    fraction_route_rep,
+    graph_rep_reflection,
+    graph_rep_replay,
+    hom_dimension,
+    horn_sweep,
+)
 
 
 def test_simple_rep(e6):
@@ -87,6 +93,20 @@ def test_reflect_rep_rejects_wrong_kernel_dimension(e6, rng, branch):
     with pytest.raises(RepError, match=f"kernel dimension .* at vertex {inner} "
                                        "does not match"):
         reflect_rep(e6, token, rep, DimCharPair(d, f))
+
+
+@pytest.mark.parametrize("leafward", [False, True])
+def test_reflect_rep_rejects_missing_edge_map(e6, leafward):
+    """A rootward map that is missing, or stored leafward, is an error of
+    the representation, not a KeyError of the edge table."""
+    f = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 0))
+    rep = simple_rep(e6, e6.root, character=f)
+    far, near = e6.edges[0]
+    moved = rep.ops.pop((far, near))
+    if leafward:
+        rep.ops[(near, far)] = moved.T
+    with pytest.raises(RepError, match=rf"no rootward map on the edge \({far},{near}\)"):
+        reflect_rep(e6, "even", rep, DimCharPair(rep.dims, f))
 
 
 def test_reflect_rep_keeps_zero_outside_parity(e6):
@@ -311,6 +331,47 @@ def test_build_graph_rep_matches_fraction_route(lengths):
             other = ref.ops[key]
             assert (mat.dtype, mat.shape) == (other.dtype, other.shape)
             assert mat.tobytes() == other.tobytes(), (d, key)
+
+
+def _same_maps(rep, ref):
+    return (rep.dims == ref.dims and rep.ops.keys() == ref.ops.keys()
+            and all(np.array_equal(rep.ops[k], ref.ops[k]) for k in ref.ops))
+
+
+@pytest.mark.parametrize(
+    "branches,d", ORACLE_CASES,
+    ids=[f"{''.join(map(str, b))}-n0={d[-1]}" for b, d in ORACLE_CASES],
+)
+def test_edge_table_replay_matches_graph_rep_oracle(branches, d):
+    """The edge-table replay of `build_graph_rep` gives the edge maps of
+    the replay that builds a `GraphRep` per step, bit for bit, on small and
+    medium dimensions of every extended star; `reflect_rep` takes the
+    oracle's single step, from the built rep, at both parities."""
+    g = build_star(branches)
+    f, _ = feasible_character(g, d, random.Random(5))
+    rep = build_graph_rep(g, d, f)
+    assert _same_maps(rep, graph_rep_replay(g, d, f))
+    assert rep.character == tuple(f)
+    for token in ("even", "odd"):
+        pair = DimCharPair(rep.dims, f)
+        new = coxeter_char(g, token, pair)
+        ref = graph_rep_reflection(g, token, rep, new.d, [float(v) for v in f])
+        assert _same_maps(reflect_rep(g, token, rep, pair), ref), token
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hyperplane_rep_matches_horn_sweep_oracle(seed):
+    """The sweep with its constants hoisted gives the projections of the
+    sweep that rebuilds them on every pass, bit for bit, on Horn-feasible
+    E6~ draws near (20, 10) per branch at each build seed."""
+    rng = random.Random(seed)
+    for _ in range(3):
+        spectra = [[rng.randint(17, 23), rng.randint(7, 13)] for _ in range(3)]
+        inst = make_instance(spectra, Q(sum(map(sum, spectra)), 3))
+        got = build_hyperplane_rep(inst, seed=seed)
+        ref = horn_sweep(inst, seed=seed)
+        for b1, b2 in zip(got.projections, ref.projections, strict=True):
+            assert all(np.array_equal(p, q) for p, q in zip(b1, b2, strict=True))
 
 
 def test_to_algebra_rep(e6, rng):

@@ -22,12 +22,15 @@ from starspec import (
     verify_algebra_rep,
     verify_graph_rep,
 )
+from starspec import verify
 from starspec.reps import AlgebraRep, GraphRep
 from starspec.io import instance_from_dict
 from starspec.transfer import SpectralInstance
 from starspec.verify import RTOL, commutant_dimension, instance_scale
 
-from conftest import feasible_character, random_feasible_instance
+from conftest import (
+    ORACLE_CASES, ORACLE_DIMS, feasible_character, random_feasible_instance,
+)
 from oracles import hom_dimension, stacked_commutant_dimension
 
 
@@ -35,18 +38,6 @@ def _unitary(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, _ = np.linalg.qr(z)
     return q
-
-
-# Real-root dimensions with a reduction schedule and strict branch chains,
-# small and medium root entries on each extended star, one with n0 >= 10 on
-# each and one with n0 = 15.
-ORACLE_DIMS = {
-    (1, 1, 1, 1): [(2, 1, 1, 1, 3), (5, 4, 4, 4, 9), (6, 5, 5, 5, 11)],
-    (2, 2, 2): [(2, 3, 1, 3, 1, 3, 5), (3, 7, 3, 6, 3, 6, 10)],
-    (1, 3, 3): [(3, 2, 3, 4, 2, 3, 4, 6), (5, 3, 5, 7, 3, 5, 7, 10)],
-    (1, 2, 5): [(2, 2, 4, 1, 2, 3, 4, 5, 6), (5, 3, 7, 2, 4, 5, 7, 9, 11),
-                (7, 5, 10, 2, 5, 8, 10, 12, 15)],
-}
 
 
 def _construction(branches, d, seed=5):
@@ -73,9 +64,6 @@ def _direct_sum(inst, *reps):
             for branches in zip(*(r.projections for r in reps))
         ),
     )
-
-
-ORACLE_CASES = [(b, d) for b, dims in ORACLE_DIMS.items() for d in dims]
 
 
 @pytest.mark.parametrize(
@@ -215,6 +203,41 @@ def test_commutant_images_have_at_most_n0_columns(monkeypatch, branches, d):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     assert commutant_dimension(rep) == 1
     assert shapes and all(cols <= rep.n0 for _, cols in shapes), shapes
+
+
+def _counting_nullspace(monkeypatch):
+    calls = []
+    nullspace = verify._nullspace
+
+    def counted(image):
+        calls.append(image.shape)
+        return nullspace(image)
+
+    monkeypatch.setattr(verify, "_nullspace", counted)
+    return calls
+
+
+@pytest.mark.parametrize("branches", ORACLE_DIMS,
+                         ids=["".join(map(str, b)) for b in ORACLE_DIMS])
+def test_commutant_stops_at_the_identity(monkeypatch, branches):
+    """On an irreducible construction the first imposed matrix leaves one
+    basis matrix, the identity, and no later image is decomposed."""
+    rep = _construction(branches, ORACLE_DIMS[branches][0])
+    assert rep.n0 >= 2
+    calls = _counting_nullspace(monkeypatch)
+    assert commutant_dimension(rep) == 1
+    assert len(calls) == 1
+
+
+def test_commutant_of_one_dimensional_rep_imposes_nothing(monkeypatch):
+    """With n0 = 1 the start is the identity alone: the result is 1 and no
+    image is decomposed."""
+    inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
+    one, zero = np.eye(1), np.zeros((1, 1))
+    rep = AlgebraRep(instance=inst, n0=1, projections=((one, zero),) * 3)
+    calls = _counting_nullspace(monkeypatch)
+    assert commutant_dimension(rep) == stacked_commutant_dimension(rep) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("shift_first", [False, True])
@@ -379,6 +402,18 @@ def test_verify_graph_rep_empty_edge_maps(e6):
     assert all(m.size == 0 for m in rep.ops.values())
     report = verify_graph_rep(e6, rep)
     assert report.overall, report.failures()
+
+
+
+@pytest.mark.parametrize("f", [(1, 2, 1), (1, 2, 1, 2, 1, 2, 0, 5)])
+def test_verify_graph_rep_reports_character_of_wrong_length(e6, f):
+    """A character that is not one value per vertex fails its check, and no
+    vertex operator is built from it."""
+    rep = simple_rep(e6, e6.root)
+    report = verify_graph_rep(e6, rep, f=f)
+    assert not report.overall
+    assert [name for name, _, _ in report.failures()] == ["character"]
+    assert not any(name.startswith("scalar@") for name, _, _ in report.checks)
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,24 @@ Three decision routes:
 * ``horn_check_e6``: the level-hyperplane case, decided by twelve strict
   Horn-type inequalities in the minimal imaginary-root dimension.
 
-``solve`` orchestrates the routes and scans candidate real-root dimensions.
+``solve`` orchestrates the routes.  On the E6~ hyperplane it runs the Horn
+test first: delta has root entry 3 and every candidate real-root dimension
+has root entry >= 4, so in the scan order by root entry the imaginary root
+comes before every candidate.  It then scans the candidates.
+
 Every condition is homogeneous with integer coefficients, so each route
 clears denominators once and sums ints; only certificates print Fractions.
+Each route turns its margins into a status by the one rule of ``_status``.
 The level test of ``solve``, ``on_hyperplane`` and ``horn_check_e6`` is the
 one pairing P(delta, f) = 0.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm as _lcm
-from typing import Literal, Optional
+from typing import Iterable, Literal, Optional
 
 from .coxeter import (
     EVEN,
@@ -53,7 +58,7 @@ from .roots import is_root, singular_and_regular_series
 from .transfer import (
     GeneralizedDimension,
     SpectralInstance,
-    mf_matrix,
+    _char,
     n_from_dim,
     nondegenerate_dim,
 )
@@ -76,6 +81,16 @@ class FeasibilityVerdict:
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
+
+
+def _status(strict: Iterable[int], equal: Iterable[int] = ()) -> Status:
+    """The margin rule of every route: infeasible if an equality margin is
+    nonzero or a strict margin is negative, degenerate if a strict margin
+    is 0, feasible otherwise."""
+    low = min(strict, default=1)
+    if any(equal) or low < 0:
+        return "infeasible"
+    return "degenerate" if low == 0 else "feasible"
 
 
 @dataclass(frozen=True)
@@ -120,12 +135,13 @@ def hyperplane(graph: StarGraph) -> Hyperplane:
 def _scaled_instance(
     graph: StarGraph, inst: SpectralInstance
 ) -> tuple[list[int], IVec, int]:
-    """chi and its character f = mf * chi as ints, with the one scale that
-    clears both (mf is unimodular over the integers)."""
+    """chi and its character f by the window rule of ``transfer``, as ints,
+    with the one scale that clears both (the rule is unimodular over the
+    integers)."""
     if inst.branch_lengths != graph.branch_lengths:
         raise FeasibilityError("instance does not match the graph")
     chint, scale = _scaled_character(inst.chi())
-    return chint, mat_vec(mf_matrix(graph), chint), scale
+    return chint, _char(graph, chint), scale
 
 
 def _on_level(graph: StarGraph, fint: IVec) -> bool:
@@ -176,19 +192,13 @@ def horn_check_e6(inst: SpectralInstance) -> FeasibilityVerdict:
     margins = [sum(c * x for c, x in zip(coeffs, chint)) for _, coeffs in HORN_E6]
     cert = [(name, str(Q(m, scale)), m > 0)
             for (name, _), m in zip(HORN_E6, margins)]
-    low = min(margins)
-    if low == 0:
+    status = _status(margins)
+    if status == "degenerate":
         cert.append(("boundary", "existence undecided at equality", False))
-    if low <= 0:
-        return FeasibilityVerdict(
-            status="infeasible" if low < 0 else "degenerate",
-            branch_taken="horn_hyperplane", certificate=tuple(cert),
-        )
-    return FeasibilityVerdict(
-        status="feasible", branch_taken="horn_hyperplane",
-        witness_dimension=GeneralizedDimension(n0=3, branches=((1, 1),) * 3),
-        certificate=tuple(cert),
-    )
+    witness = (GeneralizedDimension(n0=3, branches=((1, 1),) * 3)
+               if status == "feasible" else None)
+    return FeasibilityVerdict(status=status, branch_taken="horn_hyperplane",
+                              witness_dimension=witness, certificate=tuple(cert))
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +319,11 @@ def closed_form_e6(
     cert = tuple((f"condition {i + 1}", str(Q(v, scale)), v > 0)
                  for i, v in enumerate(vals[:6]))
     cert += (("terminal", str(Q(vals[6], scale)), vals[6] == 0),)
-    branch = f"closed_form({family.name}, k={k})"
-    if vals[6] != 0 or any(v < 0 for v in vals[:6]):
-        return FeasibilityVerdict(status="infeasible", branch_taken=branch,
-                                  certificate=cert)
-    if any(v == 0 for v in vals[:6]):
-        return FeasibilityVerdict(status="degenerate", branch_taken=branch,
-                                  certificate=cert)
-    d = trajectory_dim(graph, family, k)
-    witness = n_from_dim(graph, d)
-    return FeasibilityVerdict(status="feasible", branch_taken=branch,
+    status = _status(vals[:6], vals[6:])
+    witness = (n_from_dim(graph, trajectory_dim(graph, family, k))
+               if status == "feasible" else None)
+    return FeasibilityVerdict(status=status,
+                              branch_taken=f"closed_form({family.name}, k={k})",
                               witness_dimension=witness, certificate=cert)
 
 
@@ -441,16 +446,10 @@ def _check_walk(
             ),
         )
         cert = (steps_entry,) + cert
-    if eq != 0 or any(v < 0 for v in strict):
-        return FeasibilityVerdict(status="infeasible", branch_taken="iterative",
-                                  certificate=cert), states
-    if any(v == 0 for v in strict):
-        return FeasibilityVerdict(status="degenerate", branch_taken="iterative",
-                                  certificate=cert), states
-    return FeasibilityVerdict(
-        status="feasible", branch_taken="iterative",
-        witness_dimension=n_from_dim(graph, d), certificate=cert,
-    ), states
+    status = _status(strict, (eq,))
+    witness = n_from_dim(graph, d) if status == "feasible" else None
+    return FeasibilityVerdict(status=status, branch_taken="iterative",
+                              witness_dimension=witness, certificate=cert), states
 
 
 # ---------------------------------------------------------------------------
@@ -491,66 +490,48 @@ def solve(
 ) -> FeasibilityVerdict:
     """Decide existence of an irreducible non-degenerate representation.
 
-    On the hyperplane the imaginary-root dimension is tested by the Horn
-    criterion (for the (2,2,2) star); real-root dimensions are scanned in
-    order of increasing ambient dimension up to the bound.  Off the
-    hyperplane no imaginary-root witness is possible, so the scan is
-    exhaustive for the reported window.
+    Dimensions are tried in order of root entry.  On the hyperplane of the
+    (2,2,2) star the imaginary root delta comes first, decided by the Horn
+    criterion: a nondegenerate dimension with root entry 3 has the chains
+    1 < 2 < 3 on every branch, which is delta, so every candidate has root
+    entry >= 4.  On the other stars' hyperplanes delta is not decided, and
+    the certificate says so.  Real-root dimensions are then scanned up to
+    the bound.  Off the hyperplane no imaginary-root witness is possible,
+    so the scan is exhaustive for the reported window.
     """
     cls = classify(graph)
     if cls.kind != "ExtendedDynkin":
         raise FeasibilityError("solve requires an extended Dynkin star")
     check_scan_bound(scan_bound)
     _, fint, scale = _scaled_instance(graph, inst)
-    on_h = _on_level(graph, fint)
-    is_e6 = cls.name == "E6~"
-    horn: Optional[FeasibilityVerdict] = None
-    horn_note = None
-    if on_h and is_e6:
-        horn = horn_check_e6(inst)
-    elif on_h:
-        horn_note = (
-            "hyperplane_regime",
-            "imaginary-root existence not decided for this graph",
-            False,
-        )
-    candidates = candidate_dimensions(graph, scan_bound)
-    delta_n0 = cls.delta[graph.root]
-    scanned = 0
     boundary_seen = False
-    for d in candidates:
-        if horn is not None and d[graph.root] > delta_n0:
+    note: tuple = ()
+    if _on_level(graph, fint):
+        if cls.name == "E6~":
+            horn = horn_check_e6(inst)
             if horn.feasible:
                 return horn
-            boundary_seen = boundary_seen or horn.status == "degenerate"
-            horn = None
+            boundary_seen = horn.status == "degenerate"
+        else:
+            note = (("hyperplane_regime",
+                     "imaginary-root existence not decided for this graph", False),)
+    candidates = candidate_dimensions(graph, scan_bound)
+    for d in candidates:
         # every candidate b + k*delta is a positive real root of nonzero
         # defect; a nonzero pairing settles it without a walk
-        scanned += 1
         if pairing(graph, d, fint) != 0:
             continue
         verdict = _check_walk(graph, d, fint, scale, False)[0]
         if verdict.feasible:
-            return FeasibilityVerdict(
-                status="feasible",
-                branch_taken=f"iterative(d={list(d)})",
-                witness_dimension=verdict.witness_dimension,
-                certificate=verdict.certificate,
-            )
+            return replace(verdict, branch_taken=f"iterative(d={list(d)})")
         boundary_seen = boundary_seen or verdict.status == "degenerate"
-    if horn is not None:
-        if horn.feasible:
-            return horn
-        boundary_seen = boundary_seen or horn.status == "degenerate"
-    cert = [(
+    cert = ((
         "exhausted_scan",
         f"no feasible real-root dimension with root entry <= {scan_bound} "
-        f"({scanned} candidates tested)",
+        f"({len(candidates)} candidates tested)",
         True,
-    )]
-    if horn_note is not None:
-        cert.append(horn_note)
-    status: Status = "degenerate" if boundary_seen else "infeasible"
+    ),) + note
     return FeasibilityVerdict(
-        status=status, branch_taken="exhausted", certificate=tuple(cert)
+        status="degenerate" if boundary_seen else "infeasible",
+        branch_taken="exhausted", certificate=cert,
     )

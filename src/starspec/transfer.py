@@ -18,7 +18,6 @@ position i >= 1.  Both directions are unimodular over the integers.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -222,7 +221,6 @@ def nondegenerate_dim(graph: StarGraph, d: GVec) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=64)
 def mf_matrix(graph: StarGraph) -> IMat:
     """Matrix of char_from_chi: rows in vertex order, columns in chi order,
     read off its window rule on the unit chi vectors."""

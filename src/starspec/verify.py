@@ -79,13 +79,18 @@ def verify_graph_rep(
 ) -> VerificationReport:
     """Dimension match, one rootward map of shape (dims[near], dims[far])
     on each edge and no other map, and scalarity of every vertex operator
-    within ``RTOL * max |f|``.  Edge maps that fail, and a character that
-    is missing or not one value per vertex, are reported before any vertex
-    operator is built, so a malformed rep raises nothing."""
+    within ``RTOL * max |f|``.  Dims that are not one entry per vertex, edge
+    maps that fail, and a character that is missing or not one value per
+    vertex, are reported before any vertex operator is built, so a
+    malformed rep raises nothing."""
     checks = []
     if d is not None:
         ok = tuple(d) == rep.dims
         checks.append(("dimension", ok, f"{rep.dims} vs {tuple(d)}"))
+    if len(rep.dims) != graph.n_vertices:
+        checks.append(("dims", False, f"{len(rep.dims)} entries for "
+                       f"{graph.n_vertices} vertices"))
+        return VerificationReport(tuple(checks))
     edges = []
     for far, near in graph.edges:
         want = (rep.dims[near], rep.dims[far])

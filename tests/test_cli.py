@@ -20,7 +20,8 @@ def run_cli(capsys, *argv):
 
 
 GOLDEN = ROOT / "tests" / "data" / "golden"
-# one "name argv..." line per command, paths relative to the repository root
+# one "name exit-status argv..." line per command, paths relative to the
+# repository root
 GOLDEN_COMMANDS = [line.split() for line in
                    (GOLDEN / "commands.txt").read_text().splitlines() if line]
 
@@ -681,14 +682,16 @@ def test_closed_stdout_is_not_bad_input(argv):
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
-@pytest.mark.parametrize("name,argv", [(c[0], c[1:]) for c in GOLDEN_COMMANDS],
+@pytest.mark.parametrize("name,status,argv",
+                         [(c[0], int(c[1]), c[2:]) for c in GOLDEN_COMMANDS],
                          ids=[c[0] for c in GOLDEN_COMMANDS])
-def test_cli_stdout_matches_golden_file(capsys, monkeypatch, name, argv):
-    """stdout is byte-identical to tests/data/golden/<name>.txt; the CI smoke
-    step diffs the same commands run as `python -m starspec`."""
+def test_cli_stdout_matches_golden_file(capsys, monkeypatch, name, status, argv):
+    """stdout is byte-identical to tests/data/golden/<name>.txt and the exit
+    status is the listed one; the CI steps diff the same commands run as
+    `python -m starspec`."""
     monkeypatch.chdir(ROOT)
     code, out, err = run_cli(capsys, *argv)
-    assert (code, err) == (0, "")
+    assert (code, err) == (status, "")
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
 

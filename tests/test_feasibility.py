@@ -1,4 +1,7 @@
+import json
+import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +12,11 @@ from starspec import (
     FAMILY_ROOT,
     FeasibilityError,
     build_graph_rep,
+    TransferError,
     build_star,
     char_from_chi,
+    char_transport_up,
+    chi_from_char,
     closed_form_e6,
     horn_check_e6,
     hyperplane,
@@ -23,6 +29,7 @@ from starspec import (
 )
 from starspec.coxeter import reduction_schedule
 from starspec.feasibility import _scaled_character, candidate_dimensions, e6_graph
+from starspec.io import instance_from_dict
 from starspec.rational import identity, mat_mul
 from starspec.roots import RootError
 from starspec.transfer import n_from_dim
@@ -30,6 +37,7 @@ from starspec.transfer import n_from_dim
 from conftest import random_feasible_instance
 from oracles import fraction_horn_check
 
+DATA = Path(__file__).parent / "data"
 SYMMETRIC = make_instance([[2, 1], [2, 1], [2, 1]], 3)
 SKEWED = make_instance([[10, 1], [2, 1], [2, 1]], "17/3")
 
@@ -280,6 +288,32 @@ def test_oracle_equivalence_sample(e6, rng):
             assert agree == total, (fam.name, k)
 
 
+def test_closed_form_and_walk_agree_on_boundary_characters(e6):
+    """Terminal data with entries in -2..3 (terminal entry 0), transported
+    up the schedule, gives characters with zero and negative margins; the
+    closed form and the walk, with and without a trajectory, agree on every
+    one, and each family has degenerate verdicts among them."""
+    rng = random.Random(7)
+    for fam in FAMILIES.values():
+        seen = set()
+        for k in range(fam.min_k, fam.min_k + 3):
+            d = trajectory_dim(e6, fam, k)
+            sched = reduction_schedule(e6, d)
+            for _ in range(100):
+                f_term = [Q(rng.randint(-2, 3)) for _ in range(e6.n_vertices)]
+                f_term[sched.terminal] = Q(0)
+                f = char_transport_up(e6, sched, tuple(f_term))[-1]
+                try:
+                    inst = chi_from_char(e6, f)
+                except TransferError:
+                    continue
+                status = closed_form_e6(inst, fam, k).status
+                for walked in (True, False):
+                    assert iterative_feasible(e6, d, f, walked).status == status
+                seen.add(status)
+        assert "degenerate" in seen, (fam.name, seen)
+
+
 def test_iterative_examples(e6):
     # a simple seed with vanishing character value is feasible in 0 steps
     f = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 0))
@@ -449,6 +483,25 @@ def test_candidate_dimensions(e6):
 def test_solve_symmetric_horn(e6):
     v = solve(e6, SYMMETRIC)
     assert v.feasible and v.branch_taken == "horn_hyperplane"
+
+
+def test_e6_candidates_come_after_delta(e6):
+    """Every E6~ candidate has root entry above delta's 3, so ``solve``
+    decides delta by the Horn test before its scan."""
+    assert min(d[e6.root] for d in candidate_dimensions(e6, 200)) > 3
+
+
+@pytest.mark.parametrize("scan_bound", range(5))
+def test_solve_horn_at_small_bounds(e6, scan_bound):
+    """The Horn verdict does not depend on the scan bound: a feasible one is
+    returned, and a boundary one leaves the exhausted scan degenerate."""
+    inst = instance_from_dict(json.loads((DATA / "e6_horn.json").read_text()))
+    v = solve(e6, inst, scan_bound=scan_bound)
+    assert (v.status, v.branch_taken) == ("feasible", "horn_hyperplane")
+    boundary = make_instance([[2, 1], [2, 1], [4, 2]], 4)
+    assert horn_check_e6(boundary).status == "degenerate"
+    v = solve(e6, boundary, scan_bound=scan_bound)
+    assert (v.status, v.branch_taken) == ("degenerate", "exhausted")
 
 
 def test_solve_real_root_instance(e6, rng):

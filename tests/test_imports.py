@@ -38,8 +38,8 @@ EXPORTS = {
 }
 
 # Runs every golden command and --version through cli.main in a fresh
-# interpreter, checks each stdout against its golden file, and fails if
-# numpy was loaded on the way.
+# interpreter, checks each stdout against its golden file and each exit
+# status against the listed one, and fails if numpy was loaded on the way.
 DECIDE_WITHOUT_NUMPY = """
 import contextlib, io, sys
 from pathlib import Path
@@ -48,11 +48,11 @@ import starspec, starspec.io, starspec.cli
 
 golden = Path("tests/data/golden")
 for line in (golden / "commands.txt").read_text().splitlines():
-    name, *argv = line.split()
+    name, status, *argv = line.split()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = starspec.cli.main(argv)
-    assert code == 0, (name, code)
+    assert code == int(status), (name, code)
     assert out.getvalue() == (golden / f"{name}.txt").read_text(), name
 out = io.StringIO()
 with contextlib.redirect_stdout(out):

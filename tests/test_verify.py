@@ -404,6 +404,17 @@ def test_verify_graph_rep_empty_edge_maps(e6):
     assert report.overall, report.failures()
 
 
+def test_verify_graph_rep_reports_dims_of_wrong_length(e6, rng):
+    """Dims that are not one entry per vertex, too few or one too many,
+    fail their check before any edge map is read, and nothing raises."""
+    d, f, _ = random_feasible_instance(e6, FAMILY_ROOT, 5, rng)
+    rep = build_graph_rep(e6, d, f)
+    for dims in ((0, 0, 0), rep.dims + (5,)):
+        bad = GraphRep(graph=e6, dims=dims, ops=rep.ops, character=rep.character)
+        report = verify_graph_rep(e6, bad)
+        assert [name for name, _, _ in report.failures()] == ["dims"]
+        assert [name for name, _, _ in report.checks] == ["dims"]
+
 
 @pytest.mark.parametrize("f", [(1, 2, 1), (1, 2, 1, 2, 1, 2, 0, 5)])
 def test_verify_graph_rep_reports_character_of_wrong_length(e6, f):

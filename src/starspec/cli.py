@@ -58,7 +58,7 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 def _parse_branches(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p != ""]
+        return [int(p) for p in text.split(",")]
     except ValueError:
         raise GraphError(f"bad branch list {text!r}")
 

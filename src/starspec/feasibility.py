@@ -6,9 +6,10 @@ Three decision routes:
   pair through the alternating reflection schedule, checking the positivity
   preconditions stepwise; works on every extended Dynkin star.
 * ``closed_form_e6``: for the (2,2,2) star, evaluate seven frozen linear
-  conditions per trajectory family, transported by exact Coxeter matrix
-  products; equivalent to the iterative route on its domain, but computed
-  through an entirely different code path.
+  conditions per trajectory family at its anchor, on the character carried
+  down to the anchor by the full parity maps; equivalent to the iterative
+  route on its domain, but computed through an entirely different code
+  path.
 * ``horn_check_e6``: the level-hyperplane case, decided by twelve strict
   Horn-type inequalities in the minimal imaginary-root dimension.
 
@@ -42,7 +43,6 @@ from .coxeter import (
     defect,
     descent,
     pairing,
-    parity_matrix,
 )
 from .graph import (
     GVec,
@@ -53,7 +53,7 @@ from .graph import (
     is_positive_vector,
     unit_vector,
 )
-from .rational import IMat, Q, mat_mul, mat_vec
+from .rational import IMat, Q, mat_vec
 from .roots import is_root, singular_and_regular_series
 from .transfer import (
     GeneralizedDimension,
@@ -158,6 +158,9 @@ def on_hyperplane(graph: StarGraph, inst: SpectralInstance) -> bool:
 # Horn case for the (2,2,2) star
 # ---------------------------------------------------------------------------
 
+# the (2,2,2) star of the Horn and closed-form routes
+E6_STAR = build_star([2, 2, 2])
+
 # coefficients on (a1, a2, b1, b2, c1, c2); all inequalities are strict > 0
 HORN_E6: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("2(a1+b1) > a2+b2+c1+c2", (2, -1, 2, -1, -1, -1)),
@@ -182,11 +185,10 @@ def horn_check_e6(inst: SpectralInstance) -> FeasibilityVerdict:
     strict inequalities hold; equality in any of them is reported as a
     boundary case whose status the criterion does not decide.
     """
-    graph = e6_graph()
     if inst.branch_lengths != (2, 2, 2):
         raise FeasibilityError("the Horn criterion applies to the (2,2,2) star")
-    chint, fint, scale = _scaled_instance(graph, inst)
-    if not _on_level(graph, fint):
+    chint, fint, scale = _scaled_instance(E6_STAR, inst)
+    if not _on_level(E6_STAR, fint):
         raise FeasibilityError("instance is off the hyperplane")
     # zip stops at the six spectral values: gamma has no Horn coefficient
     margins = [sum(c * x for c, x in zip(coeffs, chint)) for _, coeffs in HORN_E6]
@@ -263,11 +265,6 @@ FAMILIES: dict[str, SeriesFamily] = {
 }
 
 
-@functools.lru_cache(maxsize=1)
-def e6_graph() -> StarGraph:
-    return build_star([2, 2, 2])
-
-
 def trajectory_dim(graph: StarGraph, family: SeriesFamily, k: int) -> IVec:
     """k-th dimension of a family: alternating reflections of the seed."""
     if k < 1:
@@ -278,30 +275,19 @@ def trajectory_dim(graph: StarGraph, family: SeriesFamily, k: int) -> IVec:
     return d
 
 
-@functools.lru_cache(maxsize=256)
-def _condition_matrix_e6(family_name: str, k: int) -> IMat:
-    """Seven f-side condition rows for the family's k-th dimension.
-
-    Built from the frozen anchor by full parity-matrix products; valid for
-    k at or above the anchor where every intermediate dimension is sincere.
-    """
-    family = FAMILIES[family_name]
-    graph = e6_graph()
-    rows = family.anchor_rows
-    for level in range(family.anchor_k + 1, k + 1):
-        rows = mat_mul(rows, parity_matrix(graph, _other(family.token_at(level))))
-    return rows
-
-
 def closed_form_e6(
     inst: SpectralInstance, family: SeriesFamily | str, k: int
 ) -> FeasibilityVerdict:
     """Decide existence in the family's k-th real-root dimension.
 
-    Feasible iff six transported character values are strictly positive and
-    the terminal one is exactly zero.  Only indices in the family's stated
-    non-degenerate range are allowed; smaller ones belong to the iterative
-    route.
+    The character is carried from level k down to the family's anchor, each
+    level by the full parity map opposite to the one that built it (at or
+    above the anchor every intermediate dimension is sincere, so no support
+    restriction applies), and the frozen anchor rows are applied once.
+    Feasible iff the six resulting condition values are strictly positive
+    and the terminal one is exactly zero.  Only indices in the family's
+    stated non-degenerate range are allowed; smaller ones belong to the
+    iterative route.
     """
     if isinstance(family, str):
         family = FAMILIES[family]
@@ -312,15 +298,15 @@ def closed_form_e6(
             f"index {k} below the closed-form range of family "
             f"'{family.name}' (needs k >= {family.min_k})"
         )
-    graph = e6_graph()
-    rows = _condition_matrix_e6(family.name, k)
-    _, fint, scale = _scaled_instance(graph, inst)
-    vals = mat_vec(rows, fint)
+    _, fint, scale = _scaled_instance(E6_STAR, inst)
+    for level in range(k, family.anchor_k, -1):
+        fint = coxeter_dim(E6_STAR, _other(family.token_at(level)), fint)
+    vals = mat_vec(family.anchor_rows, fint)
     cert = tuple((f"condition {i + 1}", str(Q(v, scale)), v > 0)
                  for i, v in enumerate(vals[:6]))
     cert += (("terminal", str(Q(vals[6], scale)), vals[6] == 0),)
     status = _status(vals[:6], vals[6:])
-    witness = (n_from_dim(graph, trajectory_dim(graph, family, k))
+    witness = (n_from_dim(E6_STAR, trajectory_dim(E6_STAR, family, k))
                if status == "feasible" else None)
     return FeasibilityVerdict(status=status,
                               branch_taken=f"closed_form({family.name}, k={k})",
@@ -368,6 +354,9 @@ def _walk_pair(
     """``iterative_feasible`` together with the states of its walk (none
     when the trace identity settles the pair) and the common denominator
     of their integer characters; ``build_graph_rep`` replays the states."""
+    if len(f) != graph.n_vertices:
+        raise FeasibilityError(f"character has {len(f)} values for "
+                               f"{graph.n_vertices} vertices")
     if is_root(graph, d) != "real" or not is_positive_vector(d):
         raise FeasibilityError(f"dimension {d} is not a positive real root")
     dfc = defect(graph, d)

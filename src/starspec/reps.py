@@ -90,13 +90,6 @@ class GraphRep:
             return self.ops[(a, b)].conj().T
         raise RepError(f"({a},{b}) is not an edge")
 
-    def vertex_operator(self, g: int) -> np.ndarray:
-        out = np.zeros((self.dims[g], self.dims[g]))
-        for h in self.graph.neighbors[g]:
-            m = self.gamma(g, h)
-            out = out + m @ m.conj().T
-        return out
-
 
 def _zero_ops(graph: StarGraph, dims: Sequence[int]) -> dict:
     out = {}
@@ -365,29 +358,20 @@ class AlgebraRep:
     projections: tuple[tuple[np.ndarray, ...], ...]
 
     def branch_operator(self, j: int) -> np.ndarray:
-        out = np.zeros((self.n0, self.n0))
-        for a, p in zip(self.instance.branches[j], self.projections[j]):
-            out = out + float(a) * p
-        return out
+        """sum_k a_k P_k over branch j, added up in spectrum order."""
+        return sum((float(a) * p for a, p in
+                    zip(self.instance.branches[j], self.projections[j])),
+                   np.zeros((self.n0, self.n0)))
 
-    def weighted_sum(
-        self, branch_ops: Optional[Sequence[np.ndarray]] = None,
-    ) -> np.ndarray:
-        """Sum of the branch operators in branch order; ``branch_ops``
-        passes them already built."""
-        if branch_ops is None:
-            branch_ops = [self.branch_operator(j)
-                          for j in range(len(self.projections))]
-        out = np.zeros((self.n0, self.n0))
-        for op in branch_ops:
-            out = out + op
-        return out
+    def weighted_sum(self) -> np.ndarray:
+        """Sum of the branch operators, added up in branch order."""
+        return sum(map(self.branch_operator, range(len(self.projections))),
+                   np.zeros((self.n0, self.n0)))
 
-    def residual(
-        self, branch_ops: Optional[Sequence[np.ndarray]] = None,
-    ) -> float:
-        """Largest entry modulus of the weighted sum minus gamma I."""
-        return float(np.abs(self.weighted_sum(branch_ops)
+    def residual(self) -> float:
+        """Largest entry modulus of the weighted sum minus gamma I; ``verify``
+        recomputes it from the projections, in the same order."""
+        return float(np.abs(self.weighted_sum()
                             - float(self.instance.gamma) * np.eye(self.n0)).max())
 
     def generalized_dimension(self) -> GeneralizedDimension:

@@ -1,8 +1,10 @@
 """Independent checks of constructed representations.
 
-Everything here recomputes properties from the raw matrices: scalarity of
-vertex operators, projection axioms, spectra, the exact rank-level trace
-identity, and irreducibility via the dimension of the commutant.
+Everything here recomputes properties from the raw matrices and the
+instance, with no method of the representation judged: scalarity of vertex
+operators built from the edge maps, projection axioms, the weighted sum
+and spectra of branch operators built from the projections, the exact
+rank-level trace identity, and irreducibility via the commutant dimension.
 
 For a tuple of projections the commutant (X with PX = XP for every given P)
 is found on a shrinking basis instead of one stacked k n0^2 x n0^2 system.
@@ -111,7 +113,12 @@ def verify_graph_rep(
     for g in range(graph.n_vertices):
         if rep.dims[g] == 0:
             continue
-        op = rep.vertex_operator(g)
+        # sum over neighbours h of T T^* with T: H_h -> H_g, the rootward
+        # map or the adjoint of one
+        op = np.zeros((rep.dims[g], rep.dims[g]))
+        for h in graph.neighbors[g]:
+            t = rep.ops[(h, g)] if (h, g) in rep.ops else rep.ops[(g, h)].conj().T
+            op = op + t @ t.conj().T
         res = float(np.abs(op - float(f[g]) * np.eye(rep.dims[g])).max())
         checks.append(
             (f"scalar@{graph.vertex_label(g)}", res <= bound, f"residual {res:.3e}")
@@ -123,10 +130,19 @@ def verify_algebra_rep(rep: AlgebraRep) -> VerificationReport:
     """Projection axioms, weighted sum, non-degeneracy, spectra, trace rank
     identity.  The weighted sum and the spectra pass within ``RTOL * s``
     (s from `transfer.instance_scale`).  Entries that overflow fail checks
-    and raise nothing."""
-    checks = []
+    and raise nothing.  A rep without one n0 x n0 projection per spectrum
+    point on every branch gets one failed check and no arithmetic, so it
+    raises nothing either."""
     inst = rep.instance
     n0 = rep.n0
+    counts = tuple(map(len, rep.projections))
+    shapes = {np.shape(p) for branch in rep.projections for p in branch}
+    if counts != inst.branch_lengths or shapes - {(n0, n0)}:
+        return VerificationReport((("projections", False,
+                                    f"counts {counts} for spectra of lengths "
+                                    f"{inst.branch_lengths}, shapes {sorted(shapes)}"
+                                    f" for n0 {n0}"),))
+    checks = []
     for j, branch in enumerate(rep.projections):
         for k, p in enumerate(branch):
             herm = float(np.abs(p - p.conj().T).max())
@@ -148,9 +164,12 @@ def verify_algebra_rep(rep: AlgebraRep) -> VerificationReport:
                     )
                 )
     bound = RTOL * instance_scale(inst)
-    # built once, for the weighted sum and for the spectra
-    branch_ops = [rep.branch_operator(j) for j in range(len(rep.projections))]
-    res = rep.residual(branch_ops)
+    # each sum_k a_k P_k is built once, for the weighted sum and the spectra;
+    # the sums run in the order of AlgebraRep.residual, which so agrees bitwise
+    operators = [sum((float(a) * p for a, p in zip(spec, branch)), np.zeros((n0, n0)))
+                 for spec, branch in zip(inst.branches, rep.projections)]
+    res = float(np.abs(sum(operators, np.zeros((n0, n0)))
+                       - float(inst.gamma) * np.eye(n0)).max())
     checks.append(("weighted sum = gamma I", res <= bound,
                    f"residual {res:.3e}, bound {bound:.3e}"))
     traces = [[float(np.real(np.trace(p))) for p in branch]
@@ -174,7 +193,7 @@ def verify_algebra_rep(rep: AlgebraRep) -> VerificationReport:
                 f"sum of ranks {total} vs n0 {n0}",
             )
         )
-    for j, a_op in enumerate(branch_ops):
+    for j, a_op in enumerate(operators):
         allowed = np.array([float(a) for a in inst.branches[j]] + [0.0])
         # eigvalsh may not converge on an operator that overflowed
         worst = (float(np.abs(np.linalg.eigvalsh(a_op)[:, None] - allowed)

@@ -12,6 +12,8 @@
 * The root table of an extended star by a scan of the box 0 <= x <= delta.
 * One-vertex reflections, the form's Gram matrix and branch permutations,
   the single steps that the library only takes in bulk or never.
+* The vertex operator of a graph representation read through
+  `GraphRep.gamma`, which `starspec.verify` builds from the edge maps.
 * The reflection replay with one `GraphRep` per step, each block read
   through `GraphRep.gamma` and stored by an orientation test, and the Horn
   sweep with its constants rebuilt on every pass, to check the library's
@@ -100,6 +102,15 @@ def hom_dimension(rep1: GraphRep, rep2: GraphRep) -> int:
     if system.shape[0] == 0:
         return total
     return total - _rank(np.linalg.svd(system, compute_uv=False))
+
+
+def vertex_operator(rep: GraphRep, g: int) -> np.ndarray:
+    """Sum over the neighbours h of g of T T^* with T = gamma(g, h)."""
+    out = np.zeros((rep.dims[g], rep.dims[g]))
+    for h in rep.graph.neighbors[g]:
+        m = rep.gamma(g, h)
+        out = out + m @ m.conj().T
+    return out
 
 
 def reflect(graph, g: int, x: tuple) -> tuple:

@@ -688,11 +688,16 @@ def test_closed_stdout_is_not_bad_input(argv):
 def test_cli_stdout_matches_golden_file(capsys, monkeypatch, name, status, argv):
     """stdout is byte-identical to tests/data/golden/<name>.txt and the exit
     status is the listed one; the CI steps diff the same commands run as
-    `python -m starspec`."""
+    `python -m starspec`.  stderr is empty, except after a usage error
+    (exit 64), where it is one JSON error line."""
     monkeypatch.chdir(ROOT)
     code, out, err = run_cli(capsys, *argv)
-    assert (code, err) == (status, "")
+    assert code == status
     assert out == (GOLDEN / f"{name}.txt").read_text()
+    if status == 64:
+        assert set(json.loads(err)) == {"error", "message"}
+    else:
+        assert err == ""
 
 
 # Runs construct and verify through cli.main in an interpreter where numpy

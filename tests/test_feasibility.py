@@ -28,7 +28,7 @@ from starspec import (
     unit_vector,
 )
 from starspec.coxeter import reduction_schedule
-from starspec.feasibility import _scaled_character, candidate_dimensions, e6_graph
+from starspec.feasibility import _scaled_character, candidate_dimensions
 from starspec.io import instance_from_dict
 from starspec.rational import identity, mat_mul
 from starspec.roots import RootError
@@ -139,18 +139,18 @@ def test_horn_skewed_infeasible():
     assert "a2+b1+b2+c1+c2 > 2a1" in names
 
 
-def test_horn_symmetry_coincidence():
+def test_horn_symmetry_coincidence(e6):
     inst = make_instance([[3, 1], [3, 1], [3, 1]], 4)
-    assert on_hyperplane(e6_graph(), inst)
+    assert on_hyperplane(e6, inst)
     v = horn_check_e6(inst)
     margins = [m for _, m, _ in v.certificate]
     assert margins[0] == margins[1] == margins[2]
 
 
-def test_horn_boundary_flagged():
+def test_horn_boundary_flagged(e6):
     # 2(a1+b1) = a2+b2+c1+c2 exactly, no inequality violated
     inst = make_instance([[4, 2], [4, 2], [8, 4]], 8)
-    assert on_hyperplane(e6_graph(), inst)
+    assert on_hyperplane(e6, inst)
     v = horn_check_e6(inst)
     assert v.status == "degenerate"
 
@@ -174,13 +174,13 @@ def _horn_instance(rest, target, scale=1):
     (Q(0), "degenerate"), (Q(1, 6), "feasible"), (Q(-1, 6), "infeasible"),
 ])
 @pytest.mark.parametrize("scale", [1, 10**15 + 37])
-def test_horn_margins_near_zero_match_fraction_reference(target, status, scale):
+def test_horn_margins_near_zero_match_fraction_reference(e6, target, status, scale):
     """Margins exactly 0 and +-1/6, at moderate and at huge magnitudes,
     with non-integer gamma: the integer margins give the status and the
     certificate text of the Fraction sums."""
     inst = _horn_instance((10, 21, 10, 20, 10), target, scale)
     assert inst.gamma.denominator != 1
-    assert on_hyperplane(e6_graph(), inst)
+    assert on_hyperplane(e6, inst)
     v = horn_check_e6(inst)
     assert v.status == status
     assert v.certificate[11][1] == str(target)
@@ -325,6 +325,20 @@ def test_iterative_examples(e6):
     # non-roots are rejected
     with pytest.raises(FeasibilityError):
         iterative_feasible(e6, tuple(Q(2) for _ in range(7)), f)
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["8_values", "6_values"])
+def test_character_of_wrong_length_is_rejected(e6, rng, extra):
+    """A character needs one value per vertex: on E6~ an 8-value one was
+    judged feasible and built into a rep with 8 character entries, and a
+    6-value one raised a bare IndexError."""
+    d, f, _ = random_feasible_instance(e6, FAMILY_ROOT, 5, rng)
+    f = f + (1,) if extra > 0 else f[:-1]
+    for run in (lambda: iterative_feasible(e6, d, f),
+                lambda: iterative_feasible(e6, d, f, collect_trajectory=False),
+                lambda: build_graph_rep(e6, d, f)):
+        with pytest.raises(FeasibilityError, match="values for 7 vertices"):
+            run()
 
 
 def test_iterative_scaling_covariance(e6, rng):
@@ -569,19 +583,29 @@ def test_feasible_witness_trace_identity(e6, rng):
     assert trace_pairing(sym, hv.witness_dimension) == 0
 
 
-def test_closed_form_matches_paper_recursion_shape(e6):
-    """The transported condition matrix factors through full parity products
-    exactly (no support correction needed above the anchors)."""
+def test_closed_form_matches_paper_recursion_shape(e6, rng):
+    """The closed form's seven values at level k are the anchor rows times
+    the full parity matrices of every level above the anchor (no support
+    correction is needed there), applied to the character."""
     from starspec.coxeter import parity_matrix
-    from starspec.feasibility import _condition_matrix_e6
+    from starspec.rational import mat_vec
 
     for fam in FAMILIES.values():
         rows = fam.anchor_rows
-        for level in range(fam.anchor_k + 1, fam.anchor_k + 5):
+        for level in range(fam.anchor_k + 1, fam.min_k + 31):
             token = fam.token_at(level)
             other = "odd" if token == "even" else "even"
             rows = mat_mul(rows, parity_matrix(e6, other))
-            assert rows == _condition_matrix_e6(fam.name, level)
+            if level < fam.min_k:
+                continue
+            vals = sorted(rng.sample(range(1, 120), 6), reverse=True)
+            drawn = make_instance([[Q(v, 2) for v in vals[i:i + 2]]
+                                   for i in (0, 2, 4)], rng.randint(1, 150))
+            built = random_feasible_instance(e6, fam, level, rng)[2]
+            for inst in (drawn, built):
+                cert = closed_form_e6(inst, fam, level).certificate
+                assert tuple(Q(value) for _, value, _ in cert) == mat_vec(
+                    rows, char_from_chi(e6, inst)), (fam.name, level)
 
 
 def test_horn_and_closed_form_scaling_covariance(e6, rng):

@@ -24,7 +24,7 @@ from starspec import (
 )
 from starspec import verify
 from starspec.reps import AlgebraRep, GraphRep
-from starspec.io import instance_from_dict
+from starspec.io import gen_dim_from_dict, instance_from_dict
 from starspec.transfer import SpectralInstance
 from starspec.verify import RTOL, commutant_dimension, instance_scale
 
@@ -32,6 +32,8 @@ from conftest import (
     ORACLE_CASES, ORACLE_DIMS, feasible_character, random_feasible_instance,
 )
 from oracles import hom_dimension, stacked_commutant_dimension
+
+DATA = Path(__file__).parent / "data"
 
 
 def _unitary(n, rng):
@@ -507,31 +509,97 @@ def test_scale_ladder_hyperplane_rep(scale):
     _check_ladder(rep)
 
 
+def _methods(cls):
+    return [name for name, value in vars(cls).items()
+            if callable(value) and not name.startswith("__")]
+
+
+def _forbid_methods(monkeypatch, cls, called):
+    """Replace every method of ``cls`` by one that records its name."""
+    for name in _methods(cls):
+        monkeypatch.setattr(cls, name, lambda *args, _name=name: called.append(_name))
+
+
 @pytest.mark.parametrize("route", ["reflection", "horn"])
 def test_verify_builds_each_branch_operator_once(monkeypatch, route):
-    """verify_algebra_rep builds each branch operator once, for both the
-    weighted sum and the spectra, and its weighted-sum check reports
-    AlgebraRep.residual() unchanged."""
+    """verify_algebra_rep builds each branch operator once, itself, for both
+    the weighted sum and the spectra: it calls AlgebraRep.branch_operator,
+    and every other AlgebraRep method, 0 times, and its weighted-sum check
+    still reports AlgebraRep.residual() exactly."""
     if route == "reflection":
         rep = _construction((1, 2, 5), (7, 5, 10, 2, 5, 8, 10, 12, 15))
     else:
         rep = build_hyperplane_rep(make_instance([[20, 10], [21, 9], [19, 11]], 30))
     res = rep.residual()
     bound = RTOL * instance_scale(rep.instance)
-    build = AlgebraRep.branch_operator
-    assert rep.residual([build(rep, j) for j in range(3)]) == res
-    built = []
-
-    def counted(self, j):
-        built.append(j)
-        return build(self, j)
-
-    monkeypatch.setattr(AlgebraRep, "branch_operator", counted)
+    called = []
+    assert "branch_operator" in _methods(AlgebraRep)
+    _forbid_methods(monkeypatch, AlgebraRep, called)
     report = verify_algebra_rep(rep)
-    assert built == [0, 1, 2]
+    assert called == []
     assert report.overall, report.failures()
     assert ("weighted sum = gamma I", True,
             f"residual {res:.3e}, bound {bound:.3e}") in report.checks
+
+
+def test_verify_graph_rep_calls_no_method_of_the_rep(monkeypatch, e6, rng):
+    """verify_graph_rep builds every vertex operator from the edge maps
+    itself, with no method of GraphRep, and passes a functor-built rep."""
+    d, f, _ = random_feasible_instance(e6, FAMILY_ROOT, 6, rng)
+    rep = build_graph_rep(e6, d, f)
+    called = []
+    _forbid_methods(monkeypatch, GraphRep, called)
+    report = verify_graph_rep(e6, rep, d, f)
+    assert called == []
+    assert report.overall, report.failures()
+    assert sum(name.startswith("scalar@") for name, _, _ in report.checks) == 7
+
+
+def _data_construction(name):
+    """The reflection-functor rep of tests/data/<name>.json, in the witness
+    dimension or in the one of <name>_dimension.json when that exists."""
+    inst = instance_from_dict(json.loads((DATA / f"{name}.json").read_text()))
+    g = build_star(inst.branch_lengths)
+    dim_file = DATA / f"{name}_dimension.json"
+    n = (gen_dim_from_dict(json.loads(dim_file.read_text())) if dim_file.exists()
+         else solve(g, inst).witness_dimension)
+    rep = build_graph_rep(g, dim_from_n(g, n), char_from_chi(g, inst))
+    return to_algebra_rep(g, rep, inst)
+
+
+def _extra_projection(rep):
+    """Branch 1 gains the rank-one projection onto a kernel vector of its
+    projections: Hermitian, idempotent and orthogonal to the others."""
+    first = rep.projections[0]
+    x = np.linalg.eigh(sum(first))[1][:, 0]
+    return ((*first, np.outer(x, x.conj())),) + rep.projections[1:]
+
+
+def _extra_branch(rep):
+    return rep.projections + (rep.projections[0],)
+
+
+def _padded_projection(rep):
+    """P1^(1) padded by a zero row and column: a projection, not n0 x n0."""
+    first = rep.projections[0]
+    return ((np.pad(first[0], ((0, 1), (0, 1))), *first[1:]),) + rep.projections[1:]
+
+
+@pytest.mark.parametrize("malform", [_extra_projection, _extra_branch,
+                                     _padded_projection],
+                         ids=["extra_projection", "extra_branch", "padded"])
+@pytest.mark.parametrize("name", ["e8_feasible", "e8_n0_15", "e6_close_spectrum"])
+def test_verify_reports_malformed_projection_tuples(name, malform):
+    """A tuple without one n0 x n0 projection per spectrum point on every
+    branch gets exactly one failed check and raises nothing: an extra
+    projection was dropped by the zips of the weighted sum and the trace
+    identity and passed, an extra branch raised IndexError and a padded
+    projection numpy's broadcast ValueError."""
+    rep = _data_construction(name)
+    assert verify_algebra_rep(rep).overall
+    bad = AlgebraRep(instance=rep.instance, n0=rep.n0, projections=malform(rep))
+    report = verify_algebra_rep(bad)
+    assert [(check, ok) for check, ok, _ in report.checks] == [("projections", False)]
 
 
 def test_small_scale_move_is_rejected():
@@ -539,7 +607,7 @@ def test_small_scale_move_is_rejected():
     instance whose branch-3 top two points (ranks 1 and 1) moved by +-1e-9,
     1.3e-5 relative to that branch's a_1: an absolute bound of 1e-9 on the
     weighted sum accepted this representation."""
-    data = json.loads((Path(__file__).parent / "data" / "e8_feasible.json").read_text())
+    data = json.loads((DATA / "e8_feasible.json").read_text())
     inst = _scaled(instance_from_dict(data), Fraction(1, 10**6))
     g = build_star(inst.branch_lengths)
     verdict = solve(g, inst)

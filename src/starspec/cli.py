@@ -131,7 +131,7 @@ def cmd_coxeter(args) -> int:
     except (KeyError, TypeError):
         raise IOError_("pair file needs 'd' and 'f'") from None
     pair = DimCharPair(gvec_in(graph, d), gvec_in(graph, f))
-    tokens = [t.strip() for t in args.word.split(",") if t.strip()]
+    tokens = [t.strip() for t in args.word.split(",")]
     for t in tokens:
         if t not in ("even", "odd"):
             return _fail(EXIT_USAGE, "bad_token", f"unknown token {t!r}")

@@ -19,7 +19,6 @@ even when the defect is negative and odd when it is positive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
@@ -131,8 +130,7 @@ def descent(graph: StarGraph, d: IVec) -> Iterator[tuple[IVec, Optional[Token]]]
         token = _other(token)
 
 
-@dataclass(frozen=True)
-class ReductionSchedule:
+class ReductionSchedule(NamedTuple):
     """Alternating functor schedule taking a dimension down to a simple one.
 
     ``steps[i]`` is the (dimension, token) state before the i-th application;

@@ -27,10 +27,9 @@ one pairing P(delta, f) = 0.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm as _lcm
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Literal, NamedTuple, Optional
 
 from .coxeter import (
     EVEN,
@@ -71,12 +70,11 @@ class FeasibilityError(ValueError):
 Status = Literal["feasible", "infeasible", "degenerate"]
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     status: Status
     branch_taken: str
     witness_dimension: Optional[GeneralizedDimension] = None
-    certificate: tuple = field(default_factory=tuple)
+    certificate: tuple = ()
 
     @property
     def feasible(self) -> bool:
@@ -93,8 +91,7 @@ def _status(strict: Iterable[int], equal: Iterable[int] = ()) -> Status:
     return "degenerate" if low == 0 else "feasible"
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """Level condition <coeffs, chi> = 0, displayed as spectra sum = c*gamma.
 
     The coefficients are the (int) ranks attached to the radical generator
@@ -207,8 +204,7 @@ def horn_check_e6(inst: SpectralInstance) -> FeasibilityVerdict:
 # Closed-form route on the (2,2,2) star
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesFamily:
+class SeriesFamily(NamedTuple):
     """One simple-seeded trajectory family of real-root dimensions."""
 
     name: str
@@ -512,7 +508,7 @@ def solve(
             continue
         verdict = _check_walk(graph, d, fint, scale, False)[0]
         if verdict.feasible:
-            return replace(verdict, branch_taken=f"iterative(d={list(d)})")
+            return verdict._replace(branch_taken=f"iterative(d={list(d)})")
         boundary_seen = boundary_seen or verdict.status == "degenerate"
     cert = ((
         "exhausted_scan",

@@ -9,10 +9,9 @@ order: dimension vectors and roots hold ints, characters hold rationals.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Literal, Optional, Sequence
+from typing import Literal, NamedTuple, Optional, Sequence
 
 from .rational import QVec
 
@@ -28,8 +27,7 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StarGraph:
+class StarGraph(NamedTuple):
     """Star-shaped tree with a proper 2-coloring (root is odd).
 
     ``branches[b]`` lists vertex indices of branch ``b`` from the leaf
@@ -40,13 +38,13 @@ class StarGraph:
     """
 
     branch_lengths: tuple[int, ...]
-    branches: tuple[tuple[int, ...], ...] = field(repr=False)
-    root: int = field(repr=False)
-    neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
-    parity: tuple[Parity, ...] = field(repr=False)
-    odd: tuple[int, ...] = field(repr=False)
-    even: tuple[int, ...] = field(repr=False)
-    edges: tuple[tuple[int, int], ...] = field(repr=False)
+    branches: tuple[tuple[int, ...], ...]
+    root: int
+    neighbors: tuple[tuple[int, ...], ...]
+    parity: tuple[Parity, ...]
+    odd: tuple[int, ...]
+    even: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
 
     @property
     def n_vertices(self) -> int:
@@ -127,8 +125,7 @@ def bilinear_form(graph: StarGraph, x: GVec, y: GVec) -> int | Fraction:
     return tits_form(graph, xy) - tits_form(graph, x) - tits_form(graph, y)
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     """Classification of a star graph by its quadratic form.
 
     kind 'Dynkin': form positive definite.  kind 'ExtendedDynkin': positive

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,8 +67,7 @@ class ConstructionError(RepError):
     """The numerical constructor failed to reach its target residual."""
 
 
-@dataclass
-class GraphRep:
+class GraphRep(NamedTuple):
     """Finite-dimensional representation of a star graph.
 
     ``ops[(far, near)]`` holds the rootward map H_far -> H_near for each
@@ -79,7 +77,8 @@ class GraphRep:
 
     graph: StarGraph
     dims: tuple[int, ...]
-    ops: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    # no default: a NamedTuple default is one dict shared by every rep
+    ops: dict[tuple[int, int], np.ndarray]
     character: Optional[GVec] = None
 
     def gamma(self, a: int, b: int) -> np.ndarray:
@@ -348,8 +347,7 @@ def _layout(
     return GraphRep(graph=graph, dims=tuple(dims), ops=ops, character=character)
 
 
-@dataclass
-class AlgebraRep:
+class AlgebraRep(NamedTuple):
     """Tuple of orthoprojections P_k per branch with sum_k a_k P_k summing
     to gamma times the identity across branches."""
 

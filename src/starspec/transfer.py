@@ -18,9 +18,8 @@ position i >= 1.  Both directions are unimodular over the integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import ODD, GVec, IVec, StarGraph
 from .rational import IMat, Q, matrix_of, parse_fraction
@@ -30,19 +29,22 @@ class TransferError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SpectralInstance:
-    """Target spectra per branch (strictly decreasing, positive) and gamma.
-
-    The zero eigenvalue every branch operator may carry is implicit and not
-    stored.
-    """
-
+class _SpectralFields(NamedTuple):
     branches: tuple[tuple[Fraction, ...], ...]
     gamma: Fraction
 
-    def __post_init__(self):
-        for j, spec in enumerate(self.branches):
+
+class SpectralInstance(_SpectralFields):
+    """Target spectra per branch (strictly decreasing, positive) and gamma.
+
+    The zero eigenvalue every branch operator may carry is implicit and not
+    stored.  Every construction checks the spectra, ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, branches: tuple[tuple[Fraction, ...], ...], gamma: Fraction):
+        for j, spec in enumerate(branches):
             if not spec:
                 raise TransferError(f"branch {j + 1} has an empty spectrum")
             if any(a <= 0 for a in spec):
@@ -51,6 +53,11 @@ class SpectralInstance:
                 raise TransferError(
                     f"branch {j + 1} spectrum must be strictly decreasing"
                 )
+        return super().__new__(cls, branches, gamma)
+
+    @classmethod
+    def _make(cls, iterable) -> SpectralInstance:
+        return cls(*iterable)
 
     @property
     def branch_lengths(self) -> tuple[int, ...]:
@@ -85,8 +92,7 @@ def instance_scale(inst: SpectralInstance) -> float:
     return max(abs(float(inst.gamma)), *(float(spec[0]) for spec in inst.branches))
 
 
-@dataclass(frozen=True)
-class GeneralizedDimension:
+class GeneralizedDimension(NamedTuple):
     """Ranks (n_0; n_k per branch level) of an algebra representation."""
 
     n0: int

@@ -42,8 +42,7 @@ these bounds is a parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -61,8 +60,7 @@ _RANK_TOL = 1e-8
 _GOLDEN = (5 ** 0.5 - 1) / 2
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[tuple[str, bool, str], ...]
 
     @property
@@ -244,7 +242,8 @@ def commutant_dimension(rep: AlgebraRep) -> int:
     hence in the span of every basis, and a one-matrix basis spans the
     identity alone.  The commutant is then that span, and no later P can
     cut it.  On an irreducible representation the first P usually leaves
-    one matrix, so the remaining images are never decomposed.
+    one matrix, so the remaining matrices are never mapped to A's
+    eigenbasis and their images never decomposed.
 
     When no matrix has a nonzero imaginary part (tested exactly), the whole
     computation runs on the real parts.  This is exact as well: the
@@ -268,19 +267,22 @@ def commutant_dimension(rep: AlgebraRep) -> int:
         mats = [m.real for m in mats]
     herm = [m for m in mats if np.abs(m - m.conj().T).max() <= _RANK_TOL]
     same_block = np.ones((n, n), bool)
+    v = None
     if herm:
         a = sum((i * _GOLDEN) % 1.0 * m for i, m in enumerate(herm, 1))
         w, v = np.linalg.eigh(a)
         cut = _RANK_TOL * max(np.abs(w).max(), 1.0)
         cluster = np.cumsum(np.r_[0, np.diff(w) > cut])
         same_block = cluster[:, None] == cluster[None, :]
-        # the commutant dimension does not change under a unitary change of
-        # basis, so every matrix is imposed in A's eigenbasis
-        mats = [v.conj().T @ m @ v for m in mats]
     basis = np.eye(n * n)[same_block.ravel()].reshape(-1, n, n)
     for m in mats:
         if len(basis) == 1:
             break  # the identity: no matrix can cut it
+        if v is not None:
+            # the commutant dimension does not change under a unitary change
+            # of basis, so each matrix is imposed in A's eigenbasis; one the
+            # loop never reaches is never mapped
+            m = v.conj().T @ m @ v
         image = (m @ basis - basis @ m).reshape(len(basis), n * n).T
         basis = np.tensordot(_nullspace(image), basis, axes=1)
     return len(basis)

@@ -266,7 +266,7 @@ def graph_rep_reflection(graph, token, rep: GraphRep, new_dims, weights) -> Grap
     token-parity vertex v, from the incident maps read through
     `GraphRep.gamma`, is scaled by sqrt(weights[v]), and each block is
     stored rootward by testing which endpoint is the far one."""
-    new_rep = GraphRep(graph=graph, dims=tuple(new_dims))
+    new_rep = GraphRep(graph=graph, dims=tuple(new_dims), ops={})
     for v in _parity_set(graph, token):
         nb = graph.neighbors[v]
         blocks = [rep.gamma(v, h) for h in nb]
@@ -295,8 +295,7 @@ def graph_rep_replay(graph, d, f) -> GraphRep:
     for dcur, token, fcur in reversed(states[:-1]):
         rep = graph_rep_reflection(graph, token, rep, dcur,
                                    [x / scale for x in fcur])
-    rep.character = tuple(f)
-    return rep
+    return rep._replace(character=tuple(f))
 
 
 def horn_sweep(inst, seed: int = 0) -> AlgebraRep:

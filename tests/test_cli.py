@@ -283,6 +283,18 @@ def test_coxeter_domain_error_is_an_input_error(capsys, tmp_path):
     assert "vertex 6" in parsed["message"]
 
 
+@pytest.mark.parametrize("word", ["", "even,", ",odd", "even,,odd"])
+def test_coxeter_empty_token_is_a_bad_token(capsys, word):
+    """Every comma-separated entry of --word is a token; an empty one exits
+    64 before any state is printed."""
+    code, out, err = run_cli(capsys, "coxeter", "--branches", "2,2,2",
+                             "--word", word,
+                             "--pair", str(ROOT / "tests" / "data" / "e6_pair.json"))
+    assert code == 64
+    assert out == ""
+    assert json.loads(err) == {"error": "bad_token", "message": "unknown token ''"}
+
+
 @pytest.mark.parametrize("pair", [[1, 2], "d", 3, None, {"d": [1, 2, 1, 2, 1, 2, 3]}])
 def test_coxeter_pair_must_be_an_object_with_d_and_f(capsys, tmp_path, pair):
     path = tmp_path / "pair.json"

@@ -82,6 +82,28 @@ def test_decision_commands_load_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+# The records are NamedTuples, so no module of the package imports
+# `dataclasses`, whose import pulls in `inspect`.  numpy imports `inspect`
+# itself, so once the numerical layer is loaded only `dataclasses` is
+# checked.
+START_UP_WITHOUT_DATACLASSES = """
+import sys
+
+import starspec, starspec.cli
+
+loaded = sorted({"dataclasses", "inspect"} & sys.modules.keys())
+assert not loaded, loaded
+import starspec.reps, starspec.verify
+
+assert "dataclasses" not in sys.modules
+"""
+
+
+def test_start_up_loads_no_dataclasses():
+    proc = run_fresh(START_UP_WITHOUT_DATACLASSES)
+    assert proc.returncode == 0, proc.stderr
+
+
 # Builds a Horn representation and a reflection representation with
 # `construct -o`, then reads each file back with `verify --rep`, which
 # verifies it and computes its commutant, all in a fresh interpreter; fails

@@ -507,7 +507,8 @@ def test_from_algebra_rep_projection_count(e6, change):
     arep = build_hyperplane_rep(make_instance([[2, 1], [2, 1], [2, 1]], 3), seed=1)
     branch = arep.projections[1]
     branch = branch[:-1] if change == "missing" else branch + branch[:1]
-    arep.projections = (arep.projections[0], branch, arep.projections[2])
+    arep = arep._replace(
+        projections=(arep.projections[0], branch, arep.projections[2]))
     with pytest.raises(RepError, match="projection counts"):
         from_algebra_rep(e6, arep)
 

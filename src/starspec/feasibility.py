@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import lcm as _lcm
+from operator import add
 from typing import Iterable, Literal, NamedTuple, Optional
 
 from .coxeter import (
@@ -59,7 +60,6 @@ from .transfer import (
     SpectralInstance,
     _char,
     n_from_dim,
-    nondegenerate_dim,
 )
 
 
@@ -441,25 +441,53 @@ def _check_walk(
 # Orchestration
 # ---------------------------------------------------------------------------
 
+def _series_k_intervals(
+    graph: StarGraph, delta: IVec, bound: int
+) -> list[tuple[IVec, int, int]]:
+    """(base, k_lo, k_hi) per singular series: its members base + k*delta
+    with k_lo <= k <= k_hi are exactly those with nondegenerate chains and
+    root entry <= bound (none when k_lo > k_hi).
+
+    Delta strictly increases from each leaf to the root, so every strict
+    chain condition m_prev < m_v (m_prev = 0 before the leaf) on
+    m = base + k*delta is the lower bound
+    k >= floor((b_prev - b_v) / (delta_v - delta_prev)) + 1, and the root
+    entry gives k <= floor((bound - b_root) / delta_root).  A nondegenerate
+    member is positive, and the extending vertex's bound is k >= 1.
+    """
+    root = graph.root
+    leaves = [(path[0], delta[path[0]]) for path in graph.branches]
+    links = [(prev, v, delta[v] - delta[prev]) for path in graph.branches
+             for prev, v in zip(path, path[1:] + (root,))]
+    out = []
+    for base in singular_and_regular_series(graph)[0]:
+        k_lo = 1 + max([-base[v] // step for v, step in leaves]
+                       + [(base[prev] - base[v]) // step for prev, v, step in links])
+        out.append((base, k_lo, (bound - base[root]) // delta[root]))
+    return out
+
+
 @functools.lru_cache(maxsize=64)
 def candidate_dimensions(graph: StarGraph, bound: int) -> list[IVec]:
     """Positive real roots of nonzero defect (constant along each series
     b + k*delta) with nondegenerate chains and root entry <= bound, sorted
-    by root entry then lexicographically."""
+    by root entry then lexicographically.
+
+    Each singular series contributes the members of its k-interval, stepped
+    by adding delta; distinct series share no member.
+    """
     delta = classify(graph).delta
     if delta is None:
         raise FeasibilityError("candidate scan requires an extended Dynkin graph")
-    out = set()
-    for base in singular_and_regular_series(graph)[0]:
-        k = 0
-        while True:
-            member = tuple(b + k * d for b, d in zip(base, delta))
-            if member[graph.root] > bound:
-                break
-            if is_positive_vector(member) and nondegenerate_dim(graph, member):
-                out.add(member)
-            k += 1
-    return sorted(out, key=lambda v: (v[graph.root], v))
+    out = []
+    for base, k_lo, k_hi in _series_k_intervals(graph, delta, bound):
+        member = tuple([b + k_lo * d for b, d in zip(base, delta)])
+        for _ in range(k_lo, k_hi + 1):
+            out.append(member)
+            member = tuple(map(add, member, delta))
+    root = graph.root
+    out.sort(key=lambda v: (v[root], v))
+    return out
 
 
 def check_scan_bound(scan_bound: int) -> None:

@@ -9,9 +9,11 @@ every real root is one of them plus a multiple of delta (Kac, Infinite
 Dimensional Lie Algebras, ch. 5).  The positive ones are grown by height
 from the simple roots: a positive root of height h > 1 is a positive root
 of height h - 1 plus a simple root, and a positive integer vector is a
-root of the finite diagram exactly when its form value is 1.  Delta
-restricted to the finite diagram is its highest root, so every entry of
-the table is bounded by delta.
+root of the finite diagram exactly when its form value is 1.  Since
+q(x + e_i) = q(x) + 2 x_i + 1 - (sum of x over the neighbours of i), a
+root x grows by e_i exactly when that form increment is 0, and no form
+value is computed.  Delta restricted to the finite diagram is its highest
+root, so every entry of the table is bounded by delta.
 
 A delta-series is named by that representative, its base: its members are
 base + k*delta.  `coxeter_series` returns the sorted bases of one orbit
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .coxeter import coxeter_dim, defect
+from .coxeter import coxeter_dim, pairing
 from .graph import EVEN, ODD, GVec, IVec, StarGraph, classify, tits_form, unit_vector
 
 
@@ -48,6 +50,16 @@ def is_root(graph: StarGraph, x: GVec) -> Optional[str]:
     return None
 
 
+def _form_increments(graph: StarGraph, x: IVec) -> list[int]:
+    """q(x + e_i) - q(x) = 2 x_i + 1 - (sum of x over the neighbours of i),
+    for every vertex i."""
+    inc = [2 * v + 1 for v in x]
+    for a, b in graph.edges:
+        inc[a] -= x[b]
+        inc[b] -= x[a]
+    return inc
+
+
 def fundamental_roots(
     graph: StarGraph,
     include_negative: bool = False,
@@ -57,13 +69,14 @@ def fundamental_roots(
     vertex e.
 
     The positive ones are the positive roots of the graph with e deleted,
-    grown by height from its simple roots: x + e_i (i != e) is kept exactly
-    when its form value is 1, about n - 1 form values per root.  They come
-    back in lexicographic order, componentwise bounded by delta, whose
-    restriction to the finite diagram is the highest root; optionally their
-    negatives and/or the zero vector are added.  Every returned nonzero
-    vector is a real root: an imaginary root is a multiple of delta and
-    cannot vanish at an extending vertex.
+    grown by height from its simple roots: a root x grows to x + e_i
+    (i != e) exactly when its form increment at i is 0, so that
+    q(x + e_i) = q(x) = 1; one pass over the edges gives the increments of
+    a root at every vertex.  They come back in lexicographic order,
+    componentwise bounded by delta, whose restriction to the finite diagram
+    is the highest root; optionally their negatives and/or the zero vector
+    are added.  Every returned nonzero vector is a real root: an imaginary
+    root is a multiple of delta and cannot vanish at an extending vertex.
     """
     cls = classify(graph)
     if cls.kind != "ExtendedDynkin":
@@ -75,11 +88,13 @@ def fundamental_roots(
     while layer:
         grown = []
         for x in layer:
+            inc = _form_increments(graph, x)
             for i in simple:
-                y = x[:i] + (x[i] + 1,) + x[i + 1:]
-                if y not in found and tits_form(graph, y) == 1:
-                    found.add(y)
-                    grown.append(y)
+                if inc[i] == 0:
+                    y = x[:i] + (x[i] + 1,) + x[i + 1:]
+                    if y not in found:
+                        found.add(y)
+                        grown.append(y)
         layer = grown
     out = sorted(found)
     result: list[IVec] = []
@@ -126,13 +141,18 @@ def singular_and_regular_series(graph: StarGraph) -> tuple[set[GVec], set[GVec]]
     """Split the series bases, the table and its negatives, into singular
     (nonzero defect) and regular (zero defect) parts.
 
-    The defect is constant along a series, since delta has defect 0.  The
-    positive members of a singular series walk down to a simple root; those
-    of a regular series never do.  The singular bases are the symmetry
-    images of the orbits seeded at one vertex of each symmetry class.
+    The defect, the pairing with delta, is constant along a series, since
+    delta has defect 0, and linear, so it is taken once per positive base
+    and its negative goes to the same part.  The positive members of a
+    singular series walk down to a simple root; those of a regular series
+    never do.  The singular bases are the symmetry images of the orbits
+    seeded at one vertex of each symmetry class.
     """
+    delta = classify(graph).delta
     singular: set[GVec] = set()
     regular: set[GVec] = set()
-    for base in fundamental_roots(graph, include_negative=True):
-        (regular if defect(graph, base) == 0 else singular).add(base)
+    for base in fundamental_roots(graph):
+        part = regular if pairing(graph, delta, base) == 0 else singular
+        part.add(base)
+        part.add(tuple([-v for v in base]))
     return singular, regular

@@ -9,7 +9,9 @@
 * The construction by the Fraction route: the character pushed down the
   schedule, then every upward step recomputed by `coxeter_char`.
 * The Horn margins of the (2,2,2) star as Fraction sums over chi.
-* The root table of an extended star by a scan of the box 0 <= x <= delta.
+* The root table of an extended star by a scan of the box 0 <= x <= delta,
+  its singular/regular split by the defect of every base, and the
+  candidate table by testing every series member from k = 0 up.
 * One-vertex reflections, the form's Gram matrix and branch permutations,
   the single steps that the library only takes in bulk or never.
 * The vertex operator of a graph representation read through
@@ -26,14 +28,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from starspec.coxeter import DimCharPair, _parity_set, reduction_schedule
+from starspec.coxeter import DimCharPair, _parity_set, defect, reduction_schedule
 from starspec.feasibility import HORN_E6, _walk_pair
-from starspec.graph import EVEN, classify, tits_form
+from starspec.graph import EVEN, classify, is_positive_vector, tits_form
 from starspec.rational import Q, QMat
 from starspec.reps import (
     _MAX_ITERS, _RESTARTS, AlgebraRep, GraphRep, reflect_rep, simple_rep,
 )
-from starspec.transfer import RTOL, instance_scale
+from starspec.roots import fundamental_roots
+from starspec.transfer import RTOL, instance_scale, nondegenerate_dim
 from starspec.verify import _rank, commutant_dimension, verify_algebra_rep
 
 
@@ -244,6 +247,34 @@ def box_scan_roots(graph, include_negative=False, include_zero=False) -> list:
     if include_negative:
         result.extend(tuple(-v for v in x) for x in out)
     return result
+
+
+def defect_split(graph) -> tuple[set, set]:
+    """`starspec.roots.singular_and_regular_series` with the defect taken
+    of every base, negatives included."""
+    singular, regular = set(), set()
+    for base in fundamental_roots(graph, include_negative=True):
+        (regular if defect(graph, base) == 0 else singular).add(base)
+    return singular, regular
+
+
+def member_scan_candidates(graph, bound: int) -> list:
+    """`starspec.feasibility.candidate_dimensions` member by member: each
+    singular series b + k*delta is walked from k = 0 until its root entry
+    passes the bound, and every positive member with nondegenerate chains
+    is kept, sorted by root entry then lexicographically."""
+    delta = classify(graph).delta
+    out = set()
+    for base in defect_split(graph)[0]:
+        k = 0
+        while True:
+            member = tuple(b + k * d for b, d in zip(base, delta))
+            if member[graph.root] > bound:
+                break
+            if is_positive_vector(member) and nondegenerate_dim(graph, member):
+                out.add(member)
+            k += 1
+    return sorted(out, key=lambda v: (v[graph.root], v))
 
 
 def kernel_basis(m: np.ndarray, dim: int) -> np.ndarray:

@@ -14,7 +14,9 @@ from starspec import (
 from starspec.roots import RootError, series_base, singular_and_regular_series
 from starspec.feasibility import candidate_dimensions
 
-from oracles import box_scan_roots, branch_permutation
+from oracles import (
+    box_scan_roots, branch_permutation, defect_split, member_scan_candidates,
+)
 
 # Full table of the 36 positive coset representatives on the (2,2,2) star,
 # extending vertex = branch-1 leaf (first coordinate).
@@ -203,22 +205,49 @@ def test_root_table_sizes(lengths, n_roots, n_singular, n_candidates):
 
 
 def test_fundamental_roots_work_guard(monkeypatch):
-    """The E8~ table costs at most (n - 1)(|roots| + 1) form values, where
-    the box 0 <= x <= delta holds 151200 vectors."""
+    """The E8~ table costs at most (n - 1)(|roots| + 1) form increments at
+    the simple vertices, that is at most |roots| + 1 increment passes, and
+    no form value, where the box 0 <= x <= delta holds 151200 vectors."""
     import starspec.roots as roots
 
-    calls = 0
+    passes = 0
+    increments = roots._form_increments
 
     def counted(graph, x):
-        nonlocal calls
-        calls += 1
-        return tits_form(graph, x)
+        nonlocal passes
+        passes += 1
+        return increments(graph, x)
 
-    monkeypatch.setattr(roots, "tits_form", counted)
+    def no_form_value(graph, x):
+        raise AssertionError("fundamental_roots computed a form value")
+
+    monkeypatch.setattr(roots, "_form_increments", counted)
+    monkeypatch.setattr(roots, "tits_form", no_form_value)
     g = build_star([1, 2, 5])
     table = fundamental_roots(g)
     assert len(table) == 120
-    assert 0 < calls <= (g.n_vertices - 1) * (len(table) + 1)
+    assert 0 < passes <= len(table) + 1
+
+
+PERMUTED = [[5, 2, 1], [3, 1, 3], [2, 5, 1]]
+
+
+@pytest.mark.parametrize("lengths", STARS + PERMUTED)
+def test_singular_split_matches_defect_of_every_base(lengths):
+    g = build_star(lengths)
+    assert singular_and_regular_series(g) == defect_split(g)
+
+
+@pytest.mark.parametrize("lengths", STARS + PERMUTED)
+def test_candidate_dimensions_match_member_scan(lengths):
+    """The k-intervals give the member scan's table, order included, at
+    every bound up to 60.  The scan at a smaller bound is the bound-60 scan
+    cut at that root entry, so it is run once."""
+    g = build_star(lengths)
+    scanned = member_scan_candidates(g, 60)
+    for bound in range(61):
+        assert candidate_dimensions(g, bound) \
+            == [d for d in scanned if d[g.root] <= bound]
 
 
 def test_regular_series_orbit_sizes(e6):

@@ -5,9 +5,9 @@ solve-batch.  All output is JSON on stdout (deterministic for fixed seeds);
 errors go to stderr with machine-readable codes.
 
 Exit codes: 0 success/feasible, 1 infeasible, 2 degenerate or boundary,
-3 construction or numerical failure, 64 usage or parse errors, 141 the
-reader closed stdout (128 + SIGPIPE, as a shell reports a command killed by
-a closed pipe).
+3 construction or numerical failure (memory that runs out included), 64
+usage or parse errors, 141 the reader closed stdout (128 + SIGPIPE, as a
+shell reports a command killed by a closed pipe).
 
 Only `construct` and `verify` import the numerical layer (numpy, `reps`,
 `verify`), in their handlers; every other command and `--version` run
@@ -366,6 +366,10 @@ def main(argv=None) -> int:
     except _loaded("numpy.linalg", "LinAlgError") as exc:
         # a LAPACK routine gave up: a numerical failure, not a verdict
         return _fail(EXIT_CONSTRUCTION, "numerical_failure", str(exc))
+    except MemoryError as exc:
+        # an allocation failed: no verdict was reached
+        return _fail(EXIT_CONSTRUCTION, "out_of_memory",
+                     str(exc) or "the interpreter ran out of memory")
     except (GraphError, TransferError, FeasibilityError, CoxeterDomainError,
             IOError_, *_loaded("starspec.reps", "RepError")) as exc:
         return _fail(EXIT_USAGE, type(exc).__name__, str(exc))

@@ -12,11 +12,15 @@ The start is the matrices, in the eigenbasis of a fixed generic combination
 A = sum c_i P_i of the given Hermitian matrices, that are block-diagonal
 over A's eigenvalue clusters: every X in the commutant commutes with A, so
 the start contains the commutant, and a generic A has simple spectrum, so
-the start is n0 matrices.  Each given P, those inside A included, then
-cuts the basis to the nullspace of X -> PX - XP, until the basis is one
+the start is n0 matrices.  It is built directly as the sum r_i^2 matrix
+units of those blocks (r_i the cluster sizes), never as rows of the
+n0^2 x n0^2 identity, so with a simple spectrum it holds n0^3 entries and
+the memory is O(n0^3).  Each given P, those inside A included, then cuts
+the basis to the nullspace of X -> PX - XP, until the basis is one
 matrix: the identity is in every commutant, so that matrix spans it.
-Without a Hermitian matrix the start is all n0^2 matrix units.  Every
-rank uses the same relative floor (`_rank`).
+Without a Hermitian matrix the start is all n0^2 matrix units, that
+identity, and only this start is O(n0^4).  Every rank uses the same
+relative floor (`_rank`).
 
 Representations built by the reflection functors are real, and their files
 carry [re, 0.0] pairs: the functors start from a zero seed and only take
@@ -231,9 +235,13 @@ def commutant_dimension(rep: AlgebraRep) -> int:
     over its eigenspaces, so the start always contains the commutant.  With
     generic weights A's spectrum is simple unless the span of the P_i
     forces a multiplicity, so the start is usually n0 matrices; merged
-    clusters only make it larger.  Without a Hermitian matrix the start is
-    all n0^2 matrix units.  Every given P, those inside A included, then
-    maps the basis through X -> PX - XP, and the basis becomes the
+    clusters only make it larger.  The units are built directly, sum r_i^2
+    rows of n0^2 entries, in the row-major order of their positions: they
+    are the rows of the n0^2 x n0^2 identity at those positions, which is
+    never formed, so memory is O(n0^3) with a simple spectrum.  Without a
+    Hermitian matrix the start is all n0^2 matrix units, that identity,
+    and only then is it O(n0^4).  Every given P, those inside A included,
+    then maps the basis through X -> PX - XP, and the basis becomes the
     nullspace of that n0^2 x m image (rank by `_rank`).  The result is the
     number of basis matrices left.
 
@@ -274,7 +282,12 @@ def commutant_dimension(rep: AlgebraRep) -> int:
         cut = _RANK_TOL * max(np.abs(w).max(), 1.0)
         cluster = np.cumsum(np.r_[0, np.diff(w) > cut])
         same_block = cluster[:, None] == cluster[None, :]
-    basis = np.eye(n * n)[same_block.ravel()].reshape(-1, n, n)
+    # the rows of the n^2 x n^2 identity at A's in-cluster positions, built
+    # without the identity: one matrix unit per position, in row-major order
+    idx = np.flatnonzero(same_block)
+    basis = np.zeros((len(idx), n * n))
+    basis[np.arange(len(idx)), idx] = 1.0
+    basis = basis.reshape(-1, n, n)
     for m in mats:
         if len(basis) == 1:
             break  # the identity: no matrix can cut it

@@ -478,6 +478,30 @@ def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch):
                                "message": "SVD did not converge"}
 
 
+@pytest.mark.parametrize("command", ["construct", "verify"])
+@pytest.mark.parametrize("message", ["Unable to allocate 1.54 GiB", ""],
+                         ids=["numpy", "bare"])
+def test_out_of_memory_exit_code(capsys, tmp_path, monkeypatch, command,
+                                 message):
+    """Memory that runs out in the commutant is a numerical failure (exit 3,
+    error kind out_of_memory), not a traceback and the infeasible code 1."""
+    from starspec import verify
+
+    rep = _rep_file(capsys, tmp_path)
+
+    def exhausted(rep):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(verify, "commutant_dimension", exhausted)
+    argv = (["verify", "--rep", str(rep)] if command == "verify" else
+            ["construct", "--instance", str(tmp_path / "inst.json")])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "out_of_memory",
+        "message": message or "the interpreter ran out of memory"}
+
+
 def test_batch_counts_match_individual(capsys, tmp_path):
     files = {
         "a.json": ([[2, 1], [2, 1], [2, 1]], 3),

@@ -269,6 +269,29 @@ def test_commutant_without_hermitian_matrix():
     assert commutant_dimension(rep) == stacked_commutant_dimension(rep) == 5
 
 
+def test_commutant_memory_is_cubic_in_n0():
+    """Four random real rank-30 projections on R^60 generate everything, so
+    the commutant is 1.  The start is the n0 matrix units on A's diagonal,
+    built directly: the 60^2 x 60^2 identity they are rows of would take
+    104 MB, the traced peak stays under 16 MB."""
+    import tracemalloc
+
+    gen = np.random.default_rng(60)
+    projections = []
+    for _ in range(4):
+        q, _ = np.linalg.qr(gen.normal(size=(60, 30)))
+        projections.append((q @ q.T,))
+    rep = AlgebraRep(instance=make_instance([[1]] * 4, 2), n0=60,
+                     projections=tuple(projections))
+    tracemalloc.start()
+    try:
+        assert commutant_dimension(rep) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 def test_commutant_non_hermitian_first_matrix():
     """A construction whose first matrix is skewed off Hermitian."""
     rep = _construction((1, 3, 3), (5, 3, 5, 7, 3, 5, 7, 10))

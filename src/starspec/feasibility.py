@@ -15,8 +15,10 @@ Three decision routes:
 
 ``solve`` orchestrates the routes.  On the E6~ hyperplane it runs the Horn
 test first: delta has root entry 3 and every candidate real-root dimension
-has root entry >= 4, so in the scan order by root entry the imaginary root
-comes before every candidate.  It then scans the candidates.
+has root entry >= 4, so in the order by root entry the imaginary root
+comes before every candidate.  It then walks the real-root candidates that
+the trace identity leaves, at most one per singular series off the
+hyperplane.
 
 Every condition is homogeneous with integer coefficients, so each route
 clears denominators once and sums ints; only certificates print Fractions.
@@ -29,7 +31,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import lcm as _lcm
-from operator import add
 from typing import Iterable, Literal, NamedTuple, Optional
 
 from .coxeter import (
@@ -441,53 +442,29 @@ def _check_walk(
 # Orchestration
 # ---------------------------------------------------------------------------
 
-def _series_k_intervals(
-    graph: StarGraph, delta: IVec, bound: int
-) -> list[tuple[IVec, int, int]]:
-    """(base, k_lo, k_hi) per singular series: its members base + k*delta
-    with k_lo <= k <= k_hi are exactly those with nondegenerate chains and
-    root entry <= bound (none when k_lo > k_hi).
+@functools.lru_cache(maxsize=64)
+def _series_table(graph: StarGraph) -> tuple[tuple[IVec, int], ...]:
+    """(base, k_lo) per singular series: its members base + k*delta with
+    k >= k_lo are exactly those with nondegenerate chains.
 
     Delta strictly increases from each leaf to the root, so every strict
     chain condition m_prev < m_v (m_prev = 0 before the leaf) on
     m = base + k*delta is the lower bound
-    k >= floor((b_prev - b_v) / (delta_v - delta_prev)) + 1, and the root
-    entry gives k <= floor((bound - b_root) / delta_root).  A nondegenerate
-    member is positive, and the extending vertex's bound is k >= 1.
+    k >= floor((b_prev - b_v) / (delta_v - delta_prev)) + 1.  A
+    nondegenerate member is positive, and the extending vertex's bound is
+    k >= 1.  The scan bound only cuts each series from above, so the table
+    does not depend on it.
     """
+    delta = classify(graph).delta
     root = graph.root
     leaves = [(path[0], delta[path[0]]) for path in graph.branches]
     links = [(prev, v, delta[v] - delta[prev]) for path in graph.branches
              for prev, v in zip(path, path[1:] + (root,))]
-    out = []
-    for base in singular_and_regular_series(graph)[0]:
-        k_lo = 1 + max([-base[v] // step for v, step in leaves]
-                       + [(base[prev] - base[v]) // step for prev, v, step in links])
-        out.append((base, k_lo, (bound - base[root]) // delta[root]))
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def candidate_dimensions(graph: StarGraph, bound: int) -> list[IVec]:
-    """Positive real roots of nonzero defect (constant along each series
-    b + k*delta) with nondegenerate chains and root entry <= bound, sorted
-    by root entry then lexicographically.
-
-    Each singular series contributes the members of its k-interval, stepped
-    by adding delta; distinct series share no member.
-    """
-    delta = classify(graph).delta
-    if delta is None:
-        raise FeasibilityError("candidate scan requires an extended Dynkin graph")
-    out = []
-    for base, k_lo, k_hi in _series_k_intervals(graph, delta, bound):
-        member = tuple([b + k_lo * d for b, d in zip(base, delta)])
-        for _ in range(k_lo, k_hi + 1):
-            out.append(member)
-            member = tuple(map(add, member, delta))
-    root = graph.root
-    out.sort(key=lambda v: (v[root], v))
-    return out
+    return tuple(
+        (base, 1 + max([-base[v] // step for v, step in leaves]
+                       + [(base[prev] - base[v]) // step for prev, v, step in links]))
+        for base in singular_and_regular_series(graph)[0]
+    )
 
 
 def check_scan_bound(scan_bound: int) -> None:
@@ -508,9 +485,18 @@ def solve(
     criterion: a nondegenerate dimension with root entry 3 has the chains
     1 < 2 < 3 on every branch, which is delta, so every candidate has root
     entry >= 4.  On the other stars' hyperplanes delta is not decided, and
-    the certificate says so.  Real-root dimensions are then scanned up to
-    the bound.  Off the hyperplane no imaginary-root witness is possible,
-    so the scan is exhaustive for the reported window.
+    the certificate says so.  Real-root dimensions up to the bound come
+    next.  Off the hyperplane no imaginary-root witness is possible, so the
+    search is exhaustive for the reported window.
+
+    The candidates are the members b + k*delta, k_lo <= k <= k_hi, of the
+    singular series (``_series_table``), k_hi the last one within the
+    bound; the certificate counts them all.  Only a member with
+    P(d, f) = P(b, f) + k*P(delta, f) = 0 can be feasible (the trace
+    identity of ``iterative_feasible``), so off the hyperplane one
+    ``divmod`` per series finds its one possible member, at any bound.  On
+    the hyperplane every member of a series with P(b, f) = 0 is walked up
+    to the bound, and no member of the others.
     """
     cls = classify(graph)
     if cls.kind != "ExtendedDynkin":
@@ -519,7 +505,8 @@ def solve(
     _, fint, scale = _scaled_instance(graph, inst)
     boundary_seen = False
     note: tuple = ()
-    if _on_level(graph, fint):
+    p_delta = defect(graph, fint)
+    if p_delta == 0:
         if cls.name == "E6~":
             horn = horn_check_e6(inst)
             if horn.feasible:
@@ -528,12 +515,21 @@ def solve(
         else:
             note = (("hyperplane_regime",
                      "imaginary-root existence not decided for this graph", False),)
-    candidates = candidate_dimensions(graph, scan_bound)
-    for d in candidates:
-        # every candidate b + k*delta is a positive real root of nonzero
-        # defect; a nonzero pairing settles it without a walk
-        if pairing(graph, d, fint) != 0:
-            continue
+    delta, root = cls.delta, graph.root
+    tested = 0
+    members = []
+    for base, k_lo in _series_table(graph):
+        k_hi = (scan_bound - base[root]) // delta[root]
+        tested += max(0, k_hi - k_lo + 1)
+        p_base = pairing(graph, base, fint)
+        if p_delta:
+            k, rest = divmod(-p_base, p_delta)
+            ks = (k,) if rest == 0 and k_lo <= k <= k_hi else ()
+        else:
+            ks = range(k_lo, k_hi + 1) if p_base == 0 else ()
+        members += [tuple([b + k * d for b, d in zip(base, delta)]) for k in ks]
+    members.sort(key=lambda v: (v[root], v))
+    for d in members:
         verdict = _check_walk(graph, d, fint, scale, False)[0]
         if verdict.feasible:
             return verdict._replace(branch_taken=f"iterative(d={list(d)})")
@@ -541,7 +537,7 @@ def solve(
     cert = ((
         "exhausted_scan",
         f"no feasible real-root dimension with root entry <= {scan_bound} "
-        f"({len(candidates)} candidates tested)",
+        f"({tested} candidates tested)",
         True,
     ),) + note
     return FeasibilityVerdict(

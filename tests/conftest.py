@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -8,6 +9,7 @@ from starspec import (
     char_transport_up,
     chi_from_char,
     classify,
+    make_instance,
     reduction_schedule,
     trajectory_dim,
 )
@@ -72,6 +74,20 @@ def plateau_walk(graph, d):
     every_other = [sum(dd) for dd, _ in reduction_schedule(graph, d).steps[::2]]
     return any(later >= earlier
                for later, earlier in zip(every_other[1:], every_other))
+
+
+def exhausted_instance(lengths):
+    """Off-hyperplane instance with spectra (m, ..., 1) on a branch of length
+    m and gamma 100: every trace is at most 5 n0 per branch, so the trace
+    identity fails in every dimension and ``solve`` exhausts any bound."""
+    return make_instance([list(range(m, 0, -1)) for m in lengths], 100)
+
+
+def candidates_tested(verdict):
+    """N of an exhausted verdict's "(N candidates tested)"."""
+    name, text, _ = verdict.certificate[0]
+    assert name == "exhausted_scan"
+    return int(re.search(r"\((\d+) candidates tested\)", text).group(1))
 
 
 @pytest.fixture

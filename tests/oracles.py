@@ -11,7 +11,8 @@
 * The Horn margins of the (2,2,2) star as Fraction sums over chi.
 * The root table of an extended star by a scan of the box 0 <= x <= delta,
   its singular/regular split by the defect of every base, and the
-  candidate table by testing every series member from k = 0 up.
+  candidate table that `solve` only counts, by testing every series member
+  from k = 0 up.
 * One-vertex reflections, the form's Gram matrix and branch permutations,
   the single steps that the library only takes in bulk or never.
 * The vertex operator of a graph representation read through
@@ -259,10 +260,11 @@ def defect_split(graph) -> tuple[set, set]:
 
 
 def member_scan_candidates(graph, bound: int) -> list:
-    """`starspec.feasibility.candidate_dimensions` member by member: each
-    singular series b + k*delta is walked from k = 0 until its root entry
-    passes the bound, and every positive member with nondegenerate chains
-    is kept, sorted by root entry then lexicographically."""
+    """The candidates of `starspec.feasibility.solve` member by member, the
+    table whose size its "(N candidates tested)" counts: each singular
+    series b + k*delta is walked from k = 0 until its root entry passes the
+    bound, and every positive member with nondegenerate chains is kept,
+    sorted by root entry then lexicographically."""
     delta = classify(graph).delta
     out = set()
     for base in defect_split(graph)[0]:

@@ -40,13 +40,12 @@ from starspec import (
     verify_algebra_rep,
 )
 from starspec.coxeter import signed_delta_e6
-from starspec.feasibility import candidate_dimensions
 from starspec.rational import mat_vec
 from starspec.transfer import GeneralizedDimension, trace_pairing
 from starspec.verify import commutant_dimension
 
 from conftest import feasible_character, plateau_walk, random_feasible_instance
-from oracles import determinant, mat_inv, transpose
+from oracles import determinant, mat_inv, member_scan_candidates, transpose
 from test_roots import DELTA_F_E6, K1_BASES, K2_BASES, K3_BASES
 
 DELTA = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 3))
@@ -275,7 +274,7 @@ def test_criterion_8_companion_witnesses(lengths, has_plateau):
     witness the iterative route accepts."""
     g = build_star(lengths)
     rng = random.Random(808)
-    candidates = candidate_dimensions(g, 20)
+    candidates = member_scan_candidates(g, 20)
     plateau = [d for d in candidates if plateau_walk(g, d)]
     assert bool(plateau) == has_plateau
     dims = rng.sample(candidates, 16) + rng.sample(plateau, min(6, len(plateau)))

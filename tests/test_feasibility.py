@@ -28,14 +28,14 @@ from starspec import (
     unit_vector,
 )
 from starspec.coxeter import reduction_schedule
-from starspec.feasibility import _scaled_character, candidate_dimensions
+from starspec.feasibility import _scaled_character
 from starspec.io import instance_from_dict
 from starspec.rational import identity, mat_mul
 from starspec.roots import RootError
 from starspec.transfer import n_from_dim
 
-from conftest import random_feasible_instance
-from oracles import fraction_horn_check
+from conftest import candidates_tested, exhausted_instance, random_feasible_instance
+from oracles import fraction_horn_check, member_scan_candidates
 
 DATA = Path(__file__).parent / "data"
 SYMMETRIC = make_instance([[2, 1], [2, 1], [2, 1]], 3)
@@ -360,7 +360,7 @@ def test_terminal_value_without_walk(rng):
     nonzero = zero = stopped = 0
     for lengths in ([1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]):
         g = build_star(lengths)
-        for d in candidate_dimensions(g, 8):
+        for d in member_scan_candidates(g, 8):
             sched = reduction_schedule(g, d)
             if sched is None:
                 continue
@@ -417,7 +417,7 @@ def test_plateau_roots_are_solved(lengths, d, rng):
     g = build_star(lengths)
     assert plateau_walk(g, d)
     assert defect(g, d) != 0
-    assert d in candidate_dimensions(g, d[g.root])
+    assert d in member_scan_candidates(g, d[g.root])
     f, inst = feasible_character(g, d, rng)
     rep = build_graph_rep(g, d, f)
     assert verify_graph_rep(g, rep, d, f).overall
@@ -482,8 +482,11 @@ def test_non_integer_dimension_is_rejected(e6, rng):
 
 
 def test_candidate_dimensions(e6):
-    cands = candidate_dimensions(e6, 12)
-    assert cands
+    """The member scan's table, whose size ``solve`` certifies, holds
+    nondegenerate real roots in order of root entry."""
+    cands = member_scan_candidates(e6, 12)
+    assert candidates_tested(solve(e6, exhausted_instance([2, 2, 2]), 12)) \
+        == len(cands) > 0
     roots_entries = [int(d[e6.root]) for d in cands]
     assert roots_entries == sorted(roots_entries)
     assert all(d[e6.root] <= 12 for d in cands)
@@ -502,7 +505,7 @@ def test_solve_symmetric_horn(e6):
 def test_e6_candidates_come_after_delta(e6):
     """Every E6~ candidate has root entry above delta's 3, so ``solve``
     decides delta by the Horn test before its scan."""
-    assert min(d[e6.root] for d in candidate_dimensions(e6, 200)) > 3
+    assert min(d[e6.root] for d in member_scan_candidates(e6, 200)) > 3
 
 
 @pytest.mark.parametrize("scan_bound", range(5))
@@ -668,16 +671,59 @@ def test_solve_witnesses_are_constructible(e6, rng):
         assert arep.generalized_dimension() == verdict.witness_dimension
 
 
-def _solve_by_public_checks(g, inst, bound):
-    """Off-hyperplane scan through the public ``iterative_feasible``: every
-    candidate in order, none skipped.  This is the loop ``solve`` ran before
-    it scaled the character once."""
+STARS = ([1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5])
+
+# The wrong verdicts of the hyperplane regime (D4~, E7~, E8~; feasible in
+# delta, printed infeasible, infeasible and degenerate) and the D4~
+# instance whose only witness lies past the default bound.
+REPRODUCERS = (
+    ([1, 1, 1, 1], [[50], [30], [20], [10]], 55),
+    ([1, 3, 3], [[3], [3, 2, 1], [3, 2, 1]], "9/2"),
+    ([1, 2, 5], [[5], [4, 2], [5, 4, 3, 2, 1]], 7),
+    ([1, 1, 1, 1], [[371], [379], [360], [386]], 745),
+)
+
+
+def _random_instance(g, rng, plane=False):
+    """Distinct spectral values in 1..60 cut into the branches, with gamma
+    drawn in 1..90 or, with ``plane``, put on the hyperplane."""
+    lengths = g.branch_lengths
+    while True:
+        vals = sorted({rng.randint(1, 60) for _ in range(sum(lengths) + 3)},
+                      reverse=True)
+        if len(vals) >= sum(lengths):
+            break
+    spectra, i = [], 0
+    for m in lengths:
+        spectra.append(vals[i:i + m])
+        i += m
+    if not plane:
+        return make_instance(spectra, rng.randint(1, 90))
+    coeffs = hyperplane(g).coefficients
+    flat = [x for spec in spectra for x in spec]
+    return make_instance(spectra,
+                         Q(sum(c * x for c, x in zip(coeffs, flat)), -coeffs[-1]))
+
+
+def _solve_by_public_checks(g, inst, bound, candidates):
+    """The decision through the public ``iterative_feasible``: every
+    candidate up to the bound in order, none skipped, with the note of a
+    hyperplane whose delta is not decided (not the E6~ one, where the Horn
+    test comes first).  This is the loop ``solve`` ran before it scaled the
+    character once and kept the members of zero pairing per series."""
     from starspec import FeasibilityVerdict
 
     f = char_from_chi(g, inst)
+    note = ()
+    if on_hyperplane(g, inst):
+        assert g.branch_lengths != (2, 2, 2)
+        note = (("hyperplane_regime",
+                 "imaginary-root existence not decided for this graph", False),)
     scanned = 0
     boundary_seen = False
-    for d in candidate_dimensions(g, bound):
+    for d in candidates:
+        if d[g.root] > bound:
+            break
         v = iterative_feasible(g, d, f, collect_trajectory=False)
         scanned += 1
         if v.feasible:
@@ -694,37 +740,32 @@ def _solve_by_public_checks(g, inst, bound):
             f"no feasible real-root dimension with root entry <= {bound} "
             f"({scanned} candidates tested)",
             True,
-        ),),
+        ),) + note,
     )
 
 
 def test_solve_matches_public_check_loop(rng):
-    """solve gives the verdict JSON of the public per-candidate loop on
-    random and built-feasible off-hyperplane instances of all four stars."""
+    """solve gives the verdict JSON of the public per-candidate loop at
+    bounds 0, 3, 12 and 20: on random and built-feasible off-hyperplane
+    instances of all four stars, where one divmod per series picks the
+    member to walk; on hyperplane draws of D4~, E7~ and E8~, where every
+    member of a zero-pairing series is walked (E8~'s degenerate verdicts
+    among them); and on the four wrong-verdict reproducers."""
     from starspec import char_transport_up, chi_from_char
     from starspec.io import dumps, verdict_to_dict
 
-    bound = 10
-    feasible = 0
-    for lengths in ([1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]):
+    bounds = (0, 3, 12, 20)
+    feasible = plane = plane_degenerate = 0
+    for lengths in STARS:
         g = build_star(lengths)
-        cands = [
-            d for d in candidate_dimensions(g, bound)
-            if reduction_schedule(g, d) is not None
-        ]
-        instances = []
-        while len(instances) < 8:
-            vals = sorted({rng.randint(1, 60) for _ in range(sum(lengths) + 3)},
-                          reverse=True)
-            if len(vals) < sum(lengths):
-                continue
-            spectra, i = [], 0
-            for m in lengths:
-                spectra.append(vals[i:i + m])
-                i += m
-            instances.append(make_instance(spectra, rng.randint(1, 90)))
+        table = member_scan_candidates(g, max(bounds))
+        cands = [d for d in table if reduction_schedule(g, d) is not None]
+        instances = [_random_instance(g, rng) for _ in range(8)]
+        if lengths != [2, 2, 2]:
+            instances += [_random_instance(g, rng, plane=True) for _ in range(8)]
+        built = 0
         for _ in range(500):
-            if len(instances) == 16:
+            if built == 8:
                 break
             d = rng.choice(cands)
             sched = reduction_schedule(g, d)
@@ -735,15 +776,49 @@ def test_solve_matches_public_check_loop(rng):
                     chi_from_char(g, char_transport_up(g, sched, tuple(f_term))[-1]))
             except Exception:
                 continue
-        assert len(instances) == 16, f"{lengths}: no 8 built instances in 500 draws"
+            built += 1
+        assert built == 8, f"{lengths}: no 8 built instances in 500 draws"
+        instances += [make_instance(spectra, gamma)
+                      for star, spectra, gamma in REPRODUCERS if star == lengths]
         for inst in instances:
-            if on_hyperplane(g, inst):
+            on_plane = on_hyperplane(g, inst)
+            if on_plane and lengths == [2, 2, 2]:
                 continue
-            got = verdict_to_dict(solve(g, inst, scan_bound=bound))
-            want = verdict_to_dict(_solve_by_public_checks(g, inst, bound))
-            assert dumps(got) == dumps(want), (lengths, inst)
-            feasible += got["feasible"]
-    assert feasible >= 20
+            for bound in bounds:
+                got = verdict_to_dict(solve(g, inst, scan_bound=bound))
+                want = verdict_to_dict(_solve_by_public_checks(g, inst, bound, table))
+                assert dumps(got) == dumps(want), (lengths, inst, bound)
+                feasible += got["feasible"]
+                plane += on_plane
+                plane_degenerate += on_plane and got["status"] == "degenerate"
+    assert feasible >= 40 and plane >= 100 and plane_degenerate >= 2
+
+
+@pytest.mark.parametrize("lengths", STARS)
+def test_large_bound_costs_nothing_off_hyperplane(lengths):
+    """Off the hyperplane ``solve`` keeps at most one member per series, so
+    at bound 20000 (where the member tables of E8~ hold about 700000
+    dimensions) it allocates under 1 MB, on random draws and on the D4~
+    instance feasible past the default bound."""
+    import tracemalloc
+
+    g = build_star(lengths)
+    rng = random.Random(20000)
+    instances = [_random_instance(g, rng) for _ in range(3)]
+    if lengths == [1, 1, 1, 1]:
+        instances.append(make_instance(*REPRODUCERS[-1][1:]))
+    for inst in instances:
+        assert not on_hyperplane(g, inst)
+        solve(g, inst, scan_bound=0)  # the per-graph series table
+        tracemalloc.start()
+        try:
+            verdict = solve(g, inst, scan_bound=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (inst, peak)
+    if lengths == [1, 1, 1, 1]:
+        assert verdict.branch_taken == "iterative(d=[60, 60, 59, 60, 120])"
 
 
 def test_scaled_character_mixed_entries():

@@ -14,7 +14,7 @@ from starspec import (
 )
 from starspec.graph import is_positive_vector
 
-from oracles import determinant, form_matrix
+from oracles import determinant, form_matrix, member_scan_candidates
 
 DELTA_E6 = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 3))
 
@@ -220,7 +220,6 @@ def test_integer_vectors_are_ints():
         mf_matrix,
     )
     from starspec.coxeter import parity_matrix, signed_delta_e6
-    from starspec.feasibility import candidate_dimensions
     from starspec.rational import identity
 
     for lengths in ([1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]):
@@ -229,7 +228,7 @@ def test_integer_vectors_are_ints():
         vectors = (
             [cls.delta, unit_vector(g, 0), hyperplane(g).coefficients]
             + fundamental_roots(g, include_negative=True, include_zero=True)
-            + candidate_dimensions(g, 12)
+            + member_scan_candidates(g, 12)
         )
         for mat in (parity_matrix(g, "even"), parity_matrix(g, "odd"),
                     elementary_coxeter_matrix(g), mf_matrix(g), md_matrix(g),

@@ -15,7 +15,6 @@ from starspec import (
     reduction_schedule,
     to_algebra_rep,
 )
-from starspec.feasibility import candidate_dimensions
 from starspec.io import (
     JSON_SCHEMAS,
     IOError_,
@@ -33,6 +32,7 @@ from starspec.io import (
 )
 
 from conftest import feasible_character
+from oracles import member_scan_candidates
 
 
 def _pretty_json(obj) -> str:
@@ -217,7 +217,7 @@ def test_dumps_pretty_matches_on_reflection_reps(lengths):
     """Real float64 projections of reflection-functor constructions, the
     smallest and the largest schedulable candidate with root entry <= 6."""
     g = build_star(lengths)
-    dims = [d for d in candidate_dimensions(g, 6)
+    dims = [d for d in member_scan_candidates(g, 6)
             if reduction_schedule(g, d) is not None]
     rng = random.Random(5)
     for d in (dims[0], max(dims, key=sum)):

@@ -40,6 +40,7 @@ from oracles import (
     graph_rep_replay,
     hom_dimension,
     horn_sweep,
+    member_scan_candidates,
     vertex_operator,
 )
 
@@ -180,10 +181,9 @@ def test_long_branch_pipeline(rng):
     the general alternating-ends bookkeeping."""
     from starspec import chi_from_char
     from starspec.coxeter import char_transport_up
-    from starspec.feasibility import candidate_dimensions
 
     g = build_star([5, 2, 1])
-    cands = candidate_dimensions(g, 8)
+    cands = member_scan_candidates(g, 8)
     # sincere dimension that actually reduces (regular roots never do)
     d = next(
         c for c in cands
@@ -221,14 +221,12 @@ def test_canonicalize_is_isomorphic_and_keeps_root():
     """canonicalize returns an isomorphic copy with the same root Gram
     matrices T T^*, still locally scalar with the character; long branches
     (E7~, E8~ in both branch orders) reach deep windows."""
-    from starspec.feasibility import candidate_dimensions
-
     n_cases = 0
     for lengths in ([1, 1, 1, 1], [2, 2, 2], [3, 3, 1], [2, 5, 1], [5, 2, 1]):
         g = build_star(lengths)
         # the first schedulable candidate at each root entry up to 12
         dims = {}
-        for d in candidate_dimensions(g, 12):
+        for d in member_scan_candidates(g, 12):
             if reduction_schedule(g, d) is not None:
                 dims.setdefault(d[g.root], d)
         rng = random.Random(7)
@@ -276,15 +274,13 @@ def test_large_characters_construct(lengths, scale):
     checks of to_algebra_rep scale with a_1, so the construction succeeds
     with a residual small relative to gamma.  On E6~ the first case is
     [[94,35],[90,32],[88,21]], gamma 158, in (1,3,1,3,1,3,4)."""
-    from starspec.feasibility import candidate_dimensions
-
     g = build_star(lengths)
     rng = random.Random(3)
     pairs = []
     if lengths == [2, 2, 2]:
         inst = make_instance([[94, 35], [90, 32], [88, 21]], 158)
         pairs.append(((1, 3, 1, 3, 1, 3, 4), char_from_chi(g, inst)))
-    for d in candidate_dimensions(g, 8):
+    for d in member_scan_candidates(g, 8):
         if len(pairs) == 2:
             break
         if d[g.root] >= 4 and reduction_schedule(g, d) is not None:
@@ -308,11 +304,9 @@ def test_build_graph_rep_matches_fraction_route(lengths):
     upward step by coxeter_char), on the first schedulable candidate at each
     root entry up to 12, with an integer character and with that character
     times 7/3 (common denominator 3)."""
-    from starspec.feasibility import candidate_dimensions
-
     g = build_star(lengths)
     dims = {}
-    for d in candidate_dimensions(g, 12):
+    for d in member_scan_candidates(g, 12):
         if reduction_schedule(g, d) is not None:
             dims.setdefault(d[g.root], d)
     assert len(dims) >= 5
@@ -556,11 +550,10 @@ def test_reflection_route_is_real_and_hyperplane_route_complex(e6, rng):
 def test_from_algebra_rep_long_branch(rng):
     from starspec import chi_from_char, from_algebra_rep
     from starspec.coxeter import char_transport_up
-    from starspec.feasibility import candidate_dimensions
 
     g = build_star([5, 2, 1])
     d = next(
-        c for c in candidate_dimensions(g, 8)
+        c for c in member_scan_candidates(g, 8)
         if all(v > 0 for v in c) and reduction_schedule(g, c) is not None
     )
     sched = reduction_schedule(g, d)

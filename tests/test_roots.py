@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +14,15 @@ from starspec import (
     unit_vector,
 )
 from starspec.roots import RootError, series_base, singular_and_regular_series
-from starspec.feasibility import candidate_dimensions
+from starspec.feasibility import solve
+from starspec.io import instance_from_dict
 
+from conftest import candidates_tested, exhausted_instance
 from oracles import (
     box_scan_roots, branch_permutation, defect_split, member_scan_candidates,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # Full table of the 36 positive coset representatives on the (2,2,2) star,
 # extending vertex = branch-1 leaf (first coordinate).
@@ -196,12 +202,14 @@ def test_regular_series_counts(lengths, n_series, n_regular):
 ])
 def test_root_table_sizes(lengths, n_roots, n_singular, n_candidates):
     """The positive roots of D4, E6, E7 and E8, the singular series built
-    on them, and the candidate tables at bounds 12, 20 and 60."""
+    on them, and the candidates that ``solve`` certifies at bounds 12, 20
+    and 60."""
     g = build_star(lengths)
     assert len(fundamental_roots(g)) == n_roots
     assert len(singular_and_regular_series(g)[0]) == n_singular
-    assert tuple(len(candidate_dimensions(g, b)) for b in (12, 20, 60)) \
-        == n_candidates
+    inst = exhausted_instance(lengths)
+    assert tuple(candidates_tested(solve(g, inst, scan_bound=b))
+                 for b in (12, 20, 60)) == n_candidates
 
 
 def test_fundamental_roots_work_guard(monkeypatch):
@@ -240,14 +248,26 @@ def test_singular_split_matches_defect_of_every_base(lengths):
 
 @pytest.mark.parametrize("lengths", STARS + PERMUTED)
 def test_candidate_dimensions_match_member_scan(lengths):
-    """The k-intervals give the member scan's table, order included, at
-    every bound up to 60.  The scan at a smaller bound is the bound-60 scan
-    cut at that root entry, so it is run once."""
+    """The count N in "(N candidates tested)", summed over the series'
+    k-intervals, is the size of the member scan's table at every bound up to
+    60, on an instance that ``solve`` exhausts."""
     g = build_star(lengths)
-    scanned = member_scan_candidates(g, 60)
+    inst = exhausted_instance(lengths)
     for bound in range(61):
-        assert candidate_dimensions(g, bound) \
-            == [d for d in scanned if d[g.root] <= bound]
+        verdict = solve(g, inst, scan_bound=bound)
+        assert verdict.branch_taken == "exhausted"
+        assert candidates_tested(verdict) == len(member_scan_candidates(g, bound))
+
+
+def test_candidate_count_far_past_the_tables():
+    """On the E6~ golden off-hyperplane instance the count at bound 1000 is
+    the member scan's, and at bound 10^6 the one the golden file prints."""
+    g = build_star([2, 2, 2])
+    inst = instance_from_dict(
+        json.loads((DATA / "e6_off_hyperplane.json").read_text()))
+    far = solve(g, inst, scan_bound=1000)
+    assert candidates_tested(far) == len(member_scan_candidates(g, 1000)) == 19276
+    assert candidates_tested(solve(g, inst, scan_bound=10**6)) == 19333276
 
 
 def test_regular_series_orbit_sizes(e6):

@@ -135,9 +135,11 @@ def cmd_coxeter(args) -> int:
     for t in tokens:
         if t not in ("even", "odd"):
             return _fail(EXIT_USAGE, "bad_token", f"unknown token {t!r}")
-    print(dumps({"d": gvec_out(pair.d), "f": gvec_out(pair.f), "token": None}))
+    # the whole word is applied first: a domain error prints nothing
+    steps = [(pair, None)]
     for t in tokens:
-        pair = coxeter_char(graph, t, pair)
+        steps.append((coxeter_char(graph, t, steps[-1][0]), t))
+    for pair, t in steps:
         print(dumps({"d": gvec_out(pair.d), "f": gvec_out(pair.f), "token": t}))
     return EXIT_OK
 

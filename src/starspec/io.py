@@ -2,9 +2,10 @@
 representations, the files the command line reads and writes.
 
 Rationals travel as JSON integers when integral and as "p/q" strings
-otherwise, never as floats.  Complex matrices are row-major arrays of
-[re, im] pairs; real matrices are written the same way with im 0.0.  All
-emitters sort keys so output is byte-stable.
+otherwise, never as floats.  Matrices are row-major arrays of [re, im]
+pairs; real matrices are written with im 0.0 and read back as float64, so
+whether a representation is real is decided here, from the file, alone.
+All emitters sort keys so output is byte-stable.
 
 ``algebra_rep_to_dict`` keeps each projection as its ndarray, and
 ``dumps_pretty`` writes the [re, im] pair text of such a matrix itself, so a
@@ -105,12 +106,13 @@ def matrix_out(m: np.ndarray) -> list:
 
 
 def matrix_in(data) -> np.ndarray:
-    """A complex128 matrix from row-major [re, im] pairs of finite JSON
-    numbers.
+    """A C-contiguous matrix from row-major [re, im] pairs of finite JSON
+    numbers: float64 when every imaginary part is 0 (or -0.0), complex128
+    otherwise.
 
     Pairs of any other length, booleans, strings, nulls, NaN, infinities
-    and ragged rows are rejected.  An empty matrix comes back with zero
-    columns."""
+    and ragged rows are rejected.  An empty matrix comes back as float64
+    with zero columns."""
     import numpy as np
 
     try:
@@ -118,9 +120,11 @@ def matrix_in(data) -> np.ndarray:
         if set(map(type, entries)) <= {int, float}:
             pairs = np.array(data, dtype=float)
             if pairs.ndim == 3 and pairs.shape[2] == 2 and np.isfinite(pairs).all():
-                return pairs.view(complex)[..., 0]
+                if pairs[..., 1].any():
+                    return pairs.view(complex)[..., 0]
+                return np.ascontiguousarray(pairs[..., 0])
             if pairs.size == 0 and pairs.ndim <= 2:
-                return np.zeros((len(pairs), 0), complex)
+                return np.zeros((len(pairs), 0))
     except (TypeError, ValueError, OverflowError):
         pass
     raise IOError_("matrices must be row-major arrays of [re, im] pairs of "
@@ -201,10 +205,10 @@ def dumps_pretty(obj: dict) -> str:
 
     With an indent the standard library falls back to its pure-Python
     encoder, one generator step per number.  Here dicts and lists are walked,
-    scalars are encoded by the compact C encoder, and a float64 or
-    complex128 matrix with finite entries (a projection) is written row by
-    row from the reprs of its entries, as the encoder writes ``matrix_out``
-    of it.
+    scalars are encoded by the compact C encoder, and a float64 matrix with
+    finite entries (a projection) is written row by row from the reprs of
+    its entries, as the encoder writes ``matrix_out`` of it; any other
+    array is walked as ``matrix_out`` of it.
     """
     return _pretty(obj, "\n")
 
@@ -226,34 +230,23 @@ def _pretty(x, nl: str) -> str:
     # an ndarray exists only once numpy is loaded
     np = sys.modules.get("numpy")
     if np is not None and isinstance(x, np.ndarray):
-        if (x.ndim == 2 and x.dtype in (np.float64, np.complex128)
-                and np.isfinite(x).all()):
+        if x.ndim == 2 and x.dtype == np.float64 and np.isfinite(x).all():
             return _pretty_matrix(x, nl)
         return _pretty(matrix_out(x), nl)
     return _compact(x)
 
 
 def _pretty_matrix(m: np.ndarray, nl: str) -> str:
-    """Indented text of ``matrix_out(m)`` for a finite float64 or complex128
-    matrix: each row of [re, im] pairs is one join over the entry reprs."""
+    """Indented text of ``matrix_out(m)`` for a finite float64 matrix: each
+    row of [re, im] pairs is one join over the entry reprs."""
     if not len(m):
         return "[]"
     row_nl, pair_nl, num_nl = nl + "  ", nl + "    ", nl + "      "
     head = "[" + pair_nl + "[" + num_nl
-    tail = pair_nl + "]" + row_nl + "]"
-    between = pair_nl + "]," + pair_nl + "[" + num_nl
-    mid = "," + num_nl
-    if not m.shape[1]:
-        rows = ["[]"] * len(m)
-    elif m.dtype == float:
-        zero = mid + "0.0"
-        rows = [head + (zero + between).join(map(float.__repr__, row)) + zero + tail
-                for row in m.tolist()]
-    else:
-        rows = [head + between.join(map(mid.join, zip(map(float.__repr__, re),
-                                                      map(float.__repr__, im))))
-                + tail
-                for re, im in zip(m.real.tolist(), m.imag.tolist())]
+    zero_tail = "," + num_nl + "0.0" + pair_nl + "]" + row_nl + "]"
+    between = "," + num_nl + "0.0" + pair_nl + "]," + pair_nl + "[" + num_nl
+    rows = [head + between.join(map(float.__repr__, row)) + zero_tail if row else "[]"
+            for row in m.tolist()]
     return "[" + row_nl + ("," + row_nl).join(rows) + nl + "]"
 
 

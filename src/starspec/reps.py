@@ -26,11 +26,11 @@ eigenvalues first, and `_layout` lays a branch out along the transfer
 windows.  `to_algebra_rep` returns the eigenprojections, `canonicalize`
 lays out the eigenspaces and `from_algebra_rep` given projection images.
 
-Every step keeps the dtype of its input.  The simple seed is real and the
-reflection functors, `canonicalize`, `to_algebra_rep` and
+Every representation built here is real float64.  The simple seed is real
+and the reflection functors, `canonicalize`, `to_algebra_rep` and
 `from_algebra_rep` only take kernels, isometries and eigenprojections of
-what they are given, so a rational character yields real float64 matrices
-end to end.  Only the hyperplane optimizer works over C.
+what they are given, which keeps their dtype; the hyperplane optimizer
+starts from real orthogonal matrices and aligns real eigenvectors.
 """
 from __future__ import annotations
 
@@ -381,7 +381,6 @@ class AlgebraRep(NamedTuple):
 
 
 # optimizer budget of build_hyperplane_rep
-_RESTARTS = 32
 _MAX_ITERS = 10_000
 
 
@@ -389,16 +388,17 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     """Numerical constructor for the minimal imaginary-root dimension.
 
     Minimizes the Frobenius distance of the weighted projection sum from
-    gamma I over unitary orbits with fixed spectra, by cyclic eigenvector
+    gamma I over orthogonal orbits with fixed spectra, by cyclic eigenvector
     alignment: each branch operator is re-diagonalized against what the
-    other branches leave over.  Restart r of a seed starts from the QR
-    unitaries of complex Gaussian matrices drawn from the standard library's
-    ``random.Random(seed * _RESTARTS + r)``, so the output is deterministic
-    per seed and the projections are complex128; a negative seed is a
-    ``ValueError``, as it would share its draws with a non-negative one.  A
-    restart iterates until its Frobenius residual is below a tenth of
-    verify's bound ``RTOL * s``, and is accepted only when
-    ``verify_algebra_rep`` passes it and its commutant is one-dimensional.
+    other branches leave over.  The start is the QR orthogonal factors of
+    real Gaussian matrices drawn from the standard library's
+    ``random.Random(seed)``, so the output is deterministic per seed and the
+    projections are float64; a negative seed is a ``ValueError``, as it
+    would share its draws with a non-negative one.  The sweep iterates until
+    its Frobenius residual is below a tenth of verify's bound ``RTOL * s``,
+    and its result is accepted only when ``verify_algebra_rep`` passes it and
+    its commutant is one-dimensional; otherwise ``ConstructionError`` names
+    the check that failed.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -411,41 +411,37 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     gamma_eye = float(inst.gamma) * np.eye(n)
     diags = [np.array([float(a) for a in spec] + [0.0]) for spec in inst.branches]
     stop = RTOL * instance_scale(inst) / 10
-    reducible = False
-    for r in range(_RESTARTS):
-        # one integer per (seed, restart); each matrix draws its n * n real
-        # parts, then its n * n imaginary parts
-        rng = random.Random(seed * _RESTARTS + r)
-        units = []
-        for _ in range(3):
-            z = np.array([rng.normalvariate(0.0, 1.0) for _ in range(2 * n * n)])
-            q, _ = np.linalg.qr((z[:n * n] + 1j * z[n * n:]).reshape(n, n))
-            units.append(q)
-        ops = [(u * dg) @ u.conj().T for u, dg in zip(units, diags)]
-        for _ in range(_MAX_ITERS):
-            for j, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-                target = gamma_eye - (ops[a] + ops[b])
-                target = (target + target.conj().T) / 2
-                # eigh sorts ascending; reversed, the largest comes first
-                u = np.linalg.eigh(target)[1][:, ::-1]
-                units[j] = u
-                ops[j] = (u * diags[j]) @ u.conj().T
-            if np.linalg.norm(ops[0] + ops[1] + ops[2] - gamma_eye) < stop:
-                break
-        projections = tuple(
-            tuple(np.outer(units[j][:, i], units[j][:, i].conj()) for i in range(2))
-            for j in range(3)
-        )
-        rep = AlgebraRep(instance=inst, n0=3, projections=projections)
-        if verify.verify_algebra_rep(rep).overall:
-            if verify.commutant_dimension(rep) == 1:
-                return rep
-            reducible = True
-    detail = (
-        "every verified restart was reducible" if reducible else
-        "no restart passed verification"
+    # each branch draws the n * n entries of its start in turn
+    rng = random.Random(seed)
+    units = []
+    for _ in range(3):
+        z = [rng.normalvariate(0.0, 1.0) for _ in range(n * n)]
+        units.append(np.linalg.qr(np.reshape(z, (n, n)))[0])
+    ops = [(u * dg) @ u.T for u, dg in zip(units, diags)]
+    for _ in range(_MAX_ITERS):
+        for j, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+            target = gamma_eye - (ops[a] + ops[b])
+            target = (target + target.T) / 2
+            # eigh sorts ascending; reversed, the largest comes first
+            u = np.linalg.eigh(target)[1][:, ::-1]
+            units[j] = u
+            ops[j] = (u * diags[j]) @ u.T
+        if np.linalg.norm(ops[0] + ops[1] + ops[2] - gamma_eye) < stop:
+            break
+    projections = tuple(
+        tuple(np.outer(units[j][:, i], units[j][:, i]) for i in range(2))
+        for j in range(3)
     )
+    rep = AlgebraRep(instance=inst, n0=3, projections=projections)
+    failed = verify.verify_algebra_rep(rep).failures()
+    if failed:
+        detail = ", ".join(repr(name) for name, _, _ in failed) + " did not pass verify"
+    else:
+        dim = verify.commutant_dimension(rep)
+        if dim == 1:
+            return rep
+        detail = f"the commutant has dimension {dim}"
     raise ConstructionError(
-        f"construction failed: {detail} (existence is asserted by the "
-        "Horn criterion; this indicates a numerical failure, not infeasibility)"
+        f"construction failed: {detail} (existence is asserted by the Horn "
+        "criterion; this indicates a numerical failure, not infeasibility)"
     )

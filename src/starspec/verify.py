@@ -22,13 +22,9 @@ Without a Hermitian matrix the start is all n0^2 matrix units, that
 identity, and only this start is O(n0^4).  Every rank uses the same
 relative floor (`_rank`).
 
-Representations built by the reflection functors are real, and their files
-carry [re, 0.0] pairs: the functors start from a zero seed and only take
-kernels, isometries and eigenprojections of real matrices.  When no given
-matrix has a nonzero imaginary part the commutant is computed in real
-arithmetic, which gives the same dimension exactly (see
-`commutant_dimension`).  Hyperplane-optimizer representations and rotated
-copies keep complex arithmetic.
+Every check computes in the dtype it is given: constructed representations
+are float64, and `io.matrix_in` reads a file as complex128 only when it
+carries a nonzero imaginary part.
 
 One rule sizes every check whose residual carries the instance's scale:
 it passes at ``RTOL * s``, where s = max(|gamma|, a_1 of each branch) is
@@ -253,13 +249,6 @@ def commutant_dimension(rep: AlgebraRep) -> int:
     one matrix, so the remaining matrices are never mapped to A's
     eigenbasis and their images never decomposed.
 
-    When no matrix has a nonzero imaginary part (tested exactly), the whole
-    computation runs on the real parts.  This is exact as well: the
-    equations PX - XP = 0 then have real coefficients, so their complex
-    solution space is the complexification of the real one and has the
-    same dimension (a real basis of one is a complex basis of the other),
-    and a real image has the same singular values over R as over C.
-
     Raises ValueError when the sum of squares of a given matrix's entries is
     not finite: an entry is NaN or infinite, or squaring it overflows, and
     no rank of such values means anything.  When every given matrix passes,
@@ -271,8 +260,6 @@ def commutant_dimension(rep: AlgebraRep) -> int:
     if not all(np.isfinite(np.vdot(m, m)) for m in mats):
         raise ValueError("a matrix has entries that are not finite or whose "
                          "squares overflow")
-    if not any(m.imag.any() for m in mats):
-        mats = [m.real for m in mats]
     herm = [m for m in mats if np.abs(m - m.conj().T).max() <= _RANK_TOL]
     same_block = np.ones((n, n), bool)
     v = None

@@ -34,7 +34,7 @@ from starspec.feasibility import HORN_E6, _walk_pair
 from starspec.graph import EVEN, classify, is_positive_vector, tits_form
 from starspec.rational import Q, QMat
 from starspec.reps import (
-    _MAX_ITERS, _RESTARTS, AlgebraRep, GraphRep, reflect_rep, simple_rep,
+    _MAX_ITERS, AlgebraRep, GraphRep, reflect_rep, simple_rep,
 )
 from starspec.roots import fundamental_roots
 from starspec.transfer import RTOL, instance_scale, nondegenerate_dim
@@ -341,30 +341,29 @@ def horn_sweep(inst, seed: int = 0) -> AlgebraRep:
     diags = [np.array([float(a) for a in spec] + [0.0]) for spec in inst.branches]
     stop = RTOL * instance_scale(inst) / 10
     n = 3
-    for r in range(_RESTARTS):
-        rng = random.Random(seed * _RESTARTS + r)
-        units = []
-        for _ in range(3):
-            z = np.array([rng.normalvariate(0.0, 1.0) for _ in range(2 * n * n)])
-            q, _ = np.linalg.qr((z[:n * n] + 1j * z[n * n:]).reshape(n, n))
-            units.append(q)
-        ops = [u @ np.diag(dg) @ u.conj().T for u, dg in zip(units, diags)]
-        for _ in range(_MAX_ITERS):
-            for j in range(3):
-                target = gamma * np.eye(n) - sum(ops[i] for i in range(3) if i != j)
-                target = (target + target.conj().T) / 2
-                evals, evecs = np.linalg.eigh(target)
-                order = np.argsort(evals)[::-1]
-                u = evecs[:, order]
-                units[j] = u
-                ops[j] = u @ np.diag(diags[j]) @ u.conj().T
-            if np.linalg.norm(sum(ops) - gamma * np.eye(n)) < stop:
-                break
-        projections = tuple(
-            tuple(np.outer(units[j][:, i], units[j][:, i].conj()) for i in range(2))
-            for j in range(3)
-        )
-        rep = AlgebraRep(instance=inst, n0=3, projections=projections)
-        if verify_algebra_rep(rep).overall and commutant_dimension(rep) == 1:
-            return rep
-    raise AssertionError("no restart gave a verified irreducible representation")
+    rng = random.Random(seed)
+    units = []
+    for _ in range(3):
+        z = np.array([rng.normalvariate(0.0, 1.0) for _ in range(n * n)])
+        q, _ = np.linalg.qr(z.reshape(n, n))
+        units.append(q)
+    ops = [u @ np.diag(dg) @ u.T for u, dg in zip(units, diags)]
+    for _ in range(_MAX_ITERS):
+        for j in range(3):
+            target = gamma * np.eye(n) - sum(ops[i] for i in range(3) if i != j)
+            target = (target + target.T) / 2
+            evals, evecs = np.linalg.eigh(target)
+            order = np.argsort(evals)[::-1]
+            u = evecs[:, order]
+            units[j] = u
+            ops[j] = u @ np.diag(diags[j]) @ u.T
+        if np.linalg.norm(sum(ops) - gamma * np.eye(n)) < stop:
+            break
+    projections = tuple(
+        tuple(np.outer(units[j][:, i], units[j][:, i]) for i in range(2))
+        for j in range(3)
+    )
+    rep = AlgebraRep(instance=inst, n0=3, projections=projections)
+    if not (verify_algebra_rep(rep).overall and commutant_dimension(rep) == 1):
+        raise AssertionError("the sweep gave no verified irreducible representation")
+    return rep

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,28 @@ def test_construct_large_character(capsys, tmp_path):
     assert report["commutant_dimension"] == 1
 
 
+def test_construct_near_the_horn_boundary_ends_quickly(capsys, tmp_path):
+    """An E6~ hyperplane instance with smallest Horn margin 3/10000 at scale
+    4 either builds a verified irreducible representation or fails with
+    construction_failed, and either way within seconds."""
+    inst = str(ROOT / "tests" / "data" / "e6_horn_near_boundary.json")
+    out_path = tmp_path / "rep.json"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "--instance", inst,
+                             "-o", str(out_path))
+    assert time.perf_counter() - start < 5.0
+    if code == 3:
+        assert out == ""
+        assert json.loads(err)["error"] == "construction_failed"
+        return
+    assert code == 0, err
+    code, out, _ = run_cli(capsys, "verify", "--rep", str(out_path),
+                           "--instance", inst)
+    report = json.loads(out)
+    assert code == 0 and report["overall"] is True
+    assert report["commutant_dimension"] == 1
+
+
 def test_construct_deterministic(capsys, tmp_path):
     inst = write_instance(tmp_path, "inst.json", [[5, 2], [4, 1], [6, 3]], 7)
     a = tmp_path / "a.json"
@@ -270,17 +293,33 @@ def test_integer_instance_fields_reject_non_integers(capsys, tmp_path, command,
 
 def test_coxeter_domain_error_is_an_input_error(capsys, tmp_path):
     """A word that leaves the functor domain exits 64 with a JSON error,
-    after the states reached before it."""
+    and prints none of the states reached before it."""
     pair = {"d": [1, 0, 0, 0, 0, 0, 0], "f": [0, 1, 1, 1, 1, 1, -5]}
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(pair))
     code, out, err = run_cli(capsys, "coxeter", "--branches", "2,2,2",
                              "--word", "odd,even", "--pair", str(path))
     assert code == 64
-    assert [json.loads(line)["token"] for line in out.splitlines()] == [None]
+    assert out == ""
     parsed = json.loads(err)
     assert parsed["error"] == "CoxeterDomainError"
     assert "vertex 6" in parsed["message"]
+
+
+def test_coxeter_word_leaving_the_domain_late_prints_nothing(capsys):
+    """The first token of the committed pair stays in the domain and the
+    second leaves it: stdout stays empty, as after a bad token, so no
+    partial trajectory reads as a complete one."""
+    code, out, err = run_cli(
+        capsys, "coxeter", "--branches", "2,2,2", "--word", "even,odd",
+        "--pair", str(ROOT / "tests" / "data" / "e6_pair_leaves_domain.json"))
+    assert (code, out) == (64, "")
+    assert json.loads(err)["error"] == "CoxeterDomainError"
+    code, out, _ = run_cli(
+        capsys, "coxeter", "--branches", "2,2,2", "--word", "even",
+        "--pair", str(ROOT / "tests" / "data" / "e6_pair_leaves_domain.json"))
+    assert code == 0
+    assert [json.loads(line)["token"] for line in out.splitlines()] == [None, "even"]
 
 
 @pytest.mark.parametrize("word", ["", "even,", ",odd", "even,,odd"])

@@ -122,6 +122,39 @@ def test_matrix_in_types():
     assert m[0, 1] == 0.5 - 2j
     assert matrix_in([]).shape == (0, 0)
     assert matrix_in([[], []]).shape == (2, 0)
+    # every imaginary part 0.0 or -0.0: a real file reads as float64
+    m = matrix_in([[[1.5, 0.0], [-2, -0.0]], [[0, 0], [3.25, -0.0]]])
+    assert m.dtype == np.float64 and m.flags.c_contiguous
+    assert m.tolist() == [[1.5, -2.0], [0.0, 3.25]]
+    # one nonzero imaginary part makes the whole matrix complex128
+    m = matrix_in([[[1.5, 0.0], [-2, 0.0]], [[0, 5e-324], [3.25, -0.0]]])
+    assert m.dtype == np.complex128 and m.flags.c_contiguous
+    assert m[1, 0] == 5e-324j and m[0, 1] == -2
+
+
+def _reflection_reps():
+    """One reflection-functor construction per extended star: the largest
+    schedulable candidate with root entry <= 6."""
+    rng = random.Random(3)
+    for lengths in ([1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]):
+        g = build_star(lengths)
+        d = max((c for c in member_scan_candidates(g, 6)
+                 if reduction_schedule(g, c) is not None), key=sum)
+        f, inst = feasible_character(g, d, rng)
+        yield to_algebra_rep(g, build_graph_rep(g, d, f), inst)
+
+
+def test_constructed_reps_read_back_as_written():
+    """Every constructed representation is float64, and its file reads back
+    as float64 with the bits that were written."""
+    horn = make_instance([[20, 10], [23, 7], [17, 13]], 30)
+    hyper = [build_hyperplane_rep(horn, seed=seed) for seed in range(3)]
+    for rep in (*_reflection_reps(), *hyper):
+        again = algebra_rep_from_dict(_rep_file(rep))
+        for b1, b2 in zip(rep.projections, again.projections, strict=True):
+            for p, q in zip(b1, b2, strict=True):
+                assert p.dtype == q.dtype == np.float64
+                assert np.array_equal(p, q)
 
 
 def test_matrix_out_real_writes_zero_imaginary_part():
@@ -194,7 +227,7 @@ def test_dumps_pretty_matches_indented_json(obj):
 
 
 def test_dumps_pretty_matches_on_files_and_schemas():
-    # complex128 projections of the hyperplane optimizer
+    # float64 projections of the hyperplane optimizer
     horn = []
     for spectra in ([[2, 1], [2, 1], [2, 1]], [[20, 10], [23, 7], [17, 13]]):
         inst = make_instance(spectra, Q(sum(map(sum, spectra)), 3))

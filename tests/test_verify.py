@@ -94,10 +94,11 @@ def _conjugated(rep, u):
     ids=[f"{''.join(map(str, b))}-n0={d[-1]}" for b, d in ORACLE_CASES],
 )
 def test_commutant_same_in_real_and_complex_arithmetic(branches, d):
-    """Reflection-functor reps are real and take the real path; a complex
-    cast with zero imaginary part takes it too, and a diagonal phase
-    rotation makes the matrices genuinely complex.  All three agree with
-    the stacked oracle, run in real and in complex arithmetic."""
+    """Reflection-functor reps are real and are computed in real
+    arithmetic; a complex cast with zero imaginary part is computed in
+    complex arithmetic, and a diagonal phase rotation makes the matrices
+    genuinely complex.  All three agree with the stacked oracle, run in
+    real and in complex arithmetic."""
     rep = _construction(branches, d)
     assert all(p.dtype == np.float64 for b in rep.projections for p in b)
     cast = AlgebraRep(

@@ -3,8 +3,8 @@
 Real-root dimensions: replay the reduction schedule upward from a
 one-dimensional seed through the matrix reflection functors, bring the
 branch maps to canonical diagonal form, and read off the orthoprojections
-from the root-edge operators.  Hyperplane dimension: a seeded alternating
-eigenvector-alignment optimizer over the three real orthogonal orbits.
+from the root-edge operators.  Hyperplane dimension: a seeded
+Levenberg-Marquardt optimizer over the three real orthogonal orbits.
 """
 import random
 from fractions import Fraction as Q

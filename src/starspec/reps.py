@@ -11,7 +11,7 @@ kernels of the assembled incident maps, scaled by the square root of the
 character there.  Replaying a reduction schedule upward from a
 one-dimensional seed constructs an irreducible representation in any
 feasible real-root dimension; the level-hyperplane case is handled by a
-small alternating eigenvector-alignment optimizer instead.
+small Levenberg-Marquardt optimizer over orthogonal orbits instead.
 
 `reflect_rep` and `build_graph_rep` take the same step, `_reflect_step`,
 on an ordered-edge table: ``maps[(a, b)]`` holds the map H_b -> H_a for
@@ -30,7 +30,8 @@ Every representation built here is real float64.  The simple seed is real
 and the reflection functors, `canonicalize`, `to_algebra_rep` and
 `from_algebra_rep` only take kernels, isometries and eigenprojections of
 what they are given, which keeps their dtype; the hyperplane optimizer
-starts from real orthogonal matrices and aligns real eigenvectors.
+starts from real orthogonal matrices and moves them by Cayley transforms
+of real skew matrices.
 """
 from __future__ import annotations
 
@@ -380,25 +381,27 @@ class AlgebraRep(NamedTuple):
         return GeneralizedDimension(n0=self.n0, branches=ranks)
 
 
-# optimizer budget of build_hyperplane_rep
-_MAX_ITERS = 10_000
+# optimizer budget of build_hyperplane_rep: Levenberg-Marquardt steps
+_MAX_ITERS = 1_000
+# o(3) is spanned by the skew generators e_a e_b^T - e_b e_a^T, a < b
+_GEN_A, _GEN_B = [0, 0, 1], [1, 2, 2]
 
 
 def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     """Numerical constructor for the minimal imaginary-root dimension.
 
-    Minimizes the Frobenius distance of the weighted projection sum from
-    gamma I over orthogonal orbits with fixed spectra, by cyclic eigenvector
-    alignment: each branch operator is re-diagonalized against what the
-    other branches leave over.  The start is the QR orthogonal factors of
-    real Gaussian matrices drawn from the standard library's
-    ``random.Random(seed)``, so the output is deterministic per seed and the
-    projections are float64; a negative seed is a ``ValueError``, as it
-    would share its draws with a non-negative one.  The sweep iterates until
-    its Frobenius residual is below a tenth of verify's bound ``RTOL * s``,
-    and its result is accepted only when ``verify_algebra_rep`` passes it and
-    its commutant is one-dimensional; otherwise ``ConstructionError`` names
-    the check that failed.
+    Solves ``sum_j U_j D_j U_j^T = gamma I`` over orthogonal U_j (D_j the
+    branch spectrum and a zero) by Levenberg-Marquardt steps damped by
+    ``diag(J^T J)``, each moving U_j by the Cayley transform of a skew
+    matrix: a step that lowers the Frobenius residual is kept and divides
+    the damping by 3, any other multiplies it by 10.  The start is the QR
+    factors of real Gaussian matrices from ``random.Random(seed)``, so the
+    output is float64 and deterministic per seed; a negative seed, which
+    would share its draws with a non-negative one, is a ``ValueError``.
+    The steps stop below a tenth of verify's bound ``RTOL * s``, after
+    ``_MAX_ITERS`` steps, or once a damping past 1e16 stops every step.
+    The result is accepted only when ``verify_algebra_rep`` passes it and
+    its commutant is 1; otherwise ``ConstructionError`` names the failure.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -409,25 +412,43 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
         raise FeasibilityError(f"instance is not Horn-feasible: {check.status}")
     n = 3
     gamma_eye = float(inst.gamma) * np.eye(n)
-    diags = [np.array([float(a) for a in spec] + [0.0]) for spec in inst.branches]
+    diags = np.array([[float(a) for a in spec] + [0.0] for spec in inst.branches])
     stop = RTOL * instance_scale(inst) / 10
     # each branch draws the n * n entries of its start in turn
     rng = random.Random(seed)
-    units = []
-    for _ in range(3):
-        z = [rng.normalvariate(0.0, 1.0) for _ in range(n * n)]
-        units.append(np.linalg.qr(np.reshape(z, (n, n)))[0])
-    ops = [(u * dg) @ u.T for u, dg in zip(units, diags)]
+    draws = [rng.normalvariate(0.0, 1.0) for _ in range(3 * n * n)]
+    units = np.linalg.qr(np.reshape(draws, (3, n, n)))[0]
+    # U exp(tE) D exp(-tE) U^T has slope (d_b - d_a)(u_a u_b^T + u_b u_a^T)
+    # at t = 0 for the generator E of the pair a < b
+    slopes = (diags[:, _GEN_B] - diags[:, _GEN_A])[:, :, None, None]
+
+    def residual(us):
+        return (np.einsum("jik,jk,jlk->il", us, diags, us) - gamma_eye).ravel()
+
+    res = residual(units)
+    norm = np.linalg.norm(res)
+    damping = 1e-3
     for _ in range(_MAX_ITERS):
-        for j, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-            target = gamma_eye - (ops[a] + ops[b])
-            target = (target + target.T) / 2
-            # eigh sorts ascending; reversed, the largest comes first
-            u = np.linalg.eigh(target)[1][:, ::-1]
-            units[j] = u
-            ops[j] = (u * diags[j]) @ u.T
-        if np.linalg.norm(ops[0] + ops[1] + ops[2] - gamma_eye) < stop:
+        if norm < stop or damping > 1e16:
             break
+        outer = np.einsum("jia,jla->jail", units[:, :, _GEN_A], units[:, :, _GEN_B])
+        # column 3 j + g is the slope of generator g on branch j
+        jac = (slopes * (outer + outer.transpose(0, 1, 3, 2))).reshape(9, n * n).T
+        # least squares of |J x + res|^2 + damping |diag(|J e_k|) x|^2
+        damp = np.diag(math.sqrt(damping) * np.linalg.norm(jac, axis=0))
+        step = np.linalg.lstsq(np.vstack([jac, damp]),
+                               np.concatenate([-res, np.zeros(9)]), rcond=None)[0]
+        skew = np.zeros((3, n, n))
+        skew[:, _GEN_A, _GEN_B] = step.reshape(3, 3)
+        skew -= skew.transpose(0, 2, 1)
+        trial = units @ np.linalg.solve(np.eye(n) - skew / 2, np.eye(n) + skew / 2)
+        trial_res = residual(trial)
+        trial_norm = np.linalg.norm(trial_res)
+        if trial_norm < norm:
+            units, res, norm = trial, trial_res, trial_norm
+            damping /= 3
+        else:
+            damping *= 10
     projections = tuple(
         tuple(np.outer(units[j][:, i], units[j][:, i]) for i in range(2))
         for j in range(3)

@@ -18,9 +18,10 @@
 * The vertex operator of a graph representation read through
   `GraphRep.gamma`, which `starspec.verify` builds from the edge maps.
 * The reflection replay with one `GraphRep` per step, each block read
-  through `GraphRep.gamma` and stored by an orientation test, and the Horn
-  sweep with its constants rebuilt on every pass, to check the library's
-  edge-table replay and its hyperplane optimizer against bit for bit.
+  through `GraphRep.gamma` and stored by an orientation test, to check the
+  library's edge-table replay against bit for bit.
+* The Horn optimizer with one Jacobian column built per generator, to check
+  the library's vectorized one against to within rounding.
 """
 import functools
 import itertools
@@ -331,39 +332,66 @@ def graph_rep_replay(graph, d, f) -> GraphRep:
     return rep._replace(character=tuple(f))
 
 
-def horn_sweep(inst, seed: int = 0) -> AlgebraRep:
-    """`starspec.reps.build_hyperplane_rep` with gamma I, the partial sums
-    and each diagonal matrix rebuilt on every pass, and the eigenvectors
-    put in descending order by argsort.  Raises AssertionError where the
+def horn_lm(inst, seed: int = 0) -> AlgebraRep:
+    """`starspec.reps.build_hyperplane_rep` one generator at a time: each
+    Jacobian column is ``U (E D - D E) U^T`` for a skew matrix unit E of one
+    branch, the residual is ``sum_j U_j D_j U_j^T - gamma I`` with its
+    off-diagonal entries read once each and scaled by sqrt(2), and the Cayley
+    factor is ``(I + K/2)(I - K/2)^-1``.  Raises AssertionError where the
     library raises ConstructionError; assumes a Horn-feasible E6~ instance
     and a non-negative seed."""
     gamma = float(inst.gamma)
-    diags = [np.array([float(a) for a in spec] + [0.0]) for spec in inst.branches]
+    diags = [np.diag([float(a) for a in spec] + [0.0]) for spec in inst.branches]
     stop = RTOL * instance_scale(inst) / 10
     n = 3
+    pairs = [(0, 1), (0, 2), (1, 2)]
     rng = random.Random(seed)
     units = []
     for _ in range(3):
         z = np.array([rng.normalvariate(0.0, 1.0) for _ in range(n * n)])
         q, _ = np.linalg.qr(z.reshape(n, n))
         units.append(q)
-    ops = [u @ np.diag(dg) @ u.T for u, dg in zip(units, diags)]
+
+    def flat(m):
+        return np.array([m[a, b] * (1.0 if a == b else np.sqrt(2.0))
+                         for a in range(n) for b in range(a, n)])
+
+    def residual(us):
+        return flat(sum(u @ d @ u.T for u, d in zip(us, diags)) - gamma * np.eye(n))
+
+    res = residual(units)
+    damping = 1e-3
     for _ in range(_MAX_ITERS):
-        for j in range(3):
-            target = gamma * np.eye(n) - sum(ops[i] for i in range(3) if i != j)
-            target = (target + target.T) / 2
-            evals, evecs = np.linalg.eigh(target)
-            order = np.argsort(evals)[::-1]
-            u = evecs[:, order]
-            units[j] = u
-            ops[j] = u @ np.diag(diags[j]) @ u.T
-        if np.linalg.norm(sum(ops) - gamma * np.eye(n)) < stop:
+        if np.linalg.norm(res) < stop or damping > 1e16:
             break
+        cols = []
+        for u, d in zip(units, diags):
+            for a, b in pairs:
+                e = np.zeros((n, n))
+                e[a, b], e[b, a] = 1.0, -1.0
+                cols.append(flat(u @ (e @ d - d @ e) @ u.T))
+        jac = np.array(cols).T
+        scale = np.sqrt(damping) * np.sqrt((jac ** 2).sum(axis=0))
+        step = np.linalg.lstsq(np.vstack([jac, np.diag(scale)]),
+                               np.concatenate([-res, np.zeros(len(cols))]),
+                               rcond=None)[0]
+        trial = []
+        for j, u in enumerate(units):
+            k = np.zeros((n, n))
+            for (a, b), x in zip(pairs, step[3 * j:3 * j + 3]):
+                k[a, b], k[b, a] = x, -x
+            trial.append(u @ (np.eye(n) + k / 2) @ np.linalg.inv(np.eye(n) - k / 2))
+        trial_res = residual(trial)
+        if np.linalg.norm(trial_res) < np.linalg.norm(res):
+            units, res = trial, trial_res
+            damping /= 3
+        else:
+            damping *= 10
     projections = tuple(
         tuple(np.outer(units[j][:, i], units[j][:, i]) for i in range(2))
         for j in range(3)
     )
     rep = AlgebraRep(instance=inst, n0=3, projections=projections)
     if not (verify_algebra_rep(rep).overall and commutant_dimension(rep) == 1):
-        raise AssertionError("the sweep gave no verified irreducible representation")
+        raise AssertionError("the optimizer gave no verified irreducible representation")
     return rep

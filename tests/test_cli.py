@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -160,20 +159,18 @@ def test_construct_large_character(capsys, tmp_path):
     assert report["commutant_dimension"] == 1
 
 
-def test_construct_near_the_horn_boundary_ends_quickly(capsys, tmp_path):
-    """An E6~ hyperplane instance with smallest Horn margin 3/10000 at scale
-    4 either builds a verified irreducible representation or fails with
-    construction_failed, and either way within seconds."""
-    inst = str(ROOT / "tests" / "data" / "e6_horn_near_boundary.json")
+@pytest.mark.parametrize("name, seed", [
+    ("e6_horn_near_boundary", 0), ("e6_horn_sweep_plateau", 1),
+])
+def test_construct_builds_hard_horn_instances(capsys, tmp_path, name, seed):
+    """Horn-feasible E6~ hyperplane instances build a representation that
+    verify passes with commutant 1: one with smallest Horn margin 3/10000 at
+    scale 4, and one on which an eigenvector-alignment sweep from the seed-1
+    start plateaus."""
+    inst = str(ROOT / "tests" / "data" / f"{name}.json")
     out_path = tmp_path / "rep.json"
-    start = time.perf_counter()
     code, out, err = run_cli(capsys, "construct", "--instance", inst,
-                             "-o", str(out_path))
-    assert time.perf_counter() - start < 5.0
-    if code == 3:
-        assert out == ""
-        assert json.loads(err)["error"] == "construction_failed"
-        return
+                             "--seed", str(seed), "-o", str(out_path))
     assert code == 0, err
     code, out, _ = run_cli(capsys, "verify", "--rep", str(out_path),
                            "--instance", inst)

@@ -2,13 +2,15 @@
 representations, the files the command line reads and writes.
 
 Rationals travel as JSON integers when integral and as "p/q" strings
-otherwise, never as floats.  Matrices are row-major arrays of [re, im]
-pairs; real matrices are written with im 0.0 and read back as float64, so
-whether a representation is real is decided here, from the file, alone.
-All emitters sort keys so output is byte-stable.
+otherwise, never as floats.  A real matrix is written as row-major rows
+of numbers and reads back as float64; a complex one as row-major [re, im]
+pairs.  Pairs whose imaginary parts are all 0 (files written before real
+matrices were rows) also read back as float64, so whether a representation
+is real is decided here, from the file, alone.  All emitters sort keys so
+output is byte-stable.
 
 ``algebra_rep_to_dict`` keeps each projection as its ndarray, and
-``dumps_pretty`` writes the [re, im] pair text of such a matrix itself, so a
+``dumps_pretty`` writes the number rows of such a matrix itself, so a
 representation file is never built as nested Python lists; ``json.dumps``
 takes such a dict with ``default=matrix_out`` and gives the same text.
 
@@ -98,37 +100,47 @@ def instance_from_dict(data: dict) -> SpectralInstance:
 
 
 def matrix_out(m: np.ndarray) -> list:
-    """Row-major [re, im] pairs of floats; a real matrix writes im as 0.0."""
+    """Row-major rows of floats for a real matrix, of [re, im] pairs of
+    floats for a complex one."""
     import numpy as np
 
     m = np.asarray(m)
-    return np.stack((m.real, m.imag), axis=-1).astype(float, copy=False).tolist()
+    if np.iscomplexobj(m):
+        m = np.stack((m.real, m.imag), axis=-1)
+    return m.astype(float, copy=False).tolist()
 
 
 def matrix_in(data) -> np.ndarray:
-    """A C-contiguous matrix from row-major [re, im] pairs of finite JSON
-    numbers: float64 when every imaginary part is 0 (or -0.0), complex128
-    otherwise.
+    """A C-contiguous matrix from finite JSON numbers: row-major rows of
+    numbers read as float64; row-major [re, im] pairs read as float64 when
+    every imaginary part is 0 (or -0.0), complex128 otherwise.
 
-    Pairs of any other length, booleans, strings, nulls, NaN, infinities
-    and ragged rows are rejected.  An empty matrix comes back as float64
-    with zero columns."""
+    Booleans, strings, nulls, NaN, infinities, ragged rows, pairs of any
+    other length and rows that mix numbers and pairs are rejected.  An
+    empty matrix comes back as float64 with zero columns."""
     import numpy as np
 
     try:
-        entries = chain.from_iterable(chain.from_iterable(data))
-        if set(map(type, entries)) <= {int, float}:
-            pairs = np.array(data, dtype=float)
-            if pairs.ndim == 3 and pairs.shape[2] == 2 and np.isfinite(pairs).all():
-                if pairs[..., 1].any():
-                    return pairs.view(complex)[..., 0]
-                return np.ascontiguousarray(pairs[..., 0])
-            if pairs.size == 0 and pairs.ndim <= 2:
-                return np.zeros((len(pairs), 0))
+        kinds = set(map(type, chain.from_iterable(data)))
+        if kinds <= {int, float}:
+            m = np.array(data, dtype=float)
+            if m.ndim == 2 and np.isfinite(m).all():
+                return m
+            if m.size == 0 and m.ndim == 1:
+                return np.zeros((0, 0))
+        elif kinds == {list}:
+            entries = chain.from_iterable(chain.from_iterable(data))
+            if set(map(type, entries)) <= {int, float}:
+                pairs = np.array(data, dtype=float)
+                if (pairs.ndim == 3 and pairs.shape[2] == 2
+                        and np.isfinite(pairs).all()):
+                    if pairs[..., 1].any():
+                        return pairs.view(complex)[..., 0]
+                    return np.ascontiguousarray(pairs[..., 0])
     except (TypeError, ValueError, OverflowError):
         pass
-    raise IOError_("matrices must be row-major arrays of [re, im] pairs of "
-                   "finite numbers")
+    raise IOError_("matrices must be row-major rows of finite numbers or of "
+                   "[re, im] pairs of finite numbers")
 
 
 def gen_dim_to_dict(n: GeneralizedDimension) -> dict:
@@ -206,9 +218,9 @@ def dumps_pretty(obj: dict) -> str:
     With an indent the standard library falls back to its pure-Python
     encoder, one generator step per number.  Here dicts and lists are walked,
     scalars are encoded by the compact C encoder, and a float64 matrix with
-    finite entries (a projection) is written row by row from the reprs of
-    its entries, as the encoder writes ``matrix_out`` of it; any other
-    array is walked as ``matrix_out`` of it.
+    finite entries (a projection) is written as its rows of numbers, each
+    row joined from the reprs of its entries, as the encoder writes
+    ``matrix_out`` of it; any other array is walked as ``matrix_out`` of it.
     """
     return _pretty(obj, "\n")
 
@@ -238,15 +250,13 @@ def _pretty(x, nl: str) -> str:
 
 def _pretty_matrix(m: np.ndarray, nl: str) -> str:
     """Indented text of ``matrix_out(m)`` for a finite float64 matrix: each
-    row of [re, im] pairs is one join over the entry reprs."""
+    row of numbers is one join over the entry reprs."""
     if not len(m):
         return "[]"
-    row_nl, pair_nl, num_nl = nl + "  ", nl + "    ", nl + "      "
-    head = "[" + pair_nl + "[" + num_nl
-    zero_tail = "," + num_nl + "0.0" + pair_nl + "]" + row_nl + "]"
-    between = "," + num_nl + "0.0" + pair_nl + "]," + pair_nl + "[" + num_nl
-    rows = [head + between.join(map(float.__repr__, row)) + zero_tail if row else "[]"
-            for row in m.tolist()]
+    row_nl, num_nl = nl + "  ", nl + "    "
+    between = "," + num_nl
+    rows = ["[" + num_nl + between.join(map(float.__repr__, row)) + row_nl + "]"
+            if row else "[]" for row in m.tolist()]
     return "[" + row_nl + ("," + row_nl).join(rows) + nl + "]"
 
 
@@ -291,17 +301,22 @@ JSON_SCHEMAS = {
             },
         },
     },
-    "complex_matrix": {
+    "matrix": {
         "type": "array",
-        "items": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-                "maxItems": 2,
+        "anyOf": [
+            {"items": {"type": "array", "items": {"type": "number"}}},
+            {
+                "items": {
+                    "type": "array",
+                    "items": {
+                        "type": "array",
+                        "items": {"type": "number"},
+                        "minItems": 2,
+                        "maxItems": 2,
+                    },
+                },
             },
-        },
+        ],
     },
     "verdict": {
         "type": "object",

@@ -23,8 +23,9 @@ identity, and only this start is O(n0^4).  Every rank uses the same
 relative floor (`_rank`).
 
 Every check computes in the dtype it is given: constructed representations
-are float64, and `io.matrix_in` reads a file as complex128 only when it
-carries a nonzero imaginary part.
+are float64 and are written as rows of numbers, which `io.matrix_in` reads
+as float64; it reads complex128 only from [re, im] pairs with a nonzero
+imaginary part.
 
 One rule sizes every check whose residual carries the instance's scale:
 it passes at ``RTOL * s``, where s = max(|gamma|, a_1 of each branch) is

@@ -435,13 +435,13 @@ def test_verify_rejects_malformed_matrix(capsys, tmp_path, change):
     data = json.loads(rep.read_text())
     mat = data["projections"][1][0]
     if change == "extra":
-        mat[0][0].append(0.0)
+        mat[0][0] = [mat[0][0], 0.0]
     elif change == "bools":
-        mat[0][0] = [True, False]
+        mat[0][0] = True
     elif change == "ragged":
         mat[1].pop()
     elif change == "string":
-        mat[0][0][0] = "1.0"
+        mat[0][0] = "1.0"
     else:
         data["projections"][1][0] = [row[:2] for row in mat[:2]]
     rep.write_text(json.dumps(data))
@@ -460,7 +460,7 @@ def test_verify_non_finite_or_overflowing_entry(capsys, tmp_path, entry, code):
     dimension.  Neither raises."""
     rep = _rep_file(capsys, tmp_path)
     data = json.loads(rep.read_text())
-    data["projections"][0][0][1][1][0] = "ENTRY"
+    data["projections"][0][0][1][1] = "ENTRY"
     rep.write_text(json.dumps(data).replace('"ENTRY"', entry))
     got, out, err = run_cli(capsys, "verify", "--rep", str(rep))
     assert got == code
@@ -486,7 +486,7 @@ def test_verify_overflowing_horn_rep_has_no_commutant(capsys, tmp_path):
     data = json.loads(rep.read_text())
     assert data["metadata"]["route"] == "hyperplane_optimizer"
     for i in (0, 1):
-        data["projections"][0][0][i][i][0] = 1e308
+        data["projections"][0][0][i][i] = 1e308
     rep.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "verify", "--rep", str(rep))
     assert (code, err) == (1, "")
@@ -494,6 +494,23 @@ def test_verify_overflowing_horn_rep_has_no_commutant(capsys, tmp_path):
     assert report["overall"] is False
     assert report["commutant_dimension"] is None
     assert '"commutant_dimension":null' in out
+
+
+def test_verify_reads_pair_files_as_row_files(capsys, tmp_path):
+    """A Horn rep written as [re, im] pairs, the format of real matrices
+    before they became rows of numbers, still verifies irreducible, and
+    its report is byte-identical to that of the same matrices as rows."""
+    pairs = ROOT / "tests" / "data" / "e6_horn_rep_pairs.json"
+    data = json.loads(pairs.read_text())
+    data["projections"] = [[[[re for re, _ in row] for row in m] for m in branch]
+                           for branch in data["projections"]]
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    code, out, err = run_cli(capsys, "verify", "--rep", str(pairs))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["overall"] is True and report["commutant_dimension"] == 1
+    assert run_cli(capsys, "verify", "--rep", str(rows)) == (0, out, "")
 
 
 def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch):

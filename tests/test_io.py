@@ -95,8 +95,10 @@ def test_matrix_roundtrip():
     m = np.array([[1 + 2j, 0.5], [0, -1j]])
     again = matrix_in(matrix_out(m))
     assert np.abs(m - again).max() == 0
-    with pytest.raises(IOError_):
-        matrix_in([[1, 2], [3, 4]])
+    # rows of numbers: a real matrix, integers read as floats
+    m = matrix_in([[1, 2], [3, 4]])
+    assert m.dtype == np.float64 and m.shape == (2, 2)
+    assert m.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 @pytest.mark.parametrize("bad", [
@@ -107,9 +109,25 @@ def test_matrix_roundtrip():
     [[[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0]]],  # ragged rows
     [[["1", "0"]]],                     # strings
     [[[1.0, None]]],
-    [[1.0, 0.0]],                       # a row of numbers, not of pairs
+    [[1.0, True]],                      # a boolean among numbers
+    [[1.0, "2"]],                       # a string among numbers
+    [[1.0, None]],                      # a null among numbers
+    [[1.0, float("nan")]],              # NaN among numbers
+    [[float("inf"), 1.0]],              # an infinity among numbers
+    [[1.0, -float("inf")]],
+    [[1.0, 2.0], [3.0]],                # ragged number rows
+    [[1.0, [2.0, 0.0]]],                # a row that mixes numbers and pairs
+    [[1.0, 2.0], [[3.0, 0.0], [4.0, 0.0]]],  # rows of different shapes
+    [[[1.0, 0.0], [2.0, 0.0]], [3.0, 4.0]],
+    [[1.0], 2.0],                       # a number where a row should be
+    [1.0, 2.0],                         # a vector, not rows
+    [[[[1.0, 0.0]]]],                   # pairs nested one level too deep
     {"re": 1.0},
+    {"re": [1.0]},
     5,
+    1.5,
+    "1.0",
+    None,
 ])
 def test_matrix_in_rejects_malformed(bad):
     with pytest.raises(IOError_):
@@ -122,6 +140,13 @@ def test_matrix_in_types():
     assert m[0, 1] == 0.5 - 2j
     assert matrix_in([]).shape == (0, 0)
     assert matrix_in([[], []]).shape == (2, 0)
+    # rows of numbers read as float64, -0.0 and subnormals kept
+    m = matrix_in([[1.0, 0.0]])
+    assert m.dtype == np.float64 and m.shape == (1, 2) and m.flags.c_contiguous
+    m = matrix_in([[1.5, -0.0], [5e-324, -2]])
+    assert m.dtype == np.float64 and m.flags.c_contiguous
+    assert m.tolist() == [[1.5, -0.0], [5e-324, -2.0]]
+    assert np.signbit(m[0, 1])
     # every imaginary part 0.0 or -0.0: a real file reads as float64
     m = matrix_in([[[1.5, 0.0], [-2, -0.0]], [[0, 0], [3.25, -0.0]]])
     assert m.dtype == np.float64 and m.flags.c_contiguous
@@ -157,8 +182,33 @@ def test_constructed_reps_read_back_as_written():
                 assert np.array_equal(p, q)
 
 
-def test_matrix_out_real_writes_zero_imaginary_part():
-    assert matrix_out(np.array([[1.5, -0.0]])) == [[[1.5, 0.0], [-0.0, 0.0]]]
+def _pair_matrix(m):
+    """A matrix as files were written before real matrices became rows of
+    numbers: row-major [re, im] pairs, im 0.0 for a real matrix."""
+    return np.stack((m.real, m.imag), axis=-1).astype(float).tolist()
+
+
+def test_pair_files_read_back_as_row_files():
+    """A representation of each extended star (and a Horn one) written as
+    [re, im] pairs reads back float64 and equal to its rows read-back."""
+    horn = build_hyperplane_rep(make_instance([[20, 10], [23, 7], [17, 13]], 30))
+    for rep in (*_reflection_reps(), horn):
+        pair_text = json.dumps(algebra_rep_to_dict(rep), default=_pair_matrix)
+        # branches, matrices, rows, entries: each entry is a pair
+        assert '"projections": [[[[[' in pair_text
+        from_pairs = algebra_rep_from_dict(json.loads(pair_text))
+        from_rows = algebra_rep_from_dict(_rep_file(rep))
+        for b1, b2 in zip(from_pairs.projections, from_rows.projections,
+                          strict=True):
+            for p, q in zip(b1, b2, strict=True):
+                assert p.dtype == q.dtype == np.float64
+                assert np.array_equal(p, q)
+
+
+def test_matrix_out_real_writes_numbers():
+    out = matrix_out(np.array([[1.5, -0.0]]))
+    assert out == [[1.5, -0.0]]
+    assert all(type(v) is float for v in out[0]) and np.signbit(out[0][1])
 
 
 def test_algebra_rep_rejects_wrong_projection_shape():

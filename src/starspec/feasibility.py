@@ -59,6 +59,7 @@ from .roots import is_root, singular_and_regular_series
 from .transfer import (
     GeneralizedDimension,
     SpectralInstance,
+    TransferError,
     _char,
     n_from_dim,
 )
@@ -323,7 +324,9 @@ def iterative_feasible(
     takes to a simple one; the pair is feasible iff the character stays
     strictly positive on every active support and off-support vertex along
     the way and vanishes at the terminal vertex.  Zero margins are reported
-    as degenerate.
+    as degenerate.  A feasible verdict carries d's ranks as its witness,
+    and no witness when d has none (a dimension that grows outward along a
+    branch, such as a unit vector at a leaf).
 
     The terminal value needs no walk.  Let P(d, f) = sum eps_i d_i f_i with
     eps = +1 on odd and -1 on even vertices (``coxeter.pairing``).  A step
@@ -433,7 +436,12 @@ def _check_walk(
         )
         cert = (steps_entry,) + cert
     status = _status(strict, (eq,))
-    witness = n_from_dim(graph, d) if status == "feasible" else None
+    witness = None
+    if status == "feasible":
+        try:
+            witness = n_from_dim(graph, d)
+        except TransferError:  # d grows outward somewhere: no ranks
+            pass
     return FeasibilityVerdict(status=status, branch_taken="iterative",
                               witness_dimension=witness, certificate=cert), states
 

@@ -13,21 +13,28 @@ one-dimensional seed constructs an irreducible representation in any
 feasible real-root dimension; the level-hyperplane case is handled by a
 small Levenberg-Marquardt optimizer over orthogonal orbits instead.
 
-`reflect_rep` and `build_graph_rep` take the same step, `_reflect_step`,
-on an ordered-edge table: ``maps[(a, b)]`` holds the map H_b -> H_a for
-every ordered edge, one direction stored as the adjoint of the other.  A
-step reads each incident block by its key, with no orientation test, and
-a replay keeps one table from the seed to the last step, building no
-representation in between.
+`build_graph_rep` replays a nondegenerate dimension on the root branch
+operators A_j = T_j T_j^* alone, since the algebra side reads nothing
+else: by local scalarity a step at the inner vertices is A_j <- f_v I - A_j,
+a step at the root takes one stacked eigh and one kernel, and a step
+farther out leaves every A_j as it is.  The result is the forward layout
+of the last root eigenspaces.  `reflect_rep`, and `build_graph_rep` on a
+degenerate dimension, take the full step `_reflect_step` on an
+ordered-edge table: ``maps[(a, b)]`` holds the map H_b -> H_a for every
+ordered edge, one direction stored as the adjoint of the other.  A step
+reads each incident block by its key, with no orientation test, and a
+replay keeps one table from the seed to the last step.
 
 Graph and algebra representations meet at the root: `_eigenspaces` splits
 each root branch operator T T^* by the ranks of the dimension, largest
 eigenvalues first, and `_layout` lays a branch out along the transfer
 windows.  `to_algebra_rep` returns the eigenprojections, `canonicalize`
-lays out the eigenspaces and `from_algebra_rep` given projection images.
+and `build_graph_rep` lay out the eigenspaces (`_canonical_layout`) and
+`from_algebra_rep` given projection images.
 
-Every representation built here is real float64.  The simple seed is real
-and the reflection functors, `canonicalize`, `to_algebra_rep` and
+Every representation built here is real float64.  The simple seed and the
+zero root operators are real, and the reflection functors, the
+root-operator replay, `canonicalize`, `to_algebra_rep` and
 `from_algebra_rep` only take kernels, isometries and eigenprojections of
 what they are given, which keeps their dtype; the hyperplane optimizer
 starts from real orthogonal matrices and moves them by Cayley transforms
@@ -110,23 +117,31 @@ def simple_rep(graph: StarGraph, g: int, character: Optional[GVec] = None) -> Gr
     )
 
 
-def _kernel_basis(m: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of ker(m) as columns, in the dtype of m.  The rank
-    counts the singular values above 1e-10 times the largest; ``dim``, the
-    expected kernel dimension, is confirmed by the two singular values
-    around rank ``cols - dim``, and only when they disagree are all of them
-    counted."""
+def _kernel_basis(m: np.ndarray, dim: int, v: int) -> np.ndarray:
+    """Orthonormal basis of ker(m) as columns, in the dtype of m, for the
+    reflected space at vertex v.  The rank counts the singular values above
+    1e-10 times the largest; ``dim``, the expected kernel dimension, is
+    confirmed by the two singular values around rank ``cols - dim``, and
+    only when they disagree are all of them counted.  A kernel of another
+    dimension is a ``RepError``."""
     rows, cols = m.shape
     if rows == 0 or cols == 0:
-        return np.eye(cols, dtype=m.dtype)
-    u, s, vh = np.linalg.svd(m)
-    s = s.tolist()
-    floor = 1e-10 * s[0]
-    rank = cols - dim
-    if not (0 <= rank <= len(s) and (rank == 0 or s[rank - 1] > floor)
-            and (rank == len(s) or s[rank] <= floor)):
-        rank = sum(x > floor for x in s)
-    return vh[rank:].conj().T
+        basis = np.eye(cols, dtype=m.dtype)
+    else:
+        u, s, vh = np.linalg.svd(m)
+        s = s.tolist()
+        floor = 1e-10 * s[0]
+        rank = cols - dim
+        if not (0 <= rank <= len(s) and (rank == 0 or s[rank - 1] > floor)
+                and (rank == len(s) or s[rank] <= floor)):
+            rank = sum(x > floor for x in s)
+        basis = vh[rank:].conj().T
+    if basis.shape[1] != dim:
+        raise RepError(
+            f"kernel dimension {basis.shape[1]} at vertex {v} does not "
+            f"match the reflected dimension {dim}"
+        )
+    return basis
 
 
 def _edge_table(graph: StarGraph, ops: dict) -> dict:
@@ -153,14 +168,8 @@ def _reflect_step(
     for v in _parity_set(graph, token):
         nb = graph.neighbors[v]
         # every vertex of a star has a neighbour
-        k_basis = _kernel_basis(
-            np.concatenate([maps[(v, h)] for h in nb], axis=1), dims[v])
-        if k_basis.shape[1] != dims[v]:
-            raise RepError(
-                f"kernel dimension {k_basis.shape[1]} at vertex {v} does not "
-                f"match the reflected dimension {dims[v]}"
-            )
-        k_basis = math.sqrt(weights[v]) * k_basis
+        k_basis = math.sqrt(weights[v]) * _kernel_basis(
+            np.concatenate([maps[(v, h)] for h in nb], axis=1), dims[v], v)
         off = 0
         for h in nb:
             # h is of the other parity, so dims[h] did not change
@@ -206,40 +215,130 @@ def build_graph_rep(graph: StarGraph, d: GVec, f: GVec) -> GraphRep:
 
     Requires the pair to be feasible.  Replays the states of its
     feasibility walk upward from the simple representation at the terminal
-    vertex, on one edge table: each step takes its dimension from the state
-    and its character from the walk's integer entries over their common
-    denominator (int / int rounds correctly, as float(Fraction) does).  A
-    feasible walk is positive on every reflected parity class.
+    vertex: each step takes its dimension from the state and its character
+    from the walk's integer entries over their common denominator (int /
+    int rounds correctly, as float(Fraction) does).  A feasible walk is
+    positive on every reflected parity class.
+
+    For a nondegenerate d the replay carries only the root branch
+    operators A_j = T_j T_j^*, stacked, and ends with their forward layout,
+    as ``canonicalize`` lays one out (see ``_replay_root_operators``).  A
+    degenerate d, which the layout cannot express (a representation not
+    generated at the root), is replayed on one edge table.
     """
     verdict, states, scale = _walk_pair(graph, d, f, False)
     if not verdict.feasible:
         raise FeasibilityError(f"({list(d)}, f) is not feasible: {verdict.status}")
+    dims = states[0][0]
+    if nondegenerate_dim(graph, dims):
+        ranks = [dims[path[-1]] for path in graph.branches]
+        eig = _root_eigh(graph, _replay_root_operators(graph, states, scale), ranks)
+        return _canonical_layout(graph, dims, eig, tuple(f))
     seed = simple_rep(graph, states[-1][0].index(1))
     maps = _edge_table(graph, seed.ops)
     for dcur, token, fcur in reversed(states[:-1]):
         _reflect_step(graph, token, maps, dcur, [x / scale for x in fcur])
-    return _from_table(graph, maps, states[0][0], tuple(f))
+    return _from_table(graph, maps, dims, tuple(f))
 
 
-def _eigenspaces(graph: StarGraph, rep: GraphRep) -> list:
-    """Eigenspaces of each root branch operator T T^*, split by rank.
+def _replay_root_operators(graph: StarGraph, states: list, scale: int) -> np.ndarray:
+    """The walk's states replayed upward on the stack of root branch
+    operators A_j = T_j T_j^*, shape (branches, n0, n0); no other vertex
+    space is built.
 
-    Per branch, a list of (eigenvalues, eigenvector columns) blocks in the
-    ranks of ``n_from_dim(rep.dims)``, largest spectral value first, then
-    the remaining block, the kernel.  Columns keep eigh's ascending order.
+    Every inner vertex v_j has the parity opposite the root, so a step
+    reflects either all of them or the root.  At v_j the assembled map m
+    satisfies m m^T = f_v I (local scalarity), the kernel projector is
+    I - m^T m / f_v, and its root block is I - A_j / f_v: the step is
+    A_j <- f_v I - A_j.  At the root, A_j = F_j F_j^T with F_j the top
+    dims[v_j] eigenpairs scaled by the square roots of their eigenvalues, so
+    T_j = F_j U_j for an orthogonal U_j, and U_j cancels from K_j^T K_j for
+    the kernel K of [T_1 ... T_b]: the step is A_j <- f_root K_j^T K_j with
+    K the kernel of [F_1 ... F_b].  Reflections farther out leave every A_j
+    as it is.
     """
-    if not nondegenerate_dim(graph, rep.dims):
-        raise RepError("representation dimension is degenerate")
-    n = transfer.n_from_dim(graph, rep.dims)
+    root = graph.root
+    inner = [path[-1] for path in graph.branches]
+    n0 = states[-1][0][root]
+    ops = np.zeros((len(inner), n0, n0))
+    for dcur, token, fcur in reversed(states[:-1]):
+        if root not in _parity_set(graph, token):
+            weights = np.array([fcur[v] / scale for v in inner])
+            ops = weights[:, None, None] * np.eye(n0) - ops
+            continue
+        ranks = [dcur[v] for v in inner]
+        evals, evecs = _root_eigh(graph, ops, ranks)
+        # rounding negatives are clamped before the square root
+        scaled = evecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]
+        # the top eigenpairs; past n0, zero columns, which U_j absorbs too
+        kernel = _kernel_basis(np.concatenate(
+            [s[:, n0 - r:] if r <= n0 else np.hstack([np.zeros((n0, r - n0)), s])
+             for s, r in zip(scaled, ranks)], axis=1), dcur[root], root)
+        # K_j^T K_j for every branch at once: row r of K belongs to branch j
+        # when the selector sel[j, r] is 1
+        sel = np.repeat(np.eye(len(inner)), ranks, axis=1)
+        ops = (fcur[root] / scale) * (
+            np.swapaxes(sel[:, :, None] * kernel, 1, 2) @ kernel)
+        n0 = dcur[root]
+    return ops
+
+
+def _root_eigh(graph: StarGraph, ops: np.ndarray, ranks: Sequence[int]):
+    """Stacked eigh of the root branch operators, largest eigenvalues last.
+
+    A_j = T_j T_j^* has rank at most ``ranks[j]``, the dimension of the
+    inner vertex v_j, so its n0 - ranks[j] smallest eigenvalues must lie
+    under the rank floor, 1e-10 times the largest eigenvalue of the stack;
+    otherwise ``RepError`` names the inner vertex.
+    """
+    evals, evecs = np.linalg.eigh(ops)
+    n0 = ops.shape[1]
+    floor = 1e-10 * evals.max(initial=0.0)
+    for j, r in enumerate(ranks):
+        # eigenvalues ascend, so the last dropped one is the largest
+        if r < n0 and evals[j, n0 - r - 1] > floor:
+            raise RepError(
+                f"root branch operator {j + 1} has rank above the dimension "
+                f"{r} of its inner vertex {graph.branches[j][-1]}"
+            )
+    return evals, evecs
+
+
+def _root_operators(graph: StarGraph, rep: GraphRep) -> np.ndarray:
+    """The root branch operators T T^* of a representation, stacked."""
     t_maps = [rep.gamma(graph.root, path[-1]) for path in graph.branches]
-    # one stacked eigh: LAPACK decomposes each n0 x n0 operator on its own
-    stacked = np.linalg.eigh(np.stack([t @ t.conj().T for t in t_maps]))
+    return np.stack([t @ t.conj().T for t in t_maps])
+
+
+def _eigenspaces(graph: StarGraph, dims: GVec, eig) -> list:
+    """Eigenspaces of each root branch operator, split by rank.
+
+    ``eig`` is the stacked eigh of the operators.  Per branch, a list of
+    (eigenvalues, eigenvector columns) blocks in the ranks of
+    ``n_from_dim(dims)``, largest spectral value first, then the remaining
+    block, the kernel.  Columns keep eigh's ascending order.
+    """
+    if not nondegenerate_dim(graph, dims):
+        raise RepError("representation dimension is degenerate")
+    n = transfer.n_from_dim(graph, dims)
     out = []
-    for ranks, evals, evecs in zip(n.branches, *stacked):
+    for ranks, evals, evecs in zip(n.branches, *eig):
         # block bounds from the top: n0, n0 - r_1, n0 - r_1 - r_2, ..., 0
         cuts = [len(evals) - c for c in accumulate(ranks, initial=0)] + [0]
         out.append([(evals[lo:hi], evecs[:, lo:hi]) for hi, lo in zip(cuts, cuts[1:])])
     return out
+
+
+def _canonical_layout(
+    graph: StarGraph, dims: GVec, eig, character: Optional[GVec],
+) -> GraphRep:
+    """The forward layout of the root eigenspaces (``eig``, the stacked eigh
+    of the root branch operators), each block's mean eigenvalue as its
+    spectral value; the kernels are dropped."""
+    split = [blocks[:-1] for blocks in _eigenspaces(graph, dims, eig)]
+    spectra = [[float(np.mean(vals)) for vals, _ in b] for b in split]
+    isometries = [[vecs for _, vecs in b] for b in split]
+    return _layout(graph, spectra, dims[graph.root], isometries, character)
 
 
 def canonicalize(graph: StarGraph, rep: GraphRep) -> GraphRep:
@@ -253,10 +352,8 @@ def canonicalize(graph: StarGraph, rep: GraphRep) -> GraphRep:
     """
     if rep.character is None:
         raise RepError("canonicalize needs the representation character")
-    split = [blocks[:-1] for blocks in _eigenspaces(graph, rep)]  # no kernels
-    spectra = [[float(np.mean(vals)) for vals, _ in b] for b in split]
-    isometries = [[vecs for _, vecs in b] for b in split]
-    return _layout(graph, spectra, rep.dims[graph.root], isometries, rep.character)
+    eig = np.linalg.eigh(_root_operators(graph, rep))
+    return _canonical_layout(graph, rep.dims, eig, rep.character)
 
 
 def to_algebra_rep(
@@ -273,7 +370,7 @@ def to_algebra_rep(
     """
     if inst.branch_lengths != graph.branch_lengths:
         raise RepError("instance does not match the graph")
-    split = _eigenspaces(graph, rep)
+    split = _eigenspaces(graph, rep.dims, np.linalg.eigh(_root_operators(graph, rep)))
     bound = RTOL * instance_scale(inst)
     for j, (spec, blocks) in enumerate(zip(inst.branches, split)):
         for a, (vals, _) in zip([*map(float, spec), 0.0], blocks):

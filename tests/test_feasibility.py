@@ -319,6 +319,10 @@ def test_iterative_examples(e6):
     f = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 0))
     v = iterative_feasible(e6, unit_vector(e6, e6.root), f)
     assert v.feasible
+    # so is one at a leaf, whose dimension has no ranks (the leaf exceeds
+    # its inner vertex): feasible without a witness
+    v = iterative_feasible(e6, unit_vector(e6, 0), (0,) + f[1:6] + (1,))
+    assert v.feasible and v.witness_dimension is None
     # the radical generator never reduces
     with pytest.raises(FeasibilityError):
         iterative_feasible(e6, DELTA, f)

@@ -32,10 +32,12 @@ from starspec import (
 )
 import starspec.reps as reps_module
 from starspec.reps import RepError
+from starspec.transfer import nondegenerate_dim
 from starspec.verify import commutant_dimension
 
 from conftest import ORACLE_CASES, feasible_character, random_feasible_instance
 from oracles import (
+    box_scan_roots,
     fraction_route_rep,
     graph_rep_reflection,
     graph_rep_replay,
@@ -244,6 +246,14 @@ def test_canonicalize_is_isomorphic_and_keeps_root():
                 assert gram_gap < 1e-10 * scale, (lengths, d)
             report = verify_graph_rep(g, can, d, f)
             assert report.overall, (lengths, d, report.failures())
+            # build_graph_rep lays out its root eigenspaces as canonicalize
+            # does: a fixed point up to the basis of each root eigenspace,
+            # so root edges are compared by their Gram matrices
+            for key, mat in rep.ops.items():
+                other = can.ops[key]
+                if g.root in key:
+                    mat, other = mat @ mat.T, other @ other.T
+                assert np.abs(mat - other).max() < 1e-12 * scale, (lengths, d, key)
             n_cases += 1
     assert n_cases >= 40
 
@@ -296,15 +306,36 @@ def test_large_characters_construct(lengths, scale):
         assert commutant_dimension(arep) == 1
 
 
+def _assert_matches_oracle(g, rep, ref, d, f):
+    """``rep`` and the oracle ``ref`` are isomorphic, with exactly the dims
+    and character and the same root Gram spectra within 1e-12 times the
+    character scale; ``rep`` is locally scalar with (d, f)."""
+    assert rep.dims == ref.dims == tuple(d)
+    assert rep.character == ref.character == tuple(f)
+    assert list(map(type, rep.character)) == list(map(type, ref.character))
+    assert rep.ops.keys() == ref.ops.keys()
+    assert hom_dimension(rep, ref) == 1, d
+    scale = max(abs(float(x)) for x in f)
+    for path in g.branches:
+        t_rep, t_ref = (r.gamma(g.root, path[-1]) for r in (rep, ref))
+        gap = np.abs(np.linalg.eigvalsh(t_rep @ t_rep.T)
+                     - np.linalg.eigvalsh(t_ref @ t_ref.T)).max()
+        assert gap < 1e-12 * scale, (d, gap)
+    report = verify_graph_rep(g, rep, d, f)
+    assert report.overall, (d, report.failures())
+
+
 @pytest.mark.parametrize(
     "lengths", [[1, 1, 1, 1], [2, 2, 2], [3, 3, 1], [1, 2, 5], [2, 5, 1], [5, 2, 1]])
 def test_build_graph_rep_matches_fraction_route(lengths):
-    """Replaying the states of the feasibility walk gives bitwise the edge
-    maps, and exactly the dims and character, of the Fraction route (the
-    character pushed down the schedule, then recomputed and checked at every
-    upward step by coxeter_char), on the first schedulable candidate at each
-    root entry up to 12, with an integer character and with that character
-    times 7/3 (common denominator 3)."""
+    """The replay of the feasibility walk's states builds a representation
+    isomorphic to the Fraction route's (the character pushed down the
+    schedule, then recomputed and checked at every upward step by
+    coxeter_char) and to the replay that builds a `GraphRep` per step,
+    with exactly their dims and character and their root Gram spectra, on
+    the first schedulable candidate at each root entry up to 12, with an
+    integer character and with that character times 7/3 (common
+    denominator 3)."""
     g = build_star(lengths)
     dims = {}
     for d in member_scan_candidates(g, 12):
@@ -318,15 +349,8 @@ def test_build_graph_rep_matches_fraction_route(lengths):
         pairs += [(d, f), (d, tuple(Q(7, 3) * x for x in f))]
     for d, f in pairs:
         rep = build_graph_rep(g, d, f)
-        ref = fraction_route_rep(g, d, f)
-        assert rep.dims == ref.dims == d
-        assert rep.character == ref.character
-        assert list(map(type, rep.character)) == list(map(type, ref.character))
-        assert rep.ops.keys() == ref.ops.keys()
-        for key, mat in rep.ops.items():
-            other = ref.ops[key]
-            assert (mat.dtype, mat.shape) == (other.dtype, other.shape)
-            assert mat.tobytes() == other.tobytes(), (d, key)
+        for ref in (fraction_route_rep(g, d, f), graph_rep_replay(g, d, f)):
+            _assert_matches_oracle(g, rep, ref, d, f)
 
 
 def _same_maps(rep, ref):
@@ -339,20 +363,70 @@ def _same_maps(rep, ref):
     ids=[f"{''.join(map(str, b))}-n0={d[-1]}" for b, d in ORACLE_CASES],
 )
 def test_edge_table_replay_matches_graph_rep_oracle(branches, d):
-    """The edge-table replay of `build_graph_rep` gives the edge maps of
-    the replay that builds a `GraphRep` per step, bit for bit, on small and
-    medium dimensions of every extended star; `reflect_rep` takes the
-    oracle's single step, from the built rep, at both parities."""
+    """`build_graph_rep` matches the replay that builds a `GraphRep` per
+    step and the Fraction route, up to isomorphism, on small and medium
+    dimensions of every extended star; `reflect_rep` takes the oracle's
+    single step on the edge table, from the built rep, at both parities,
+    bit for bit."""
     g = build_star(branches)
     f, _ = feasible_character(g, d, random.Random(5))
     rep = build_graph_rep(g, d, f)
-    assert _same_maps(rep, graph_rep_replay(g, d, f))
-    assert rep.character == tuple(f)
+    for ref in (graph_rep_replay(g, d, f), fraction_route_rep(g, d, f)):
+        _assert_matches_oracle(g, rep, ref, d, f)
     for token in ("even", "odd"):
         pair = DimCharPair(rep.dims, f)
         new = coxeter_char(g, token, pair)
         ref = graph_rep_reflection(g, token, rep, new.d, [float(v) for v in f])
         assert _same_maps(reflect_rep(g, token, rep, pair), ref), token
+
+
+@pytest.mark.parametrize("lengths", [[1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]])
+def test_degenerate_dims_replay_on_the_edge_table(lengths):
+    """A degenerate dimension keeps the edge-table replay, bit for bit the
+    replay that builds a `GraphRep` per step: a unit vector at a leaf
+    (character 0 there), which is not generated at the root, and the
+    four largest schedulable degenerate roots below delta."""
+    g = build_star(lengths)
+    rng = random.Random(13)
+    leaf = g.branches[0][0]
+    f = tuple(Q(0) if v == leaf else Q(rng.randint(1, 9))
+              for v in range(g.n_vertices))
+    cases = [(unit_vector(g, leaf), f)]
+    degenerate = [d for d in box_scan_roots(g) if not nondegenerate_dim(g, d)
+                  and reduction_schedule(g, d) is not None]
+    for d in sorted(degenerate, key=sum)[-4:]:
+        cases.append((d, feasible_character(g, d, rng)[0]))
+    for d, f in cases:
+        rep = build_graph_rep(g, d, f)
+        assert rep.dims == tuple(d)
+        assert rep.character == tuple(f)
+        assert _same_maps(rep, graph_rep_replay(g, d, f)), d
+        assert verify_graph_rep(g, rep, d, f).overall, d
+
+
+def test_build_graph_rep_rejects_root_operator_above_inner_rank(monkeypatch):
+    """A root branch operator whose rank exceeds the dimension of its inner
+    vertex is a `RepError` naming that vertex: one inner step's character
+    raised by 1/scale makes f_v I - A_j invertible."""
+    g = build_star([2, 2, 2])
+    d = (3, 7, 3, 6, 3, 6, 10)
+    f, _ = feasible_character(g, d, random.Random(5))
+    walk = reps_module._walk_pair
+    inner = g.branches[0][-1]
+
+    def bumped(*args):
+        verdict, states, scale = walk(*args)
+        i = next(i for i, (_, token, _) in enumerate(states) if token == "even")
+        dcur, token, fcur = states[i]
+        fcur = list(fcur)
+        fcur[inner] += 1
+        states[i] = (dcur, token, fcur)
+        return verdict, states, scale
+
+    monkeypatch.setattr(reps_module, "_walk_pair", bumped)
+    with pytest.raises(RepError, match=f"root branch operator 1 has rank above "
+                                       rf"the dimension \d+ of its inner vertex {inner}"):
+        build_graph_rep(g, d, f)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

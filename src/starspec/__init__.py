@@ -85,9 +85,6 @@ _NUMERICAL = {
     "build_graph_rep": "reps",
     "build_hyperplane_rep": "reps",
     "canonicalize": "reps",
-    "from_algebra_rep": "reps",
-    "reflect_rep": "reps",
-    "simple_rep": "reps",
     "to_algebra_rep": "reps",
     "VerificationReport": "verify",
     "commutant_dimension": "verify",

@@ -18,24 +18,20 @@ operators A_j = T_j T_j^* alone, since the algebra side reads nothing
 else: by local scalarity a step at the inner vertices is A_j <- f_v I - A_j,
 a step at the root takes one stacked eigh and one kernel, and a step
 farther out leaves every A_j as it is.  The result is the forward layout
-of the last root eigenspaces.  `reflect_rep`, and `build_graph_rep` on a
-degenerate dimension, take the full step `_reflect_step` on an
-ordered-edge table: ``maps[(a, b)]`` holds the map H_b -> H_a for every
-ordered edge, one direction stored as the adjoint of the other.  A step
-reads each incident block by its key, with no orientation test, and a
-replay keeps one table from the seed to the last step.
+of the last root eigenspaces.  A degenerate dimension is refused: it has
+no algebra representation (the representation is not generated at the
+root), so no layout expresses it.
 
 Graph and algebra representations meet at the root: `_eigenspaces` splits
 each root branch operator T T^* by the ranks of the dimension, largest
 eigenvalues first, and `_layout` lays a branch out along the transfer
-windows.  `to_algebra_rep` returns the eigenprojections, `canonicalize`
-and `build_graph_rep` lay out the eigenspaces (`_canonical_layout`) and
-`from_algebra_rep` given projection images.
+windows.  `to_algebra_rep` returns the eigenprojections, and
+`canonicalize` and `build_graph_rep` lay out the eigenspaces
+(`_canonical_layout`).
 
-Every representation built here is real float64.  The simple seed and the
-zero root operators are real, and the reflection functors, the
-root-operator replay, `canonicalize`, `to_algebra_rep` and
-`from_algebra_rep` only take kernels, isometries and eigenprojections of
+Every representation built here is real float64.  The zero root
+operators are real, and the root-operator replay, `canonicalize` and
+`to_algebra_rep` only take kernels, isometries and eigenprojections of
 what they are given, which keeps their dtype; the hyperplane optimizer
 starts from real orthogonal matrices and moves them by Cayley transforms
 of real skew matrices.
@@ -49,7 +45,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .coxeter import DimCharPair, Token, _parity_set, coxeter_char
+from .coxeter import _parity_set
 # Public functions of other layers are called through their modules: a name
 # copied by `from ... import` keeps the binding of the moment this module is
 # imported, which may be a wrapper later undone (perfbench's tracer rebinds
@@ -98,25 +94,6 @@ class GraphRep(NamedTuple):
         raise RepError(f"({a},{b}) is not an edge")
 
 
-def _zero_ops(graph: StarGraph, dims: Sequence[int]) -> dict:
-    out = {}
-    for far, near in graph.edges:
-        out[(far, near)] = np.zeros((dims[near], dims[far]))
-    return out
-
-
-def simple_rep(graph: StarGraph, g: int, character: Optional[GVec] = None) -> GraphRep:
-    """One-dimensional space at g, zero elsewhere; all edge maps zero."""
-    if not 0 <= g < graph.n_vertices:
-        raise RepError(f"unknown vertex {g}")
-    dims = tuple(int(v == g) for v in range(graph.n_vertices))
-    if character is not None and character[g] != 0:
-        raise RepError("a simple representation has character value 0 at its vertex")
-    return GraphRep(
-        graph=graph, dims=dims, ops=_zero_ops(graph, dims), character=character
-    )
-
-
 def _kernel_basis(m: np.ndarray, dim: int, v: int) -> np.ndarray:
     """Orthonormal basis of ker(m) as columns, in the dtype of m, for the
     reflected space at vertex v.  The rank counts the singular values above
@@ -144,101 +121,31 @@ def _kernel_basis(m: np.ndarray, dim: int, v: int) -> np.ndarray:
     return basis
 
 
-def _edge_table(graph: StarGraph, ops: dict) -> dict:
-    """The ordered-edge table of rootward maps ``ops``: ``maps[(a, b)]`` is
-    the map H_b -> H_a for every ordered edge, the leafward map stored as
-    the adjoint of the rootward one."""
-    maps = {}
-    for far, near in graph.edges:
-        maps[(near, far)] = ops[(far, near)]
-        maps[(far, near)] = ops[(far, near)].conj().T
-    return maps
-
-
-def _reflect_step(
-    graph: StarGraph, token: Token, maps: dict, dims: GVec, weights: GVec,
-) -> None:
-    """One reflection functor on the edge table ``maps``, in place, into the
-    reflected dimension ``dims``.  The new space at each token-parity vertex
-    v is the kernel of its assembled incident map, and its blocks are the
-    kernel-inclusion slices scaled by sqrt(weights[v]).  No two vertices of
-    one parity class are adjacent, so the class reads only maps that no
-    other vertex of it writes, and every edge is rewritten by its one
-    endpoint in the class."""
-    for v in _parity_set(graph, token):
-        nb = graph.neighbors[v]
-        # every vertex of a star has a neighbour
-        k_basis = math.sqrt(weights[v]) * _kernel_basis(
-            np.concatenate([maps[(v, h)] for h in nb], axis=1), dims[v], v)
-        off = 0
-        for h in nb:
-            # h is of the other parity, so dims[h] did not change
-            block = k_basis[off:off + dims[h], :]  # H_v^new -> H_h
-            off += dims[h]
-            maps[(h, v)] = block
-            maps[(v, h)] = block.conj().T
-
-
-def _from_table(
-    graph: StarGraph, maps: dict, dims: GVec, character: Optional[GVec],
-) -> GraphRep:
-    ops = {(far, near): maps[(near, far)] for far, near in graph.edges}
-    return GraphRep(graph=graph, dims=tuple(dims), ops=ops, character=character)
-
-
-def reflect_rep(
-    graph: StarGraph, token: Token, rep: GraphRep, pair: DimCharPair
-) -> GraphRep:
-    """Matrix-level reflection functor for one parity class.
-
-    The new space at each token-parity vertex is the kernel of the
-    assembled incident map; the new edge blocks are the kernel-inclusion
-    slices scaled by sqrt of the character value there.  The output is
-    locally scalar with the transformed pair.
-    """
-    d, f = pair
-    if tuple(d) != rep.dims:
-        raise RepError("pair dimension does not match the representation")
-    for far, near in graph.edges:
-        if (far, near) not in rep.ops:
-            raise RepError(f"no rootward map on the edge ({far},{near})")
-    # validates the domain, so f is positive on the parity class; rep.dims
-    # equals d and keeps the new dims ints
-    new_pair = coxeter_char(graph, token, DimCharPair(rep.dims, f))
-    maps = _edge_table(graph, rep.ops)
-    _reflect_step(graph, token, maps, new_pair.d, f)
-    return _from_table(graph, maps, new_pair.d, new_pair.f)
-
-
 def build_graph_rep(graph: StarGraph, d: GVec, f: GVec) -> GraphRep:
     """Construct an irreducible locally scalar representation with (d, f).
 
-    Requires the pair to be feasible.  Replays the states of its
-    feasibility walk upward from the simple representation at the terminal
-    vertex: each step takes its dimension from the state and its character
-    from the walk's integer entries over their common denominator (int /
-    int rounds correctly, as float(Fraction) does).  A feasible walk is
-    positive on every reflected parity class.
+    Requires the pair to be feasible (else ``FeasibilityError``) and d to
+    be nondegenerate (else ``RepError``): only a nondegenerate dimension
+    has an algebra representation, and so a forward layout.  Replays the
+    states of its feasibility walk upward from the simple representation
+    at the terminal vertex: each step takes its dimension from the state
+    and its character from the walk's integer entries over their common
+    denominator (int / int rounds correctly, as float(Fraction) does).  A
+    feasible walk is positive on every reflected parity class.
 
-    For a nondegenerate d the replay carries only the root branch
-    operators A_j = T_j T_j^*, stacked, and ends with their forward layout,
-    as ``canonicalize`` lays one out (see ``_replay_root_operators``).  A
-    degenerate d, which the layout cannot express (a representation not
-    generated at the root), is replayed on one edge table.
+    The replay carries only the root branch operators A_j = T_j T_j^*,
+    stacked, and ends with their forward layout, as ``canonicalize`` lays
+    one out (see ``_replay_root_operators``).
     """
     verdict, states, scale = _walk_pair(graph, d, f, False)
     if not verdict.feasible:
         raise FeasibilityError(f"({list(d)}, f) is not feasible: {verdict.status}")
     dims = states[0][0]
-    if nondegenerate_dim(graph, dims):
-        ranks = [dims[path[-1]] for path in graph.branches]
-        eig = _root_eigh(graph, _replay_root_operators(graph, states, scale), ranks)
-        return _canonical_layout(graph, dims, eig, tuple(f))
-    seed = simple_rep(graph, states[-1][0].index(1))
-    maps = _edge_table(graph, seed.ops)
-    for dcur, token, fcur in reversed(states[:-1]):
-        _reflect_step(graph, token, maps, dcur, [x / scale for x in fcur])
-    return _from_table(graph, maps, dims, tuple(f))
+    if not nondegenerate_dim(graph, dims):
+        raise RepError("representation dimension is degenerate")
+    ranks = [dims[path[-1]] for path in graph.branches]
+    eig = _root_eigh(graph, _replay_root_operators(graph, states, scale), ranks)
+    return _canonical_layout(graph, dims, eig, tuple(f))
 
 
 def _replay_root_operators(graph: StarGraph, states: list, scale: int) -> np.ndarray:
@@ -345,8 +252,8 @@ def canonicalize(graph: StarGraph, rep: GraphRep) -> GraphRep:
     """Canonical form: the forward layout of the root eigenspaces.
 
     Splits each root branch operator into eigenspaces by the ranks of the
-    dimension and lays them out as ``from_algebra_rep`` does, with each
-    block's mean eigenvalue as its spectral value: non-root edges become a
+    dimension and lays them out by ``_layout``, with each block's mean
+    eigenvalue as its spectral value: non-root edges become a
     zero block next to positive multiples of identity blocks, the root
     basis is kept and root-edge maps carry all remaining freedom.
     """
@@ -380,21 +287,6 @@ def to_algebra_rep(
     projections = tuple(tuple(vecs @ vecs.conj().T for _, vecs in blocks[:-1])
                         for blocks in split)
     return AlgebraRep(instance=inst, n0=rep.dims[graph.root], projections=projections)
-
-
-def from_algebra_rep(graph: StarGraph, arep: "AlgebraRep") -> GraphRep:
-    """Forward matrix construction: graph representation from projections,
-    laid out by ``_layout`` on the isometries onto the projection images."""
-    inst = arep.instance
-    if inst.branch_lengths != graph.branch_lengths:
-        raise RepError("representation does not match the graph")
-    if tuple(map(len, arep.projections)) != inst.branch_lengths:
-        raise RepError("projection counts do not match the instance spectra")
-    eigs = [[np.linalg.eigh(p) for p in branch] for branch in arep.projections]
-    isometries = [[vecs[:, vals > 0.5] for vals, vecs in branch] for branch in eigs]
-    spectra = [[float(a) for a in spec] for spec in inst.branches]
-    return _layout(graph, spectra, arep.n0, isometries,
-                   transfer.char_from_chi(graph, inst))
 
 
 def _layout(

@@ -7,7 +7,8 @@
   Inverse and determinant lift the entries to Fraction first: the library's
   integer matrices hold ints, and int / int is a float.
 * The construction by the Fraction route: the character pushed down the
-  schedule, then every upward step recomputed by `coxeter_char`.
+  schedule, then every upward step recomputed by `coxeter_char` and taken
+  by the reflection below.
 * The Horn margins of the (2,2,2) star as Fraction sums over chi.
 * The root table of an extended star by a scan of the box 0 <= x <= delta,
   its singular/regular split by the defect of every base, and the
@@ -17,9 +18,12 @@
   the single steps that the library only takes in bulk or never.
 * The vertex operator of a graph representation read through
   `GraphRep.gamma`, which `starspec.verify` builds from the edge maps.
-* The reflection replay with one `GraphRep` per step, each block read
-  through `GraphRep.gamma` and stored by an orientation test, to check the
-  library's edge-table replay against bit for bit.
+* The simple representations, the one reflection functor of the tests,
+  and the reflection replay with one `GraphRep` per step, each block read
+  through `GraphRep.gamma` and stored by an orientation test.  The replay
+  rebuilds any feasible pair, degenerate dimensions too, which the
+  library's root-operator replay refuses.
+* The forward layout of given projections, `to_algebra_rep` backwards.
 * The Horn optimizer with one Jacobian column built per generator, to check
   the library's vectorized one against to within rounding.
 """
@@ -30,15 +34,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from starspec.coxeter import DimCharPair, _parity_set, defect, reduction_schedule
+from starspec.coxeter import (
+    DimCharPair, _parity_set, coxeter_char, defect, reduction_schedule,
+)
 from starspec.feasibility import HORN_E6, _walk_pair
 from starspec.graph import EVEN, classify, is_positive_vector, tits_form
 from starspec.rational import Q, QMat
-from starspec.reps import (
-    _MAX_ITERS, AlgebraRep, GraphRep, reflect_rep, simple_rep,
-)
+from starspec.reps import _MAX_ITERS, AlgebraRep, GraphRep, RepError, _layout
 from starspec.roots import fundamental_roots
-from starspec.transfer import RTOL, instance_scale, nondegenerate_dim
+from starspec.transfer import RTOL, char_from_chi, instance_scale, nondegenerate_dim
 from starspec.verify import _rank, commutant_dimension, verify_algebra_rep
 
 
@@ -194,8 +198,8 @@ def fraction_route_rep(graph, d, f) -> GraphRep:
     """A representation with (d, f) built without the feasibility walk: f
     is transported down the schedule in Fractions (each step reflects it at
     the other parity inside the support of the current dimension), and the
-    upward replay lets `reflect_rep` recompute and check every character.
-    Assumes the pair is feasible."""
+    upward replay takes every step by `reflect_pair`, which recomputes and
+    checks the character.  Assumes the pair is feasible."""
     schedule = reduction_schedule(graph, d)
     for dcur, token in schedule.steps:
         other = graph.odd if token == EVEN else graph.even
@@ -206,7 +210,7 @@ def fraction_route_rep(graph, d, f) -> GraphRep:
         )
     rep = simple_rep(graph, schedule.terminal, character=f)
     for _, token in reversed(schedule.steps):
-        rep = reflect_rep(graph, token, rep, DimCharPair(rep.dims, rep.character))
+        rep = reflect_pair(graph, token, rep)
     return rep
 
 
@@ -295,6 +299,17 @@ def kernel_basis(m: np.ndarray, dim: int) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def simple_rep(graph, g: int, character=None) -> GraphRep:
+    """One-dimensional space at g, zero elsewhere; all edge maps zero."""
+    if not 0 <= g < graph.n_vertices:
+        raise RepError(f"unknown vertex {g}")
+    if character is not None and character[g] != 0:
+        raise RepError("a simple representation has character value 0 at its vertex")
+    dims = tuple(int(v == g) for v in range(graph.n_vertices))
+    ops = {(far, near): np.zeros((dims[near], dims[far])) for far, near in graph.edges}
+    return GraphRep(graph=graph, dims=dims, ops=ops, character=character)
+
+
 def graph_rep_reflection(graph, token, rep: GraphRep, new_dims, weights) -> GraphRep:
     """One reflection functor into a new `GraphRep`: the kernel at each
     token-parity vertex v, from the incident maps read through
@@ -319,10 +334,23 @@ def graph_rep_reflection(graph, token, rep: GraphRep, new_dims, weights) -> Grap
     return new_rep
 
 
+def reflect_pair(graph, token, rep: GraphRep) -> GraphRep:
+    """`graph_rep_reflection` of a representation that carries its
+    character, weighted by that character, with the reflected character
+    recomputed by `coxeter_char`, which checks that the old one is positive
+    wherever the step reflects."""
+    pair = coxeter_char(graph, token, DimCharPair(rep.dims, rep.character))
+    out = graph_rep_reflection(graph, token, rep, pair.d,
+                               [float(x) for x in rep.character])
+    return out._replace(character=pair.f)
+
+
 def graph_rep_replay(graph, d, f) -> GraphRep:
-    """`starspec.reps.build_graph_rep` with one `GraphRep` per step: the
-    feasibility walk's states replayed upward from the simple
-    representation at the terminal vertex.  Assumes the pair is feasible."""
+    """The feasibility walk's states replayed upward from the simple
+    representation at the terminal vertex, one `GraphRep` per step, where
+    `starspec.reps.build_graph_rep` carries the root branch operators
+    alone; degenerate dimensions replay too.  Assumes the pair is
+    feasible."""
     verdict, states, scale = _walk_pair(graph, d, f, False)
     assert verdict.feasible, verdict.status
     rep = simple_rep(graph, states[-1][0].index(1))
@@ -330,6 +358,21 @@ def graph_rep_replay(graph, d, f) -> GraphRep:
         rep = graph_rep_reflection(graph, token, rep, dcur,
                                    [x / scale for x in fcur])
     return rep._replace(character=tuple(f))
+
+
+def from_algebra_rep(graph, arep: AlgebraRep) -> GraphRep:
+    """Graph representation from projections: `starspec.reps._layout` on
+    the isometries onto the projection images, with the instance's
+    spectra and character."""
+    inst = arep.instance
+    if inst.branch_lengths != graph.branch_lengths:
+        raise RepError("representation does not match the graph")
+    if tuple(map(len, arep.projections)) != inst.branch_lengths:
+        raise RepError("projection counts do not match the instance spectra")
+    eigs = [[np.linalg.eigh(p) for p in branch] for branch in arep.projections]
+    isometries = [[vecs[:, vals > 0.5] for vals, vecs in branch] for branch in eigs]
+    spectra = [[float(a) for a in spec] for spec in inst.branches]
+    return _layout(graph, spectra, arep.n0, isometries, char_from_chi(graph, inst))
 
 
 def horn_lm(inst, seed: int = 0) -> AlgebraRep:

@@ -241,6 +241,26 @@ def test_construct_rejects_non_integer_dimension(capsys, tmp_path, dimension):
     assert json.loads(err)["error"] == "IOError_"
 
 
+def test_construct_refuses_degenerate_dimension(capsys):
+    """A feasible pair in the degenerate E6~ root (0,1,1,2,1,2,2) has no
+    algebra representation: construct writes nothing and exits 64 with a
+    RepError."""
+    from starspec import build_star, char_from_chi, iterative_feasible
+    from starspec.io import instance_from_dict
+
+    data = ROOT / "tests" / "data"
+    inst = instance_from_dict(json.loads((data / "e6_degenerate.json").read_text()))
+    d = tuple(json.loads((data / "e6_degenerate_dimension.json").read_text()))
+    e6 = build_star([2, 2, 2])
+    assert iterative_feasible(e6, d, char_from_chi(e6, inst)).feasible
+    code, out, err = run_cli(capsys, "construct",
+                             "--instance", str(data / "e6_degenerate.json"),
+                             "--dimension", str(data / "e6_degenerate_dimension.json"))
+    assert (code, out) == (64, "")
+    assert err == ('{"error":"RepError","message":'
+                   '"representation dimension is degenerate"}\n')
+
+
 def test_verify_rejects_non_integer_n0(capsys, tmp_path):
     inst = write_instance(tmp_path, "inst.json", [[2, 1], [2, 1], [2, 1]], 3)
     rep = tmp_path / "rep.json"

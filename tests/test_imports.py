@@ -12,8 +12,7 @@ import starspec
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Every name `starspec` exported while it imported reps and verify eagerly,
-# by home module.
+# Every name `starspec` exports, by home module.
 EXPORTS = {
     "graph": ("GVec", "GraphClass", "GraphError", "StarGraph", "bilinear_form",
               "build_star", "classify", "tits_form", "unit_vector"),
@@ -32,7 +31,7 @@ EXPORTS = {
                     "trajectory_dim"),
     "reps": ("AlgebraRep", "ConstructionError", "GraphRep", "RepError",
              "build_graph_rep", "build_hyperplane_rep", "canonicalize",
-             "from_algebra_rep", "reflect_rep", "simple_rep", "to_algebra_rep"),
+             "to_algebra_rep"),
     "verify": ("VerificationReport", "commutant_dimension", "verify_algebra_rep",
                "verify_graph_rep"),
 }
@@ -165,6 +164,18 @@ def test_numerical_name_follows_a_rebinding(monkeypatch):
 
     monkeypatch.setattr(reps, "build_graph_rep", replacement)
     assert starspec.build_graph_rep is replacement
+
+
+def test_every_listed_name_resolves():
+    """Every name `dir(starspec)` lists resolves through the package, and
+    the numerical table holds exactly the exports of reps and verify and
+    the two module names: a stale entry fails here, not when first read."""
+    for name in dir(starspec):
+        getattr(starspec, name)
+    assert starspec._NUMERICAL == {
+        name: module for module in ("reps", "verify")
+        for name in (module, *EXPORTS[module])
+    }
 
 
 def test_unknown_name_is_an_attribute_error():

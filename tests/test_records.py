@@ -16,11 +16,12 @@ from starspec import (
     make_instance,
     n_from_dim,
     reduction_schedule,
-    simple_rep,
     solve,
     trajectory_dim,
     verify_algebra_rep,
 )
+
+from oracles import simple_rep
 
 SPECTRA = ((Q(2), Q(1)),) * 3
 

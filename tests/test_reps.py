@@ -21,8 +21,6 @@ from starspec import (
     coxeter_char,
     make_instance,
     reduction_schedule,
-    reflect_rep,
-    simple_rep,
     solve,
     tits_form,
     to_algebra_rep,
@@ -39,11 +37,13 @@ from conftest import ORACLE_CASES, feasible_character, random_feasible_instance
 from oracles import (
     box_scan_roots,
     fraction_route_rep,
-    graph_rep_reflection,
+    from_algebra_rep,
     graph_rep_replay,
     hom_dimension,
     horn_lm,
     member_scan_candidates,
+    reflect_pair,
+    simple_rep,
     vertex_operator,
 )
 
@@ -62,12 +62,13 @@ def test_simple_rep_character_guard(e6):
 
 
 def test_reflect_rep_matches_pair_maps(e6, rng):
+    """The oracle's reflection of a built representation is locally scalar
+    with the reflected pair."""
     d, f, inst = random_feasible_instance(e6, FAMILY_ROOT, 5, rng)
-    rep = build_graph_rep(e6, d, f)
-    pair = DimCharPair(d, f)
-    out = reflect_rep(e6, "even", rep, pair)
-    newpair = coxeter_char(e6, "even", pair)
+    out = reflect_pair(e6, "even", build_graph_rep(e6, d, f))
+    newpair = coxeter_char(e6, "even", DimCharPair(d, f))
     assert out.dims == tuple(int(v) for v in newpair.d)
+    assert out.character == newpair.f
     report = verify_graph_rep(e6, out, newpair.d, newpair.f)
     assert report.overall, report.failures()
 
@@ -75,10 +76,7 @@ def test_reflect_rep_matches_pair_maps(e6, rng):
 def test_reflect_rep_double_is_identity_up_to_unitary(e6, rng):
     d, f, inst = random_feasible_instance(e6, FAMILY_INNER, 8, rng)
     rep = build_graph_rep(e6, d, f)
-    pair = DimCharPair(d, f)
-    once = reflect_rep(e6, "odd", rep, pair)
-    pair2 = coxeter_char(e6, "odd", pair)
-    back = reflect_rep(e6, "odd", once, pair2)
+    back = reflect_pair(e6, "odd", reflect_pair(e6, "odd", rep))
     assert back.dims == rep.dims
     # same (d, f) and a one-dimensional intertwiner space both ways round
     assert hom_dimension(rep, back) == 1
@@ -86,39 +84,9 @@ def test_reflect_rep_double_is_identity_up_to_unitary(e6, rng):
     assert hom_dimension(rep, rep) == 1
 
 
-@pytest.mark.parametrize("branch", [0, 2])
-def test_reflect_rep_rejects_wrong_kernel_dimension(e6, rng, branch):
-    """With one root-edge map zeroed the assembled map at its inner vertex
-    loses rank, so its kernel no longer has the reflected dimension."""
-    d, f, inst = random_feasible_instance(e6, FAMILY_ROOT, 5, rng)
-    rep = build_graph_rep(e6, d, f)
-    inner = e6.branches[branch][-1]
-    rep.ops[(inner, e6.root)] = np.zeros_like(rep.ops[(inner, e6.root)])
-    token = "even" if inner in e6.even else "odd"
-    with pytest.raises(RepError, match=f"kernel dimension .* at vertex {inner} "
-                                       "does not match"):
-        reflect_rep(e6, token, rep, DimCharPair(d, f))
-
-
-@pytest.mark.parametrize("leafward", [False, True])
-def test_reflect_rep_rejects_missing_edge_map(e6, leafward):
-    """A rootward map that is missing, or stored leafward, is an error of
-    the representation, not a KeyError of the edge table."""
-    f = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 0))
-    rep = simple_rep(e6, e6.root, character=f)
-    far, near = e6.edges[0]
-    moved = rep.ops.pop((far, near))
-    if leafward:
-        rep.ops[(near, far)] = moved.T
-    with pytest.raises(RepError, match=rf"no rootward map on the edge \({far},{near}\)"):
-        reflect_rep(e6, "even", rep, DimCharPair(rep.dims, f))
-
-
 def test_reflect_rep_keeps_zero_outside_parity(e6):
     f = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 0))
-    rep = simple_rep(e6, e6.root, character=f)
-    pair = DimCharPair(rep.dims, f)
-    out = reflect_rep(e6, "even", rep, pair)
+    out = reflect_pair(e6, "even", simple_rep(e6, e6.root, character=f))
     # odd vertices keep dimension zero; even neighbors of the root light up
     assert out.dims == (0, 1, 0, 1, 0, 1, 1)
 
@@ -134,9 +102,13 @@ def test_build_graph_rep_families(e6, rng):
 
 
 def test_build_graph_rep_simple_case(e6):
+    """The simple representation at the root is feasible but degenerate:
+    the oracle's replay builds it, and `build_graph_rep` refuses it."""
     f = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 0))
-    rep = build_graph_rep(e6, unit_vector(e6, e6.root), f)
-    assert rep.dims == (0, 0, 0, 0, 0, 0, 1)
+    d = unit_vector(e6, e6.root)
+    assert graph_rep_replay(e6, d, f).dims == (0, 0, 0, 0, 0, 0, 1)
+    with pytest.raises(RepError, match="representation dimension is degenerate"):
+        build_graph_rep(e6, d, f)
 
 
 def test_build_graph_rep_rejects_infeasible(e6):
@@ -353,39 +325,28 @@ def test_build_graph_rep_matches_fraction_route(lengths):
             _assert_matches_oracle(g, rep, ref, d, f)
 
 
-def _same_maps(rep, ref):
-    return (rep.dims == ref.dims and rep.ops.keys() == ref.ops.keys()
-            and all(np.array_equal(rep.ops[k], ref.ops[k]) for k in ref.ops))
-
-
 @pytest.mark.parametrize(
     "branches,d", ORACLE_CASES,
     ids=[f"{''.join(map(str, b))}-n0={d[-1]}" for b, d in ORACLE_CASES],
 )
-def test_edge_table_replay_matches_graph_rep_oracle(branches, d):
+def test_build_graph_rep_matches_graph_rep_oracle(branches, d):
     """`build_graph_rep` matches the replay that builds a `GraphRep` per
     step and the Fraction route, up to isomorphism, on small and medium
-    dimensions of every extended star; `reflect_rep` takes the oracle's
-    single step on the edge table, from the built rep, at both parities,
-    bit for bit."""
+    dimensions of every extended star."""
     g = build_star(branches)
     f, _ = feasible_character(g, d, random.Random(5))
     rep = build_graph_rep(g, d, f)
     for ref in (graph_rep_replay(g, d, f), fraction_route_rep(g, d, f)):
         _assert_matches_oracle(g, rep, ref, d, f)
-    for token in ("even", "odd"):
-        pair = DimCharPair(rep.dims, f)
-        new = coxeter_char(g, token, pair)
-        ref = graph_rep_reflection(g, token, rep, new.d, [float(v) for v in f])
-        assert _same_maps(reflect_rep(g, token, rep, pair), ref), token
 
 
 @pytest.mark.parametrize("lengths", [[1, 1, 1, 1], [2, 2, 2], [1, 3, 3], [1, 2, 5]])
-def test_degenerate_dims_replay_on_the_edge_table(lengths):
-    """A degenerate dimension keeps the edge-table replay, bit for bit the
-    replay that builds a `GraphRep` per step: a unit vector at a leaf
-    (character 0 there), which is not generated at the root, and the
-    four largest schedulable degenerate roots below delta."""
+def test_degenerate_dims_are_refused(lengths):
+    """A feasible pair in a degenerate dimension has no algebra
+    representation, so `build_graph_rep` refuses it, while the oracle's
+    replay builds a locally scalar representation: a unit vector at a leaf
+    (character 0 there), which is not generated at the root, and the four
+    largest schedulable degenerate roots below delta."""
     g = build_star(lengths)
     rng = random.Random(13)
     leaf = g.branches[0][0]
@@ -397,11 +358,11 @@ def test_degenerate_dims_replay_on_the_edge_table(lengths):
     for d in sorted(degenerate, key=sum)[-4:]:
         cases.append((d, feasible_character(g, d, rng)[0]))
     for d, f in cases:
-        rep = build_graph_rep(g, d, f)
-        assert rep.dims == tuple(d)
-        assert rep.character == tuple(f)
-        assert _same_maps(rep, graph_rep_replay(g, d, f)), d
-        assert verify_graph_rep(g, rep, d, f).overall, d
+        with pytest.raises(RepError, match="representation dimension is degenerate"):
+            build_graph_rep(g, d, f)
+        ref = graph_rep_replay(g, d, f)
+        assert ref.dims == tuple(d)
+        assert verify_graph_rep(g, ref, d, f).overall, d
 
 
 def test_build_graph_rep_rejects_root_operator_above_inner_rank(monkeypatch):
@@ -426,6 +387,32 @@ def test_build_graph_rep_rejects_root_operator_above_inner_rank(monkeypatch):
     monkeypatch.setattr(reps_module, "_walk_pair", bumped)
     with pytest.raises(RepError, match=f"root branch operator 1 has rank above "
                                        rf"the dimension \d+ of its inner vertex {inner}"):
+        build_graph_rep(g, d, f)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_build_graph_rep_rejects_wrong_kernel_dimension(monkeypatch, shift):
+    """A root step whose state names a root dimension other than its
+    kernel's is a `RepError` naming the root: the kernel of the stacked
+    root factors keeps its dimension whatever the state says."""
+    g = build_star([2, 2, 2])
+    d = (3, 7, 3, 6, 3, 6, 10)
+    f, _ = feasible_character(g, d, random.Random(5))
+    walk = reps_module._walk_pair
+    root_token = "even" if g.root in g.even else "odd"
+
+    def shifted(*args):
+        verdict, states, scale = walk(*args)
+        i = next(i for i, (_, token, _) in enumerate(states) if token == root_token)
+        dcur, token, fcur = states[i]
+        dcur = list(dcur)
+        dcur[g.root] += shift
+        states[i] = (tuple(dcur), token, fcur)
+        return verdict, states, scale
+
+    monkeypatch.setattr(reps_module, "_walk_pair", shifted)
+    with pytest.raises(RepError, match=rf"kernel dimension \d+ at vertex {g.root} "
+                                       "does not match the reflected dimension"):
         build_graph_rep(g, d, f)
 
 
@@ -522,7 +509,7 @@ def test_to_algebra_rep_d4_star(rng):
 
 def test_to_algebra_rep_rejects_degenerate(e6):
     f = tuple(Q(v) for v in (1, 2, 1, 2, 1, 2, 0))
-    rep = build_graph_rep(e6, unit_vector(e6, e6.root), f)
+    rep = graph_rep_replay(e6, unit_vector(e6, e6.root), f)
     with pytest.raises(RepError):
         to_algebra_rep(e6, rep, chi_from_char(e6, f))
 
@@ -588,8 +575,6 @@ def test_injected_fault_detected(e6, rng):
 def test_from_algebra_rep_roundtrip_hyperplane(e6):
     """Forward construction from projections is locally scalar even in the
     minimal imaginary-root dimension, and re-extraction is the identity."""
-    from starspec import from_algebra_rep
-
     inst = make_instance([[2, 1], [2, 1], [2, 1]], 3)
     arep = build_hyperplane_rep(inst, seed=1)
     grep = from_algebra_rep(e6, arep)
@@ -606,8 +591,6 @@ def test_from_algebra_rep_roundtrip_hyperplane(e6):
 
 @pytest.mark.parametrize("change", ["missing", "extra"])
 def test_from_algebra_rep_projection_count(e6, change):
-    from starspec import from_algebra_rep
-
     arep = build_hyperplane_rep(make_instance([[2, 1], [2, 1], [2, 1]], 3), seed=1)
     branch = arep.projections[1]
     branch = branch[:-1] if change == "missing" else branch + branch[:1]
@@ -618,8 +601,6 @@ def test_from_algebra_rep_projection_count(e6, change):
 
 
 def test_from_algebra_rep_roundtrip_real_root(e6, rng):
-    from starspec import from_algebra_rep
-
     d, f, inst = random_feasible_instance(e6, FAMILY_LEAF, 16, rng)
     rep = build_graph_rep(e6, d, f)
     arep = to_algebra_rep(e6, rep, inst)
@@ -640,8 +621,6 @@ def test_from_algebra_rep_roundtrip_real_root(e6, rng):
 
 
 def test_every_route_is_real(e6, rng):
-    from starspec import from_algebra_rep
-
     d, f, inst = random_feasible_instance(e6, FAMILY_INNER, 9, rng)
     rep = build_graph_rep(e6, d, f)
     can = canonicalize(e6, rep)
@@ -658,7 +637,7 @@ def test_every_route_is_real(e6, rng):
 
 
 def test_from_algebra_rep_long_branch(rng):
-    from starspec import chi_from_char, from_algebra_rep
+    from starspec import chi_from_char
     from starspec.coxeter import char_transport_up
 
     g = build_star([5, 2, 1])

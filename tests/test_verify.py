@@ -16,7 +16,6 @@ from starspec import (
     dim_from_n,
     make_instance,
     n_from_dim,
-    simple_rep,
     solve,
     to_algebra_rep,
     verify_algebra_rep,
@@ -31,7 +30,7 @@ from starspec.verify import RTOL, commutant_dimension, instance_scale
 from conftest import (
     ORACLE_CASES, ORACLE_DIMS, feasible_character, random_feasible_instance,
 )
-from oracles import hom_dimension, stacked_commutant_dimension
+from oracles import hom_dimension, simple_rep, stacked_commutant_dimension
 
 DATA = Path(__file__).parent / "data"
 

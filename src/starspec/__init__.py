@@ -3,8 +3,8 @@
 Given finite target spectra M_1 ... M_n and a level gamma, decide whether
 Hermitian operators A_j with spectrum inside M_j and sum equal to gamma I
 exist, and construct explicit matrix solutions: reflection functors handle
-the real-root dimensions, a small constrained optimizer handles the
-hyperplane (imaginary root) case on the (2,2,2) star.
+the real-root dimensions, a small constrained optimizer the minimal
+imaginary root delta on the E6~ and D4~ stars.
 
 The exact decision layer (`graph`, `rational`, `coxeter`, `roots`,
 `transfer`, `feasibility`) uses no numpy, and importing this package loads

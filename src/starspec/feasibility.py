@@ -10,8 +10,9 @@ Three decision routes:
   down to the anchor by the full parity maps; equivalent to the iterative
   route on its domain, but computed through an entirely different code
   path.
-* ``horn_check_e6``: the level-hyperplane case, decided by twelve strict
-  Horn-type inequalities in the minimal imaginary-root dimension.
+* ``horn_check_e6`` and ``quadrangle_check_d4``: the level-hyperplane case
+  in the minimal imaginary-root dimension, decided by twelve strict
+  Horn-type inequalities on E6~ and four on D4~ (``solve`` runs only Horn).
 
 ``solve`` orchestrates the routes.  On the E6~ hyperplane it runs the Horn
 test first: delta has root entry 3 and every candidate real-root dimension
@@ -154,7 +155,7 @@ def on_hyperplane(graph: StarGraph, inst: SpectralInstance) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Horn case for the (2,2,2) star
+# Delta on the hyperplane: Horn on (2,2,2), the quadrangle on (1,1,1,1)
 # ---------------------------------------------------------------------------
 
 # the (2,2,2) star of the Horn and closed-form routes
@@ -200,6 +201,23 @@ def horn_check_e6(inst: SpectralInstance) -> FeasibilityVerdict:
                if status == "feasible" else None)
     return FeasibilityVerdict(status=status, branch_taken="horn_hyperplane",
                               witness_dimension=witness, certificate=tuple(cert))
+
+
+def quadrangle_check_d4(inst: SpectralInstance) -> FeasibilityVerdict:
+    """Existence in delta = (1,1,1,1;2) on the D4~ hyperplane: the Bloch
+    vectors of four rank-one projections on C^2 with sum a_i P_i = gamma I
+    close a quadrangle with sides a_i.  Feasible iff every margin
+    gamma - a_i = P(e_root + e_leaf_i, f) is positive; at 0 the vectors are
+    collinear and the projections commute."""
+    graph = build_star([1, 1, 1, 1])
+    _, fint, scale = _scaled_instance(graph, inst)
+    if not _on_level(graph, fint):
+        raise FeasibilityError("instance is off the hyperplane")
+    margins = [fint[-1] - x for x in fint[:-1]]  # even leaves, odd root
+    return FeasibilityVerdict(
+        status=_status(margins), branch_taken="quadrangle_hyperplane",
+        certificate=tuple((f"gamma > a{i}", str(Q(m, scale)), m > 0)
+                          for i, m in enumerate(margins, 1)))
 
 
 # ---------------------------------------------------------------------------

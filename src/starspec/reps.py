@@ -10,8 +10,8 @@ The reflection functors rebuild the spaces of one parity class from the
 kernels of the assembled incident maps, scaled by the square root of the
 character there.  Replaying a reduction schedule upward from a
 one-dimensional seed constructs an irreducible representation in any
-feasible real-root dimension; the level-hyperplane case is handled by a
-small Levenberg-Marquardt optimizer over orthogonal orbits instead.
+feasible real-root dimension, and a Levenberg-Marquardt optimizer over
+orthogonal orbits sized by delta's ranks does so in the imaginary root delta.
 
 `build_graph_rep` replays a nondegenerate dimension on the root branch
 operators A_j = T_j T_j^* alone, since the algebra side reads nothing
@@ -52,7 +52,7 @@ from .coxeter import _parity_set
 # them while set-up imports this module).
 from . import feasibility, transfer, verify
 from .feasibility import FeasibilityError, _walk_pair
-from .graph import GVec, StarGraph
+from .graph import GVec, StarGraph, build_star, classify
 from .transfer import (
     RTOL,
     GeneralizedDimension,
@@ -372,44 +372,49 @@ class AlgebraRep(NamedTuple):
 
 # optimizer budget of build_hyperplane_rep: Levenberg-Marquardt steps
 _MAX_ITERS = 1_000
-# o(3) is spanned by the skew generators e_a e_b^T - e_b e_a^T, a < b
-_GEN_A, _GEN_B = [0, 0, 1], [1, 2, 2]
 
 
 def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
-    """Numerical constructor for the minimal imaginary-root dimension.
+    """Numerical constructor for the minimal imaginary-root dimension delta.
 
-    Solves ``sum_j U_j D_j U_j^T = gamma I`` over orthogonal U_j (D_j the
-    branch spectrum and a zero) by Levenberg-Marquardt steps damped by
-    ``diag(J^T J)``, each moving U_j by the Cayley transform of a skew
-    matrix: a step that lowers the Frobenius residual is kept and divides
-    the damping by 3, any other multiplies it by 10.  The start is the QR
-    factors of real Gaussian matrices from ``random.Random(seed)``, so the
-    output is float64 and deterministic per seed; a negative seed, which
-    would share its draws with a non-negative one, is a ``ValueError``.
+    Solves ``sum_j U_j D_j U_j^T = gamma I`` over orthogonal U_j of size
+    delta[root] (D_j: each branch value repeated by its rank in delta, then
+    zeros) by Levenberg-Marquardt steps damped by ``diag(J^T J)``, each
+    moving U_j by the Cayley transform of a skew matrix: a step that lowers
+    the Frobenius residual is kept and divides the damping by 3, any other
+    multiplies it by 10.  The start is the QR factors of real Gaussian
+    matrices from ``random.Random(seed)`` (a negative seed is a
+    ``ValueError``), so the output is float64 and deterministic per seed.
     The steps stop below a tenth of verify's bound ``RTOL * s``, after
     ``_MAX_ITERS`` steps, or once a damping past 1e16 stops every step.
-    The result is accepted only when ``verify_algebra_rep`` passes it and
-    its commutant is 1; otherwise ``ConstructionError`` names the failure.
+    Existence is checked first, by the Horn criterion on E6~ and the closed
+    quadrangle on D4~; elsewhere it is undecided (``FeasibilityError``).
+    A result that fails verify or has commutant above 1 is a ``ConstructionError``.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if inst.branch_lengths != (2, 2, 2):
-        raise FeasibilityError("hyperplane constructor applies to the (2,2,2) star")
-    check = feasibility.horn_check_e6(inst)
-    if not check.feasible:
-        raise FeasibilityError(f"instance is not Horn-feasible: {check.status}")
-    n = 3
-    gamma_eye = float(inst.gamma) * np.eye(n)
-    diags = np.array([[float(a) for a in spec] + [0.0] for spec in inst.branches])
+    graph = build_star(inst.branch_lengths)
+    cls = classify(graph)
+    checks = {"E6~": feasibility.horn_check_e6, "D4~": feasibility.quadrangle_check_d4}
+    if cls.name not in checks:
+        raise FeasibilityError(f"existence in delta is not yet decided on {cls.name}"
+                               if cls.delta else "the star has no imaginary root delta")
+    verdict = checks[cls.name](inst)
+    if not verdict.feasible:
+        raise FeasibilityError(f"delta is not feasible: {verdict.status}")
+    n0, ranks = transfer.n_from_dim(graph, cls.delta)
+    gamma_eye = float(inst.gamma) * np.eye(n0)
+    diags = np.array([np.repeat([float(a) for a in spec] + [0.0], [*r, n0 - sum(r)])
+                      for spec, r in zip(inst.branches, ranks)])
     stop = RTOL * instance_scale(inst) / 10
-    # each branch draws the n * n entries of its start in turn
+    # each branch draws the n0 * n0 entries of its start in turn
     rng = random.Random(seed)
-    draws = [rng.normalvariate(0.0, 1.0) for _ in range(3 * n * n)]
-    units = np.linalg.qr(np.reshape(draws, (3, n, n)))[0]
+    draws = [rng.normalvariate(0.0, 1.0) for _ in range(len(diags) * n0 * n0)]
+    units = np.linalg.qr(np.reshape(draws, (-1, n0, n0)))[0]
+    # generator g is E = e_a e_b^T - e_b e_a^T on branch j, a < b, d_a != d_b:
     # U exp(tE) D exp(-tE) U^T has slope (d_b - d_a)(u_a u_b^T + u_b u_a^T)
-    # at t = 0 for the generator E of the pair a < b
-    slopes = (diags[:, _GEN_B] - diags[:, _GEN_A])[:, :, None, None]
+    gen_j, gen_a, gen_b = np.nonzero(np.triu(diags[:, :, None] != diags[:, None]))
+    slopes = (diags[gen_j, gen_b] - diags[gen_j, gen_a])[:, None, None]
 
     def residual(us):
         return (np.einsum("jik,jk,jlk->il", us, diags, us) - gamma_eye).ravel()
@@ -420,17 +425,16 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     for _ in range(_MAX_ITERS):
         if norm < stop or damping > 1e16:
             break
-        outer = np.einsum("jia,jla->jail", units[:, :, _GEN_A], units[:, :, _GEN_B])
-        # column 3 j + g is the slope of generator g on branch j
-        jac = (slopes * (outer + outer.transpose(0, 1, 3, 2))).reshape(9, n * n).T
+        outer = units[gen_j, :, gen_a][:, :, None] * units[gen_j, :, gen_b][:, None]
+        jac = (slopes * (outer + outer.transpose(0, 2, 1))).reshape(len(slopes), -1).T
         # least squares of |J x + res|^2 + damping |diag(|J e_k|) x|^2
         damp = np.diag(math.sqrt(damping) * np.linalg.norm(jac, axis=0))
-        step = np.linalg.lstsq(np.vstack([jac, damp]),
-                               np.concatenate([-res, np.zeros(9)]), rcond=None)[0]
-        skew = np.zeros((3, n, n))
-        skew[:, _GEN_A, _GEN_B] = step.reshape(3, 3)
+        step = np.linalg.lstsq(np.vstack([jac, damp]), np.concatenate(
+            [-res, np.zeros(len(slopes))]), rcond=None)[0]
+        skew = np.zeros_like(units)
+        skew[gen_j, gen_a, gen_b] = step
         skew -= skew.transpose(0, 2, 1)
-        trial = units @ np.linalg.solve(np.eye(n) - skew / 2, np.eye(n) + skew / 2)
+        trial = units @ np.linalg.solve(np.eye(n0) - skew / 2, np.eye(n0) + skew / 2)
         trial_res = residual(trial)
         trial_norm = np.linalg.norm(trial_res)
         if trial_norm < norm:
@@ -438,11 +442,9 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
             damping /= 3
         else:
             damping *= 10
-    projections = tuple(
-        tuple(np.outer(units[j][:, i], units[j][:, i]) for i in range(2))
-        for j in range(3)
-    )
-    rep = AlgebraRep(instance=inst, n0=3, projections=projections)
+    projections = tuple(tuple(b @ b.T for b in np.split(u, np.cumsum(r), axis=1)[:-1])
+                        for u, r in zip(units, ranks))
+    rep = AlgebraRep(instance=inst, n0=n0, projections=projections)
     failed = verify.verify_algebra_rep(rep).failures()
     if failed:
         detail = ", ".join(repr(name) for name, _, _ in failed) + " did not pass verify"
@@ -451,7 +453,5 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
         if dim == 1:
             return rep
         detail = f"the commutant has dimension {dim}"
-    raise ConstructionError(
-        f"construction failed: {detail} (existence is asserted by the Horn "
-        "criterion; this indicates a numerical failure, not infeasibility)"
-    )
+    raise ConstructionError(f"construction failed: {detail} (the existence check "
+                            "passed: this is a numerical failure, not infeasibility)")

@@ -24,8 +24,8 @@
   rebuilds any feasible pair, degenerate dimensions too, which the
   library's root-operator replay refuses.
 * The forward layout of given projections, `to_algebra_rep` backwards.
-* The Horn optimizer with one Jacobian column built per generator, to check
-  the library's vectorized one against to within rounding.
+* The delta optimizer with one Jacobian column built per generator, to
+  check the library's vectorized one against to within rounding.
 """
 import functools
 import itertools
@@ -38,11 +38,13 @@ from starspec.coxeter import (
     DimCharPair, _parity_set, coxeter_char, defect, reduction_schedule,
 )
 from starspec.feasibility import HORN_E6, _walk_pair
-from starspec.graph import EVEN, classify, is_positive_vector, tits_form
+from starspec.graph import EVEN, build_star, classify, is_positive_vector, tits_form
 from starspec.rational import Q, QMat
 from starspec.reps import _MAX_ITERS, AlgebraRep, GraphRep, RepError, _layout
 from starspec.roots import fundamental_roots
-from starspec.transfer import RTOL, char_from_chi, instance_scale, nondegenerate_dim
+from starspec.transfer import (
+    RTOL, char_from_chi, instance_scale, n_from_dim, nondegenerate_dim,
+)
 from starspec.verify import _rank, commutant_dimension, verify_algebra_rep
 
 
@@ -378,19 +380,28 @@ def from_algebra_rep(graph, arep: AlgebraRep) -> GraphRep:
 def horn_lm(inst, seed: int = 0) -> AlgebraRep:
     """`starspec.reps.build_hyperplane_rep` one generator at a time: each
     Jacobian column is ``U (E D - D E) U^T`` for a skew matrix unit E of one
-    branch, the residual is ``sum_j U_j D_j U_j^T - gamma I`` with its
-    off-diagonal entries read once each and scaled by sqrt(2), and the Cayley
-    factor is ``(I + K/2)(I - K/2)^-1``.  Raises AssertionError where the
-    library raises ConstructionError; assumes a Horn-feasible E6~ instance
-    and a non-negative seed."""
+    branch that does not commute with D, the residual is
+    ``sum_j U_j D_j U_j^T - gamma I`` with its off-diagonal entries read once
+    each and scaled by sqrt(2), and the Cayley factor is
+    ``(I + K/2)(I - K/2)^-1``.  D_j holds the branch spectrum, each value as
+    often as its rank in delta (``n_from_dim``), then zeros.  Raises
+    AssertionError where the library raises ConstructionError; assumes an
+    instance whose delta is feasible and a non-negative seed."""
+    graph = build_star(inst.branch_lengths)
+    dim = n_from_dim(graph, classify(graph).delta)
+    n = dim.n0
     gamma = float(inst.gamma)
-    diags = [np.diag([float(a) for a in spec] + [0.0]) for spec in inst.branches]
+    diags = []
+    for spec, ranks in zip(inst.branches, dim.branches):
+        values = [float(a) for a, r in zip(spec, ranks) for _ in range(r)]
+        diags.append(np.diag(values + [0.0] * (n - len(values))))
+    # per branch, the pairs a < b whose generator moves D
+    pairs = [[(a, b) for a, b in itertools.combinations(range(n), 2)
+              if d[a, a] != d[b, b]] for d in diags]
     stop = RTOL * instance_scale(inst) / 10
-    n = 3
-    pairs = [(0, 1), (0, 2), (1, 2)]
     rng = random.Random(seed)
     units = []
-    for _ in range(3):
+    for _ in diags:
         z = np.array([rng.normalvariate(0.0, 1.0) for _ in range(n * n)])
         q, _ = np.linalg.qr(z.reshape(n, n))
         units.append(q)
@@ -408,20 +419,21 @@ def horn_lm(inst, seed: int = 0) -> AlgebraRep:
         if np.linalg.norm(res) < stop or damping > 1e16:
             break
         cols = []
-        for u, d in zip(units, diags):
-            for a, b in pairs:
+        for u, d, branch_pairs in zip(units, diags, pairs):
+            for a, b in branch_pairs:
                 e = np.zeros((n, n))
                 e[a, b], e[b, a] = 1.0, -1.0
                 cols.append(flat(u @ (e @ d - d @ e) @ u.T))
         jac = np.array(cols).T
         scale = np.sqrt(damping) * np.sqrt((jac ** 2).sum(axis=0))
-        step = np.linalg.lstsq(np.vstack([jac, np.diag(scale)]),
-                               np.concatenate([-res, np.zeros(len(cols))]),
-                               rcond=None)[0]
+        step = iter(np.linalg.lstsq(np.vstack([jac, np.diag(scale)]),
+                                    np.concatenate([-res, np.zeros(len(cols))]),
+                                    rcond=None)[0])
         trial = []
-        for j, u in enumerate(units):
+        for u, branch_pairs in zip(units, pairs):
             k = np.zeros((n, n))
-            for (a, b), x in zip(pairs, step[3 * j:3 * j + 3]):
+            # zip asks branch_pairs first, so no step entry is lost at its end
+            for (a, b), x in zip(branch_pairs, step):
                 k[a, b], k[b, a] = x, -x
             trial.append(u @ (np.eye(n) + k / 2) @ np.linalg.inv(np.eye(n) - k / 2))
         trial_res = residual(trial)
@@ -430,11 +442,12 @@ def horn_lm(inst, seed: int = 0) -> AlgebraRep:
             damping /= 3
         else:
             damping *= 10
+    # the projection of a spectral value sums the lines of its r columns
     projections = tuple(
-        tuple(np.outer(units[j][:, i], units[j][:, i]) for i in range(2))
-        for j in range(3)
+        tuple(sum(np.outer(c, c) for c in itertools.islice(cols, r)) for r in ranks)
+        for cols, ranks in zip((iter(u.T) for u in units), dim.branches)
     )
-    rep = AlgebraRep(instance=inst, n0=3, projections=projections)
+    rep = AlgebraRep(instance=inst, n0=n, projections=projections)
     if not (verify_algebra_rep(rep).overall and commutant_dimension(rep) == 1):
         raise AssertionError("the optimizer gave no verified irreducible representation")
     return rep

@@ -224,6 +224,28 @@ def test_construct_committed_e8_dimension_file(capsys, tmp_path):
     assert (code, parsed["overall"], parsed["commutant_dimension"]) == (0, True, 1)
 
 
+def test_construct_d4_delta_dimension_file(capsys, tmp_path):
+    """The committed D4~ hyperplane instance in delta, (1;1;1;1) at root
+    entry 2, which CI also builds and verifies: the optimizer route gives a
+    verified irreducible representation, and at the wall gamma = a_1 the
+    instance is refused with exit 64 (a FeasibilityError)."""
+    data = ROOT / "tests" / "data"
+    dim = str(data / "d4_plane_dimension.json")
+    rep = tmp_path / "rep.json"
+    code, out, err = run_cli(capsys, "construct",
+                             "--instance", str(data / "d4_plane.json"),
+                             "--dimension", dim, "-o", str(rep))
+    assert code == 0, err
+    assert json.loads(rep.read_text())["metadata"]["route"] == "hyperplane_optimizer"
+    code, out, _ = run_cli(capsys, "verify", "--rep", str(rep))
+    parsed = json.loads(out)
+    assert (code, parsed["overall"], parsed["commutant_dimension"]) == (0, True, 1)
+    wall = write_instance(tmp_path, "wall.json", [[60], [30], [20], [10]], 60)
+    code, out, err = run_cli(capsys, "construct", "--instance", wall, "--dimension", dim)
+    assert (code, out) == (64, "")
+    assert json.loads(err)["error"] == "FeasibilityError"
+
+
 @pytest.mark.parametrize("dimension", [
     ["1/2", 1, 1, 1, 1, 1, 1],
     {"n0": 3.9, "branches": [[1, 1], [1, 1], [1, 1]]},

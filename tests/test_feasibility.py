@@ -28,7 +28,7 @@ from starspec import (
     unit_vector,
 )
 from starspec.coxeter import reduction_schedule
-from starspec.feasibility import _scaled_character
+from starspec.feasibility import _scaled_character, quadrangle_check_d4
 from starspec.io import instance_from_dict
 from starspec.rational import identity, mat_mul
 from starspec.roots import RootError
@@ -158,6 +158,26 @@ def test_horn_boundary_flagged(e6):
 def test_horn_requires_hyperplane():
     with pytest.raises(FeasibilityError):
         horn_check_e6(make_instance([[2, 1], [2, 1], [2, 1]], 4))
+
+
+@pytest.mark.parametrize("spectra, gamma, status, margins", [
+    ([[50], [30], [20], [10]], 55, "feasible", ["5", "25", "35", "45"]),
+    ([["5/2"], ["3/2"], [1], [1]], 3, "feasible", ["1/2", "3/2", "2", "2"]),
+    ([[60], [30], [20], [10]], 60, "degenerate", ["0", "30", "40", "50"]),
+    ([[70], [30], [20], [10]], 65, "infeasible", ["-5", "35", "45", "55"]),
+])
+def test_quadrangle_check_d4(spectra, gamma, status, margins):
+    """The margins gamma - a_i, exact, and their status by the one rule."""
+    v = quadrangle_check_d4(make_instance(spectra, gamma))
+    assert (v.status, v.branch_taken) == (status, "quadrangle_hyperplane")
+    assert [m for _, m, _ in v.certificate] == margins
+
+
+def test_quadrangle_check_d4_domain():
+    with pytest.raises(FeasibilityError, match="off the hyperplane"):
+        quadrangle_check_d4(make_instance([[50], [30], [20], [10]], 56))
+    with pytest.raises(FeasibilityError, match="does not match the graph"):
+        quadrangle_check_d4(SYMMETRIC)
 
 
 def _horn_instance(rest, target, scale=1):

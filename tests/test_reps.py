@@ -20,6 +20,7 @@ from starspec import (
     chi_from_char,
     coxeter_char,
     make_instance,
+    on_hyperplane,
     reduction_schedule,
     solve,
     tits_form,
@@ -29,7 +30,7 @@ from starspec import (
     verify_graph_rep,
 )
 import starspec.reps as reps_module
-from starspec.reps import RepError
+from starspec.reps import ConstructionError, RepError
 from starspec.transfer import nondegenerate_dim
 from starspec.verify import commutant_dimension
 
@@ -416,16 +417,23 @@ def test_build_graph_rep_rejects_wrong_kernel_dimension(monkeypatch, shift):
         build_graph_rep(g, d, f)
 
 
+# D4~ delta on the hyperplane a_1 + ... + a_4 = 2 gamma: two-dimensional,
+# the margins gamma - a_i are 5, 25, 35, 45
+D4_REPRODUCER = make_instance([[50], [30], [20], [10]], 55)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_hyperplane_rep_matches_horn_sweep_oracle(seed):
     """The vectorized optimizer gives the projections of the one that builds
     each Jacobian column from its own generator, to within 1e-10 (the two
     round differently, so their paths part in the last bits), on
-    Horn-feasible E6~ draws near (20, 10) per branch at each build seed."""
+    Horn-feasible E6~ draws near (20, 10) per branch and on the D4~
+    reproducer at each build seed."""
     rng = random.Random(seed)
-    for _ in range(3):
-        spectra = [[rng.randint(17, 23), rng.randint(7, 13)] for _ in range(3)]
-        inst = make_instance(spectra, Q(sum(map(sum, spectra)), 3))
+    draws = [[[rng.randint(17, 23), rng.randint(7, 13)] for _ in range(3)]
+             for _ in range(3)]
+    for inst in [make_instance(spectra, Q(sum(map(sum, spectra)), 3))
+                 for spectra in draws] + [D4_REPRODUCER]:
         got = build_hyperplane_rep(inst, seed=seed)
         ref = horn_lm(inst, seed=seed)
         for b1, b2 in zip(got.projections, ref.projections, strict=True):
@@ -555,6 +563,66 @@ def test_build_hyperplane_rep_rejects_infeasible():
         build_hyperplane_rep(make_instance([[10, 1], [2, 1], [2, 1]], "17/3"))
     with pytest.raises(FeasibilityError):
         build_hyperplane_rep(make_instance([[2, 1], [2, 1], [2, 1]], 4))
+    with pytest.raises(FeasibilityError, match="no imaginary root"):
+        build_hyperplane_rep(make_instance([[2, 1], [2, 1]], 3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_build_hyperplane_rep_d4_delta(seed):
+    """The optimizer sizes itself by D4~'s delta, ranks (1;1;1;1) at root
+    entry 2, and builds a verified irreducible representation."""
+    rep = build_hyperplane_rep(D4_REPRODUCER, seed=seed)
+    assert rep.n0 == 2
+    assert rep.generalized_dimension().flat() == (1, 1, 1, 1, 2)
+    assert verify_algebra_rep(rep).overall
+    assert commutant_dimension(rep) == 1
+
+
+def test_d4_check_agrees_with_the_optimizer(monkeypatch):
+    """Off the wall gamma = a_i the D4~ check and the optimizer agree on
+    random hyperplane draws: a feasible one builds, and an infeasible one,
+    the check bypassed, is a ConstructionError."""
+    check = reps_module.feasibility.quadrangle_check_d4
+    monkeypatch.setattr(reps_module.feasibility, "quadrangle_check_d4",
+                        lambda inst: check(inst)._replace(status="feasible"))
+    rng = random.Random(4)
+    seen = []
+    for _ in range(20):
+        values = [rng.randint(1, 40) for _ in range(4)]
+        gamma = Q(sum(values), 2)
+        if gamma in values:
+            continue
+        inst = make_instance([[a] for a in values], gamma)
+        status = check(inst).status
+        seen.append(status)
+        if status == "feasible":
+            assert commutant_dimension(build_hyperplane_rep(inst, seed=1)) == 1
+        else:
+            with pytest.raises(ConstructionError):
+                build_hyperplane_rep(inst, seed=1)
+    assert {"feasible", "infeasible"} <= set(seen)
+
+
+def test_build_hyperplane_rep_refuses_d4_boundary():
+    """At gamma = a_1 every solution has collinear Bloch vectors, whose
+    projections commute: no irreducible representation exists.  The
+    optimizer alone still gets within verify's bounds with a numerical
+    commutant of 1 there, so the existence check has to refuse it first."""
+    with pytest.raises(FeasibilityError, match="degenerate"):
+        build_hyperplane_rep(make_instance([[60], [30], [20], [10]], 60), seed=0)
+
+
+@pytest.mark.parametrize("spectra, gamma, name", [
+    ([[3], [3, 2, 1], [3, 2, 1]], "9/2", "E7~"),
+    ([[5], [4, 2], [5, 4, 3, 2, 1]], 7, "E8~"),
+])
+def test_build_hyperplane_rep_refuses_undecided_stars(spectra, gamma, name):
+    """Existence in delta is not decided on E7~ and E8~, so instances on
+    their hyperplanes are refused rather than handed to the optimizer."""
+    inst = make_instance(spectra, gamma)
+    assert on_hyperplane(build_star(inst.branch_lengths), inst)
+    with pytest.raises(FeasibilityError, match=f"not yet decided on {name}"):
+        build_hyperplane_rep(inst)
 
 
 def test_injected_fault_detected(e6, rng):

@@ -16,11 +16,12 @@ orthogonal orbits sized by delta's ranks does so in the imaginary root delta.
 `build_graph_rep` replays a nondegenerate dimension on the root branch
 operators A_j = T_j T_j^* alone, since the algebra side reads nothing
 else: by local scalarity a step at the inner vertices is A_j <- f_v I - A_j,
-a step at the root takes one stacked eigh and one kernel, and a step
+a step at the root takes one stacked eigh and the kernel of the root
+factors m by QR completion, certified by m m^T = f_root I, and a step
 farther out leaves every A_j as it is.  The result is the forward layout
-of the last root eigenspaces.  A degenerate dimension is refused: it has
-no algebra representation (the representation is not generated at the
-root), so no layout expresses it.
+of the last root eigenspaces, certified the same way.  A degenerate
+dimension is refused: it has no algebra representation (the
+representation is not generated at the root), so no layout expresses it.
 
 Graph and algebra representations meet at the root: `_eigenspaces` splits
 each root branch operator T T^* by the ranks of the dimension, largest
@@ -94,33 +95,6 @@ class GraphRep(NamedTuple):
         raise RepError(f"({a},{b}) is not an edge")
 
 
-def _kernel_basis(m: np.ndarray, dim: int, v: int) -> np.ndarray:
-    """Orthonormal basis of ker(m) as columns, in the dtype of m, for the
-    reflected space at vertex v.  The rank counts the singular values above
-    1e-10 times the largest; ``dim``, the expected kernel dimension, is
-    confirmed by the two singular values around rank ``cols - dim``, and
-    only when they disagree are all of them counted.  A kernel of another
-    dimension is a ``RepError``."""
-    rows, cols = m.shape
-    if rows == 0 or cols == 0:
-        basis = np.eye(cols, dtype=m.dtype)
-    else:
-        u, s, vh = np.linalg.svd(m)
-        s = s.tolist()
-        floor = 1e-10 * s[0]
-        rank = cols - dim
-        if not (0 <= rank <= len(s) and (rank == 0 or s[rank - 1] > floor)
-                and (rank == len(s) or s[rank] <= floor)):
-            rank = sum(x > floor for x in s)
-        basis = vh[rank:].conj().T
-    if basis.shape[1] != dim:
-        raise RepError(
-            f"kernel dimension {basis.shape[1]} at vertex {v} does not "
-            f"match the reflected dimension {dim}"
-        )
-    return basis
-
-
 def build_graph_rep(graph: StarGraph, d: GVec, f: GVec) -> GraphRep:
     """Construct an irreducible locally scalar representation with (d, f).
 
@@ -134,17 +108,19 @@ def build_graph_rep(graph: StarGraph, d: GVec, f: GVec) -> GraphRep:
     feasible walk is positive on every reflected parity class.
 
     The replay carries only the root branch operators A_j = T_j T_j^*,
-    stacked, and ends with their forward layout, as ``canonicalize`` lays
-    one out (see ``_replay_root_operators``).
+    stacked (see ``_replay_root_operators``).  ``_root_factors`` certifies
+    the last ones locally scalar at f[root], as at every root step, before
+    their forward layout, as ``canonicalize`` lays one out.
     """
     verdict, states, scale = _walk_pair(graph, d, f, False)
     if not verdict.feasible:
         raise FeasibilityError(f"({list(d)}, f) is not feasible: {verdict.status}")
-    dims = states[0][0]
+    dims, _, fint = states[0]
     if not nondegenerate_dim(graph, dims):
         raise RepError("representation dimension is degenerate")
     ranks = [dims[path[-1]] for path in graph.branches]
-    eig = _root_eigh(graph, _replay_root_operators(graph, states, scale), ranks)
+    _, eig = _root_factors(_replay_root_operators(graph, states, scale), ranks,
+                           fint[graph.root] / scale)
     return _canonical_layout(graph, dims, eig, tuple(f))
 
 
@@ -161,8 +137,11 @@ def _replay_root_operators(graph: StarGraph, states: list, scale: int) -> np.nda
     dims[v_j] eigenpairs scaled by the square roots of their eigenvalues, so
     T_j = F_j U_j for an orthogonal U_j, and U_j cancels from K_j^T K_j for
     the kernel K of [T_1 ... T_b]: the step is A_j <- f_root K_j^T K_j with
-    K the kernel of [F_1 ... F_b].  Reflections farther out leave every A_j
-    as it is.
+    K the kernel of m = [F_1 ... F_b].  ``_root_factors`` certifies
+    m m^T = f_root I, so m has full row rank and K is the orthogonal
+    complement of its rows: the last columns of the complete QR of m^T.  A
+    kernel whose width is not the state's root dimension is a ``RepError``.
+    Reflections farther out leave every A_j as it is.
     """
     root = graph.root
     inner = [path[-1] for path in graph.branches]
@@ -174,13 +153,11 @@ def _replay_root_operators(graph: StarGraph, states: list, scale: int) -> np.nda
             ops = weights[:, None, None] * np.eye(n0) - ops
             continue
         ranks = [dcur[v] for v in inner]
-        evals, evecs = _root_eigh(graph, ops, ranks)
-        # rounding negatives are clamped before the square root
-        scaled = evecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]
-        # the top eigenpairs; past n0, zero columns, which U_j absorbs too
-        kernel = _kernel_basis(np.concatenate(
-            [s[:, n0 - r:] if r <= n0 else np.hstack([np.zeros((n0, r - n0)), s])
-             for s, r in zip(scaled, ranks)], axis=1), dcur[root], root)
+        m, _ = _root_factors(ops, ranks, fcur[root] / scale)
+        kernel = np.linalg.qr(m.T, mode="complete")[0][:, n0:]
+        if kernel.shape[1] != dcur[root]:
+            raise RepError(f"kernel dimension {kernel.shape[1]} at vertex {root} "
+                           f"does not match the reflected dimension {dcur[root]}")
         # K_j^T K_j for every branch at once: row r of K belongs to branch j
         # when the selector sel[j, r] is 1
         sel = np.repeat(np.eye(len(inner)), ranks, axis=1)
@@ -190,25 +167,26 @@ def _replay_root_operators(graph: StarGraph, states: list, scale: int) -> np.nda
     return ops
 
 
-def _root_eigh(graph: StarGraph, ops: np.ndarray, ranks: Sequence[int]):
-    """Stacked eigh of the root branch operators, largest eigenvalues last.
-
-    A_j = T_j T_j^* has rank at most ``ranks[j]``, the dimension of the
-    inner vertex v_j, so its n0 - ranks[j] smallest eigenvalues must lie
-    under the rank floor, 1e-10 times the largest eigenvalue of the stack;
-    otherwise ``RepError`` names the inner vertex.
+def _root_factors(ops: np.ndarray, ranks: Sequence[int], f_root: float):
+    """The root factors m = [F_1 ... F_b] of the stacked root branch
+    operators, F_j = V_j sqrt(lambda_j) over the top ``ranks[j]`` eigenpairs
+    of A_j with zero columns past n0, and their stacked eigh, largest
+    eigenvalues last.  Locally scalar at ``f_root``, m m^T = f_root I: every
+    singular value of m is sqrt(f_root).  A residual max |m m^T / f_root - I|
+    above 1e-10 is a ``RepError``.
     """
     evals, evecs = np.linalg.eigh(ops)
     n0 = ops.shape[1]
-    floor = 1e-10 * evals.max(initial=0.0)
-    for j, r in enumerate(ranks):
-        # eigenvalues ascend, so the last dropped one is the largest
-        if r < n0 and evals[j, n0 - r - 1] > floor:
-            raise RepError(
-                f"root branch operator {j + 1} has rank above the dimension "
-                f"{r} of its inner vertex {graph.branches[j][-1]}"
-            )
-    return evals, evecs
+    # rounding negatives are clamped before the square root
+    scaled = evecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]
+    m = np.concatenate(
+        [s[:, n0 - r:] if r <= n0 else np.hstack([np.zeros((n0, r - n0)), s])
+         for s, r in zip(scaled, ranks)], axis=1)
+    residual = np.abs(m @ m.T / f_root - np.eye(n0)).max(initial=0.0)
+    # written so that a NaN residual fails too
+    if not residual <= 1e-10:
+        raise RepError(f"the root is not locally scalar: residual {residual:.3g}")
+    return m, (evals, evecs)
 
 
 def _root_operators(graph: StarGraph, rep: GraphRep) -> np.ndarray:

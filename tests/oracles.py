@@ -287,8 +287,10 @@ def member_scan_candidates(graph, bound: int) -> list:
 
 
 def kernel_basis(m: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of ker(m) as columns, rank confirmed at ``dim`` as
-    `starspec.reps` does, with the comparisons made on numpy scalars."""
+    """Orthonormal basis of ker(m) as columns, by SVD, rank confirmed at
+    ``dim`` by the singular values around it (1e-10 times the largest).  The
+    independent reference of ``graph_rep_replay``: `starspec.reps` takes its
+    root kernels by QR completion instead, certified by local scalarity."""
     rows, cols = m.shape
     if rows == 0 or cols == 0:
         return np.eye(cols, dtype=m.dtype)

@@ -19,6 +19,7 @@ from starspec import (
     char_from_chi,
     chi_from_char,
     coxeter_char,
+    dim_from_n,
     make_instance,
     on_hyperplane,
     reduction_schedule,
@@ -251,6 +252,25 @@ def test_close_spectrum_constructs(e6):
     assert commutant_dimension(arep) == 1
 
 
+E8_PAST_BOUND = Path(__file__).parent / "data" / "e8_past_bound.json"
+
+
+def test_witness_past_default_bound_constructs():
+    """The E8~ witness at scan bound 100 has root entry 98, past the
+    benchmark's depths: its root steps keep the certificate, and the
+    construction verifies and is irreducible."""
+    from starspec.io import instance_from_dict
+
+    inst = instance_from_dict(json.loads(E8_PAST_BOUND.read_text()))
+    g = build_star(inst.branch_lengths)
+    verdict = solve(g, inst, scan_bound=100)
+    d = dim_from_n(g, verdict.witness_dimension)
+    assert d[g.root] == 98
+    arep = to_algebra_rep(g, build_graph_rep(g, d, char_from_chi(g, inst)), inst)
+    assert verify_algebra_rep(arep).overall
+    assert commutant_dimension(arep) == 1
+
+
 @pytest.mark.parametrize("scale", [1, 10**6, 10**12])
 @pytest.mark.parametrize("lengths", [[1, 1, 1, 1], [2, 2, 2], [3, 3, 1], [1, 2, 5]])
 def test_large_characters_construct(lengths, scale):
@@ -366,28 +386,30 @@ def test_degenerate_dims_are_refused(lengths):
         assert verify_graph_rep(g, ref, d, f).overall, d
 
 
-def test_build_graph_rep_rejects_root_operator_above_inner_rank(monkeypatch):
-    """A root branch operator whose rank exceeds the dimension of its inner
-    vertex is a `RepError` naming that vertex: one inner step's character
-    raised by 1/scale makes f_v I - A_j invertible."""
+@pytest.mark.parametrize("bumped", ["inner", "root"])
+def test_build_graph_rep_rejects_root_that_is_not_locally_scalar(monkeypatch, bumped):
+    """A walk state whose character is raised by 1/scale at one vertex is
+    caught by the root certificate m m^T = f_root I.  At an inner vertex,
+    f_v I - A_j becomes invertible and the next root step's factors miss
+    its smallest eigenvalues; at the root, the step's own f_root is off."""
     g = build_star([2, 2, 2])
     d = (3, 7, 3, 6, 3, 6, 10)
     f, _ = feasible_character(g, d, random.Random(5))
     walk = reps_module._walk_pair
-    inner = g.branches[0][-1]
+    vertex = g.branches[0][-1] if bumped == "inner" else g.root
+    step_token = "even" if vertex in g.even else "odd"
 
-    def bumped(*args):
+    def bump(*args):
         verdict, states, scale = walk(*args)
-        i = next(i for i, (_, token, _) in enumerate(states) if token == "even")
+        i = next(i for i, (_, token, _) in enumerate(states) if token == step_token)
         dcur, token, fcur = states[i]
         fcur = list(fcur)
-        fcur[inner] += 1
+        fcur[vertex] += 1
         states[i] = (dcur, token, fcur)
         return verdict, states, scale
 
-    monkeypatch.setattr(reps_module, "_walk_pair", bumped)
-    with pytest.raises(RepError, match=f"root branch operator 1 has rank above "
-                                       rf"the dimension \d+ of its inner vertex {inner}"):
+    monkeypatch.setattr(reps_module, "_walk_pair", bump)
+    with pytest.raises(RepError, match=r"the root is not locally scalar: residual "):
         build_graph_rep(g, d, f)
 
 

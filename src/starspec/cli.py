@@ -130,7 +130,9 @@ def cmd_coxeter(args) -> int:
         d, f = data["d"], data["f"]
     except (KeyError, TypeError):
         raise IOError_("pair file needs 'd' and 'f'") from None
-    pair = DimCharPair(gvec_in(graph, d), gvec_in(graph, f))
+    pair = DimCharPair(gvec_in(graph, d, int_in), gvec_in(graph, f))
+    if min(pair.d) < 0:
+        raise IOError_(f"dimension {list(pair.d)} has a negative entry")
     tokens = [t.strip() for t in args.word.split(",")]
     for t in tokens:
         if t not in ("even", "odd"):

@@ -10,9 +10,11 @@ Three decision routes:
   down to the anchor by the full parity maps; equivalent to the iterative
   route on its domain, but computed through an entirely different code
   path.
-* ``horn_check_e6`` and ``quadrangle_check_d4``: the level-hyperplane case
-  in the minimal imaginary-root dimension, decided by twelve strict
-  Horn-type inequalities on E6~ and four on D4~ (``solve`` runs only Horn).
+* ``delta_check``: the level-hyperplane case in the minimal imaginary root
+  delta, on every extended star, by one rule: P(beta, f) > 0 on every wall
+  beta of ``delta_walls``, the real roots below delta of positive defect.
+  ``horn_check_e6`` is this rule on E6~, displayed as twelve strict
+  Horn-type inequalities; ``solve`` runs only that one, on E6~.
 
 ``solve`` orchestrates the routes.  On the E6~ hyperplane it runs the Horn
 test first: delta has root entry 3 and every candidate real-root dimension
@@ -24,7 +26,7 @@ hyperplane.
 Every condition is homogeneous with integer coefficients, so each route
 clears denominators once and sums ints; only certificates print Fractions.
 Each route turns its margins into a status by the one rule of ``_status``.
-The level test of ``solve``, ``on_hyperplane`` and ``horn_check_e6`` is the
+The level test of ``solve``, ``on_hyperplane`` and ``delta_check`` is the
 one pairing P(delta, f) = 0.
 """
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import lcm as _lcm
+from operator import mul
 from typing import Iterable, Literal, NamedTuple, Optional
 
 from .coxeter import (
@@ -56,7 +59,7 @@ from .graph import (
     unit_vector,
 )
 from .rational import IMat, Q, mat_vec
-from .roots import is_root, singular_and_regular_series
+from .roots import fundamental_roots, is_root, singular_and_regular_series
 from .transfer import (
     GeneralizedDimension,
     SpectralInstance,
@@ -121,13 +124,19 @@ def _chi_names(n_spectra: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n_spectra)] + ["gamma"]
 
 
-def hyperplane(graph: StarGraph) -> Hyperplane:
-    """Trace-identity hyperplane of an extended Dynkin star."""
+@functools.lru_cache(maxsize=64)
+def _delta(graph: StarGraph) -> tuple[IVec, GeneralizedDimension]:
+    """delta and its ranks, per graph; the ranks are the level row of
+    ``hyperplane`` and the witness of every feasible verdict in delta."""
     delta = classify(graph).delta
     if delta is None:
-        raise FeasibilityError("hyperplane requires an extended Dynkin graph")
-    n = n_from_dim(graph, delta)
-    coeffs = list(n.flat())
+        raise FeasibilityError("the star has no imaginary root delta")
+    return delta, n_from_dim(graph, delta)
+
+
+def hyperplane(graph: StarGraph) -> Hyperplane:
+    """Trace-identity hyperplane of an extended Dynkin star."""
+    coeffs = list(_delta(graph)[1].flat())
     coeffs[-1] = -coeffs[-1]
     return Hyperplane(coefficients=tuple(coeffs))
 
@@ -144,80 +153,134 @@ def _scaled_instance(
     return chint, _char(graph, chint), scale
 
 
-def _on_level(graph: StarGraph, fint: IVec) -> bool:
-    """The level test P(delta, f) = 0, with P(delta, .) = ``coxeter.defect``;
-    it is homogeneous, so an integer character is read as it is."""
-    return defect(graph, fint) == 0
-
-
 def on_hyperplane(graph: StarGraph, inst: SpectralInstance) -> bool:
-    return _on_level(graph, _scaled_instance(graph, inst)[1])
+    """The level test P(delta, f) = 0, with P(delta, .) = ``coxeter.defect``;
+    it is homogeneous, so the integer character is read as it is."""
+    return defect(graph, _scaled_instance(graph, inst)[1]) == 0
 
 
 # ---------------------------------------------------------------------------
-# Delta on the hyperplane: Horn on (2,2,2), the quadrangle on (1,1,1,1)
+# Delta on the hyperplane: one rule on every star, displayed as Horn on E6~
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def delta_walls(graph: StarGraph) -> tuple[IVec, ...]:
+    """The walls of delta: the real roots 0 < beta < delta of positive
+    defect (``coxeter.defect``), as int vectors, cached per graph.
+
+    delta has entry 1 at the extending vertex e, so a real root strictly
+    below delta has e-entry 0 or 1: it is a root x of the table of
+    ``roots.fundamental_roots`` or delta - x for one.  Both are real roots
+    (delta spans the radical of the form), and their defects are opposite,
+    since delta has defect 0.  So each table root of nonzero defect gives
+    one wall, x or delta - x, and a regular one gives none: 9, 29, 53 and
+    106 walls on D4~, E6~, E7~ and E8~.  A star without delta is a
+    ``FeasibilityError``.
+    """
+    delta = _delta(graph)[0]
+    return tuple(x if dfc > 0 else tuple([d - v for d, v in zip(delta, x)])
+                 for x in fundamental_roots(graph) if (dfc := defect(graph, x)))
+
+
+def _delta_margins(graph: StarGraph, inst: SpectralInstance) -> tuple:
+    """``delta_check``'s verdict without its certificate, the int margin
+    P(beta, f) of each wall by wall, and the scale of the character.  The
+    character is signed by eps once, so each margin is one dot product."""
+    walls = delta_walls(graph)
+    _, fint, scale = _scaled_instance(graph, inst)
+    if defect(graph, fint):
+        raise FeasibilityError("instance is off the hyperplane")
+    signed = [x if g in graph.odd else -x for g, x in enumerate(fint)]
+    margins = {beta: sum(map(mul, beta, signed)) for beta in walls}
+    status = _status(margins.values())
+    ranks = _delta(graph)[1] if status == "feasible" else None
+    return FeasibilityVerdict(status, "delta_walls", ranks), margins, scale
+
+
+def delta_check(graph: StarGraph, inst: SpectralInstance) -> FeasibilityVerdict:
+    """Existence of an irreducible representation in the minimal imaginary
+    root delta, on any extended star.
+
+    The instance must lie on the hyperplane P(delta, f) = 0, where the
+    trace identity puts every representation in dimension delta; off it
+    this is a ``FeasibilityError``.  On it delta is feasible iff
+    P(beta, f) > 0 on every wall beta of ``delta_walls``, and degenerate iff
+    the least of these margins is 0 (``_status``).  A feasible verdict
+    carries delta's ranks as its witness, and the certificate gives every
+    wall's margin.
+
+    Why the walls decide (a sketch; the tests check the rule against the
+    Horn criterion on E6~ and the quadrangle on D4~, and against optimizer
+    builds on E7~ and E8~):
+
+    * On the hyperplane an irreducible *-representation in dimension delta
+      corresponds to a representation of the star that is theta-stable for
+      the theta given by the character: every proper subrepresentation of
+      dimension beta has P(beta, f) > 0 (King 1994; Klyachko 1998 for sums
+      of Hermitian operators).
+    * A general representation in dimension delta is homogeneous regular,
+      so its proper subrepresentations are preprojective.
+    * By Schofield (1992) a dimension beta embeds in a general
+      representation of dimension delta iff ext(beta, delta - beta) = 0.
+      That holds for every preprojective root beta below delta, because
+      delta - beta is then preinjective and Ext(P, I) = D Hom(I, tau P) = 0.
+    * So the conditions are P(beta, f) > 0 on the preprojective real roots
+      below delta, which in this repository's sign convention are those of
+      positive defect: the walls.  At a zero margin the representation is
+      at best semistable, and a solution is a direct sum: on the D4~ wall
+      gamma = a_i the Bloch vectors of the four rank-one projections on C^2
+      are collinear and the projections commute.
+
+    On D4~ the walls e_root + e_leaf_i have the margins gamma - a_i of that
+    quadrangle; on the hyperplane the other five are a_i and gamma =
+    (a_1 + ... + a_4) / 2, positive for every instance.  On E6~ twelve
+    walls carry the Horn inequalities (``HORN_E6``).
+    """
+    verdict, margins, scale = _delta_margins(graph, inst)
+    return verdict._replace(certificate=tuple(
+        (f"wall {list(beta)}", str(Q(m, scale)), m > 0) for beta, m in margins.items()))
+
 
 # the (2,2,2) star of the Horn and closed-form routes
 E6_STAR = build_star([2, 2, 2])
 
-# coefficients on (a1, a2, b1, b2, c1, c2); all inequalities are strict > 0
-HORN_E6: tuple[tuple[str, tuple[int, ...]], ...] = (
-    ("2(a1+b1) > a2+b2+c1+c2", (2, -1, 2, -1, -1, -1)),
-    ("2(a1+c1) > a2+b1+b2+c2", (2, -1, -1, -1, 2, -1)),
-    ("2(b1+c1) > a1+a2+b2+c2", (-1, -1, 2, -1, 2, -1)),
-    ("a1+a2+b1+c1 > 2(b2+c2)", (1, 1, 1, -2, 1, -2)),
-    ("2(a2+b2+c1) > a1+b1+c2", (-1, 2, -1, 2, 2, -1)),
-    ("a1+b1+b2+c1 > 2(a2+c2)", (1, -2, 1, 1, 1, -2)),
-    ("2(a2+b1+c2) > a1+b2+c1", (-1, 2, 2, -1, -1, 2)),
-    ("2(a1+b2+c2) > a2+b1+c1", (2, -1, -1, 2, -1, 2)),
-    ("a1+a2+b1+b2+c2 > 2c1", (1, 1, 1, 1, -2, 1)),
-    ("a1+b1+c1+c2 > 2(a2+b2)", (1, -2, 1, -2, 1, 1)),
-    ("a1+a2+b2+c1+c2 > 2b1", (1, 1, -2, 1, 1, 1)),
-    ("a2+b1+b2+c1+c2 > 2a1", (-2, 1, 1, 1, 1, 1)),
+# the twelve Horn inequalities on (a1, a2, b1, b2, c1, c2), each by its wall
+# beta: on the hyperplane the Horn margin is 3 * P(beta, f)
+HORN_E6: tuple[tuple[str, IVec], ...] = (
+    ("2(a1+b1) > a2+b2+c1+c2", (1, 1, 1, 1, 1, 2, 2)),
+    ("2(a1+c1) > a2+b1+b2+c2", (1, 1, 1, 2, 1, 1, 2)),
+    ("2(b1+c1) > a1+a2+b2+c2", (1, 2, 1, 1, 1, 1, 2)),
+    ("a1+a2+b1+c1 > 2(b2+c2)", (0, 0, 1, 1, 1, 1, 1)),
+    ("2(a2+b2+c1) > a1+b1+c2", (0, 1, 0, 1, 1, 1, 2)),
+    ("a1+b1+b2+c1 > 2(a2+c2)", (1, 1, 0, 0, 1, 1, 1)),
+    ("2(a2+b1+c2) > a1+b2+c1", (0, 1, 1, 1, 0, 1, 2)),
+    ("2(a1+b2+c2) > a2+b1+c1", (1, 1, 0, 1, 0, 1, 2)),
+    ("a1+a2+b1+b2+c2 > 2c1", (0, 0, 0, 0, 0, 1, 1)),
+    ("a1+b1+c1+c2 > 2(a2+b2)", (1, 1, 1, 1, 0, 0, 1)),
+    ("a1+a2+b2+c1+c2 > 2b1", (0, 0, 0, 1, 0, 0, 1)),
+    ("a2+b1+b2+c1+c2 > 2a1", (0, 1, 0, 0, 0, 0, 1)),
 )
 
 
 def horn_check_e6(inst: SpectralInstance) -> FeasibilityVerdict:
-    """Existence in generalized dimension (1,1;1,1;1,1;3) on the hyperplane.
+    """``delta_check`` on the (2,2,2) star, delta = (1,1;1,1;1,1;3), with
+    its certificate displayed as the twelve strict Horn inequalities.
 
-    Feasible iff the chi parameters lie on the hyperplane and all twelve
-    strict inequalities hold; equality in any of them is reported as a
-    boundary case whose status the criterion does not decide.
+    Each printed margin is 3 * P(beta, f) on its wall beta, which on the
+    hyperplane equals the inequality's difference of chi sums.  Each of the
+    other seventeen walls is a nonnegative combination of these twelve
+    margins and of a1 - a2, a2, b1 - b2, b2, c1 - c2, c2, so the status is
+    the one the twelve give.  Equality is reported as a boundary case whose
+    status the criterion does not decide.
     """
     if inst.branch_lengths != (2, 2, 2):
         raise FeasibilityError("the Horn criterion applies to the (2,2,2) star")
-    chint, fint, scale = _scaled_instance(E6_STAR, inst)
-    if not _on_level(E6_STAR, fint):
-        raise FeasibilityError("instance is off the hyperplane")
-    # zip stops at the six spectral values: gamma has no Horn coefficient
-    margins = [sum(c * x for c, x in zip(coeffs, chint)) for _, coeffs in HORN_E6]
-    cert = [(name, str(Q(m, scale)), m > 0)
-            for (name, _), m in zip(HORN_E6, margins)]
-    status = _status(margins)
-    if status == "degenerate":
-        cert.append(("boundary", "existence undecided at equality", False))
-    witness = (GeneralizedDimension(n0=3, branches=((1, 1),) * 3)
-               if status == "feasible" else None)
-    return FeasibilityVerdict(status=status, branch_taken="horn_hyperplane",
-                              witness_dimension=witness, certificate=tuple(cert))
-
-
-def quadrangle_check_d4(inst: SpectralInstance) -> FeasibilityVerdict:
-    """Existence in delta = (1,1,1,1;2) on the D4~ hyperplane: the Bloch
-    vectors of four rank-one projections on C^2 with sum a_i P_i = gamma I
-    close a quadrangle with sides a_i.  Feasible iff every margin
-    gamma - a_i = P(e_root + e_leaf_i, f) is positive; at 0 the vectors are
-    collinear and the projections commute."""
-    graph = build_star([1, 1, 1, 1])
-    _, fint, scale = _scaled_instance(graph, inst)
-    if not _on_level(graph, fint):
-        raise FeasibilityError("instance is off the hyperplane")
-    margins = [fint[-1] - x for x in fint[:-1]]  # even leaves, odd root
-    return FeasibilityVerdict(
-        status=_status(margins), branch_taken="quadrangle_hyperplane",
-        certificate=tuple((f"gamma > a{i}", str(Q(m, scale)), m > 0)
-                          for i, m in enumerate(margins, 1)))
+    verdict, margins, scale = _delta_margins(E6_STAR, inst)
+    cert = tuple((name, str(Q(3 * margins[beta], scale)), margins[beta] > 0)
+                 for name, beta in HORN_E6)
+    if verdict.status == "degenerate":
+        cert += (("boundary", "existence undecided at equality", False),)
+    return verdict._replace(branch_taken="horn_hyperplane", certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +573,8 @@ def solve(
     (2,2,2) star the imaginary root delta comes first, decided by the Horn
     criterion: a nondegenerate dimension with root entry 3 has the chains
     1 < 2 < 3 on every branch, which is delta, so every candidate has root
-    entry >= 4.  On the other stars' hyperplanes delta is not decided, and
-    the certificate says so.  Real-root dimensions up to the bound come
+    entry >= 4.  On the other stars' hyperplanes ``solve`` does not run
+    ``delta_check`` yet, and the certificate says delta is not decided.  Real-root dimensions up to the bound come
     next.  Off the hyperplane no imaginary-root witness is possible, so the
     search is exhaustive for the reported window.
 

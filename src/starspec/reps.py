@@ -53,7 +53,7 @@ from .coxeter import _parity_set
 # them while set-up imports this module).
 from . import feasibility, transfer, verify
 from .feasibility import FeasibilityError, _walk_pair
-from .graph import GVec, StarGraph, build_star, classify
+from .graph import GVec, StarGraph, build_star
 from .transfer import (
     RTOL,
     GeneralizedDimension,
@@ -365,22 +365,18 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     ``ValueError``), so the output is float64 and deterministic per seed.
     The steps stop below a tenth of verify's bound ``RTOL * s``, after
     ``_MAX_ITERS`` steps, or once a damping past 1e16 stops every step.
-    Existence is checked first, by the Horn criterion on E6~ and the closed
-    quadrangle on D4~; elsewhere it is undecided (``FeasibilityError``).
-    A result that fails verify or has commutant above 1 is a ``ConstructionError``.
+    Existence is checked first, on every extended star, by the walls of
+    ``feasibility.delta_check``: an instance off the hyperplane, not strictly
+    inside the walls or on a star without delta is a ``FeasibilityError``,
+    and the sizes are the ranks of its witness.  A result that fails verify
+    or has commutant above 1 is a ``ConstructionError``.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    graph = build_star(inst.branch_lengths)
-    cls = classify(graph)
-    checks = {"E6~": feasibility.horn_check_e6, "D4~": feasibility.quadrangle_check_d4}
-    if cls.name not in checks:
-        raise FeasibilityError(f"existence in delta is not yet decided on {cls.name}"
-                               if cls.delta else "the star has no imaginary root delta")
-    verdict = checks[cls.name](inst)
+    verdict = feasibility.delta_check(build_star(inst.branch_lengths), inst)
     if not verdict.feasible:
         raise FeasibilityError(f"delta is not feasible: {verdict.status}")
-    n0, ranks = transfer.n_from_dim(graph, cls.delta)
+    n0, ranks = verdict.witness_dimension
     gamma_eye = float(inst.gamma) * np.eye(n0)
     diags = np.array([np.repeat([float(a) for a in spec] + [0.0], [*r, n0 - sum(r)])
                       for spec, r in zip(inst.branches, ranks)])

@@ -9,7 +9,8 @@
 * The construction by the Fraction route: the character pushed down the
   schedule, then every upward step recomputed by `coxeter_char` and taken
   by the reflection below.
-* The Horn margins of the (2,2,2) star as Fraction sums over chi.
+* The Horn margins of the (2,2,2) star as Fraction sums over chi, by
+  their own frozen coefficient rows.
 * The root table of an extended star by a scan of the box 0 <= x <= delta,
   its singular/regular split by the defect of every base, and the
   candidate table that `solve` only counts, by testing every series member
@@ -37,7 +38,7 @@ import numpy as np
 from starspec.coxeter import (
     DimCharPair, _parity_set, coxeter_char, defect, reduction_schedule,
 )
-from starspec.feasibility import HORN_E6, _walk_pair
+from starspec.feasibility import _walk_pair
 from starspec.graph import EVEN, build_star, classify, is_positive_vector, tits_form
 from starspec.rational import Q, QMat
 from starspec.reps import _MAX_ITERS, AlgebraRep, GraphRep, RepError, _layout
@@ -216,13 +217,33 @@ def fraction_route_rep(graph, d, f) -> GraphRep:
     return rep
 
 
+# The twelve Horn inequalities on (a1, a2, b1, b2, c1, c2) as chi
+# coefficients, frozen here so that the library's walls are checked against
+# rows it does not share; each is strict, > 0.
+HORN_CHI_ROWS = (
+    ("2(a1+b1) > a2+b2+c1+c2", (2, -1, 2, -1, -1, -1)),
+    ("2(a1+c1) > a2+b1+b2+c2", (2, -1, -1, -1, 2, -1)),
+    ("2(b1+c1) > a1+a2+b2+c2", (-1, -1, 2, -1, 2, -1)),
+    ("a1+a2+b1+c1 > 2(b2+c2)", (1, 1, 1, -2, 1, -2)),
+    ("2(a2+b2+c1) > a1+b1+c2", (-1, 2, -1, 2, 2, -1)),
+    ("a1+b1+b2+c1 > 2(a2+c2)", (1, -2, 1, 1, 1, -2)),
+    ("2(a2+b1+c2) > a1+b2+c1", (-1, 2, 2, -1, -1, 2)),
+    ("2(a1+b2+c2) > a2+b1+c1", (2, -1, -1, 2, -1, 2)),
+    ("a1+a2+b1+b2+c2 > 2c1", (1, 1, 1, 1, -2, 1)),
+    ("a1+b1+c1+c2 > 2(a2+b2)", (1, -2, 1, -2, 1, 1)),
+    ("a1+a2+b2+c1+c2 > 2b1", (1, 1, -2, 1, 1, 1)),
+    ("a2+b1+b2+c1+c2 > 2a1", (-2, 1, 1, 1, 1, 1)),
+)
+
+
 def fraction_horn_check(inst) -> tuple[str, list]:
     """Status and certificate of the Horn criterion with every margin summed
-    in Fractions over chi (the instance is assumed on the hyperplane)."""
+    in Fractions over chi by ``HORN_CHI_ROWS`` (the instance is assumed on
+    the hyperplane)."""
     chi6 = inst.chi()[:6]
     cert = []
     n_neg = n_zero = 0
-    for name, coeffs in HORN_E6:
+    for name, coeffs in HORN_CHI_ROWS:
         margin = sum(c * x for c, x in zip(coeffs, chi6))
         n_neg += margin < 0
         n_zero += margin == 0

@@ -246,6 +246,32 @@ def test_construct_d4_delta_dimension_file(capsys, tmp_path):
     assert json.loads(err)["error"] == "FeasibilityError"
 
 
+@pytest.mark.parametrize("star", ["e7", "e8"])
+def test_construct_e7_e8_delta_dimension_files(capsys, tmp_path, star):
+    """The committed E7~ and E8~ hyperplane instances strictly inside the
+    walls, which CI also builds: with their delta dimension files they take
+    the optimizer route and verify with commutant 1.  Without one,
+    ``construct`` runs ``solve``, which does not decide delta on these
+    stars, and exits 1.  On E8~ the instance on six walls exits 64."""
+    data = ROOT / "tests" / "data"
+    inst, dim = str(data / f"{star}_plane.json"), str(data / f"{star}_plane_dimension.json")
+    rep = tmp_path / "rep.json"
+    code, out, err = run_cli(capsys, "construct", "--instance", inst,
+                             "--dimension", dim, "-o", str(rep))
+    assert code == 0, err
+    assert json.loads(rep.read_text())["metadata"]["route"] == "hyperplane_optimizer"
+    code, out, _ = run_cli(capsys, "verify", "--rep", str(rep))
+    parsed = json.loads(out)
+    assert (code, parsed["overall"], parsed["commutant_dimension"]) == (0, True, 1)
+    assert run_cli(capsys, "construct", "--instance", inst)[0] == 1
+    if star == "e8":
+        wall = write_instance(tmp_path, "wall.json", [[5], [4, 2], [5, 4, 3, 2, 1]], 7)
+        code, out, err = run_cli(capsys, "construct", "--instance", wall,
+                                 "--dimension", dim)
+        assert (code, out) == (64, "")
+        assert json.loads(err)["error"] == "FeasibilityError"
+
+
 @pytest.mark.parametrize("dimension", [
     ["1/2", 1, 1, 1, 1, 1, 1],
     {"n0": 3.9, "branches": [[1, 1], [1, 1], [1, 1]]},
@@ -382,6 +408,24 @@ def test_coxeter_pair_must_be_an_object_with_d_and_f(capsys, tmp_path, pair):
     assert code == 64
     assert out == ""
     assert json.loads(err)["error"] == "IOError_"
+
+
+@pytest.mark.parametrize("d, f, message", [
+    (["1/2", 1, 0, 1, 1, 1, 2], [2, 5, 3, 6, 2, 5, 9], "expected an integer"),
+    ([-1, 1, 0, 1, 1, 1, 2], [5, 5, 3, 6, 2, 5, 9], "has a negative entry"),
+])
+def test_coxeter_pair_dimension_is_a_dimension_vector(capsys, tmp_path, d, f, message):
+    """d is read as a vector of non-negative integers: a fraction or a
+    negative entry exits 64 before any state is printed, even where the
+    functor's domain condition d + f > 0 would pass."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"d": d, "f": f}))
+    code, out, err = run_cli(capsys, "coxeter", "--branches", "2,2,2",
+                             "--word", "even", "--pair", str(path))
+    assert (code, out) == (64, "")
+    parsed = json.loads(err)
+    assert parsed["error"] == "IOError_"
+    assert message in parsed["message"]
 
 
 @pytest.mark.parametrize("change", ["missing", "extra"])

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as Q
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,11 @@ from starspec import (
     char_from_chi,
     char_transport_up,
     chi_from_char,
+    classify,
     closed_form_e6,
     horn_check_e6,
     hyperplane,
+    is_root,
     iterative_feasible,
     make_instance,
     on_hyperplane,
@@ -27,15 +30,17 @@ from starspec import (
     trajectory_dim,
     unit_vector,
 )
-from starspec.coxeter import reduction_schedule
-from starspec.feasibility import _scaled_character, quadrangle_check_d4
+from starspec.coxeter import defect, pairing, reduction_schedule
+from starspec.feasibility import HORN_E6, _scaled_character, delta_check, delta_walls
 from starspec.io import instance_from_dict
 from starspec.rational import identity, mat_mul
 from starspec.roots import RootError
 from starspec.transfer import n_from_dim
 
 from conftest import candidates_tested, exhausted_instance, random_feasible_instance
-from oracles import fraction_horn_check, member_scan_candidates
+from oracles import (
+    HORN_CHI_ROWS, box_scan_roots, fraction_horn_check, member_scan_candidates,
+)
 
 DATA = Path(__file__).parent / "data"
 SYMMETRIC = make_instance([[2, 1], [2, 1], [2, 1]], 3)
@@ -167,17 +172,92 @@ def test_horn_requires_hyperplane():
     ([[70], [30], [20], [10]], 65, "infeasible", ["-5", "35", "45", "55"]),
 ])
 def test_quadrangle_check_d4(spectra, gamma, status, margins):
-    """The margins gamma - a_i, exact, and their status by the one rule."""
-    v = quadrangle_check_d4(make_instance(spectra, gamma))
-    assert (v.status, v.branch_taken) == (status, "quadrangle_hyperplane")
-    assert [m for _, m, _ in v.certificate] == margins
+    """The D4~ quadrangle as ``delta_check``: the walls e_root + e_leaf_i
+    carry the margins gamma - a_i, exact, and the status is theirs by the
+    one rule, since the other five walls are a_i and gamma, positive."""
+    d4 = build_star([1, 1, 1, 1])
+    v = delta_check(d4, make_instance(spectra, gamma))
+    assert (v.status, v.branch_taken) == (status, "delta_walls")
+    cert = {name: m for name, m, _ in v.certificate}
+    assert len(cert) == 9
+    assert [cert[f"wall {[int(g in (i, 4)) for g in range(5)]}"]
+            for i in range(4)] == margins
+    assert v.witness_dimension == (n_from_dim(d4, classify(d4).delta)
+                                   if status == "feasible" else None)
 
 
 def test_quadrangle_check_d4_domain():
+    d4 = build_star([1, 1, 1, 1])
     with pytest.raises(FeasibilityError, match="off the hyperplane"):
-        quadrangle_check_d4(make_instance([[50], [30], [20], [10]], 56))
+        delta_check(d4, make_instance([[50], [30], [20], [10]], 56))
     with pytest.raises(FeasibilityError, match="does not match the graph"):
-        quadrangle_check_d4(SYMMETRIC)
+        delta_check(d4, SYMMETRIC)
+    with pytest.raises(FeasibilityError, match="no imaginary root"):
+        delta_check(build_star([2, 2]), make_instance([[2, 1], [2, 1]], 3))
+
+
+@pytest.mark.parametrize("lengths, count", [
+    ([1, 1, 1, 1], 9), ([2, 2, 2], 29), ([1, 3, 3], 53), ([1, 2, 5], 106),
+])
+def test_delta_walls_are_the_positive_defect_roots_below_delta(lengths, count):
+    """Every wall is a real root strictly between 0 and delta with positive
+    defect, and of each pair (x, delta - x) over the box scan's roots
+    exactly one is a wall, unless the pair is regular; so the walls are all
+    such roots."""
+    g = build_star(lengths)
+    delta = classify(g).delta
+    walls = delta_walls(g)
+    assert len(set(walls)) == len(walls) == count
+    for beta in walls:
+        assert is_root(g, beta) == "real" and defect(g, beta) > 0
+        assert all(0 <= b <= d for b, d in zip(beta, delta)) and beta != delta
+    for x in box_scan_roots(g):
+        pair = {x, tuple(d - v for d, v in zip(delta, x))}
+        assert len(pair & set(walls)) == (defect(g, x) != 0), x
+    assert delta_walls(g) is walls
+
+
+def _plane_draws(lengths, n, seed):
+    """n hyperplane instances: distinct spectrum values from 1..29 split
+    into strictly decreasing branches, gamma from the level condition."""
+    level = hyperplane(build_star(lengths)).coefficients
+    rng = random.Random(seed)
+    for _ in range(n):
+        values = rng.sample(range(1, 30), sum(lengths))
+        spectra = [sorted(values[sum(lengths[:j]):sum(lengths[:j + 1])], reverse=True)
+                   for j in range(len(lengths))]
+        chi = [a for spec in spectra for a in spec]
+        yield make_instance(spectra, Q(-sum(map(mul, level, chi)), level[-1]))
+
+
+@pytest.mark.parametrize("lengths", [[2, 2, 2], [1, 1, 1, 1]])
+def test_delta_check_matches_horn_and_quadrangle(lengths):
+    """On seeded hyperplane draws the one rule gives the status of the
+    Fraction Horn reference on E6~ and of the margins gamma - a_i on D4~,
+    for every status, degenerate draws included."""
+    g = build_star(lengths)
+    seen = set()
+    for inst in _plane_draws(lengths, 1500, 1):
+        if lengths == [2, 2, 2]:
+            expect = fraction_horn_check(inst)[0]
+        else:
+            low = min(inst.gamma - spec[0] for spec in inst.branches)
+            expect = "infeasible" if low < 0 else "degenerate" if low == 0 else "feasible"
+        v = delta_check(g, inst)
+        assert v.status == expect, inst
+        assert (v.witness_dimension is not None) == v.feasible
+        seen.add(expect)
+    assert seen == {"feasible", "infeasible", "degenerate"}
+
+
+def test_horn_walls_match_the_frozen_chi_rows(e6):
+    """Each ``HORN_E6`` wall beta gives 3 * P(beta, f) equal to the oracle's
+    own Horn row times chi, on seeded hyperplane draws."""
+    assert [name for name, _ in HORN_E6] == [name for name, _ in HORN_CHI_ROWS]
+    for inst in _plane_draws([2, 2, 2], 200, 2):
+        f = char_from_chi(e6, inst)
+        for (_, beta), (_, row) in zip(HORN_E6, HORN_CHI_ROWS):
+            assert 3 * pairing(e6, beta, f) == sum(map(mul, row, inst.chi()))
 
 
 def _horn_instance(rest, target, scale=1):

@@ -18,6 +18,7 @@ from starspec import (
     canonicalize,
     char_from_chi,
     chi_from_char,
+    classify,
     coxeter_char,
     dim_from_n,
     make_instance,
@@ -32,7 +33,7 @@ from starspec import (
 )
 import starspec.reps as reps_module
 from starspec.reps import ConstructionError, RepError
-from starspec.transfer import nondegenerate_dim
+from starspec.transfer import n_from_dim, nondegenerate_dim
 from starspec.verify import commutant_dimension
 
 from conftest import ORACLE_CASES, feasible_character, random_feasible_instance
@@ -604,9 +605,12 @@ def test_d4_check_agrees_with_the_optimizer(monkeypatch):
     """Off the wall gamma = a_i the D4~ check and the optimizer agree on
     random hyperplane draws: a feasible one builds, and an infeasible one,
     the check bypassed, is a ConstructionError."""
-    check = reps_module.feasibility.quadrangle_check_d4
-    monkeypatch.setattr(reps_module.feasibility, "quadrangle_check_d4",
-                        lambda inst: check(inst)._replace(status="feasible"))
+    check = reps_module.feasibility.delta_check
+    d4 = build_star([1, 1, 1, 1])
+    ranks = n_from_dim(d4, classify(d4).delta)
+    monkeypatch.setattr(reps_module.feasibility, "delta_check", lambda graph, inst:
+                        check(graph, inst)._replace(status="feasible",
+                                                    witness_dimension=ranks))
     rng = random.Random(4)
     seen = []
     for _ in range(20):
@@ -615,7 +619,7 @@ def test_d4_check_agrees_with_the_optimizer(monkeypatch):
         if gamma in values:
             continue
         inst = make_instance([[a] for a in values], gamma)
-        status = check(inst).status
+        status = check(d4, inst).status
         seen.append(status)
         if status == "feasible":
             assert commutant_dimension(build_hyperplane_rep(inst, seed=1)) == 1
@@ -634,16 +638,35 @@ def test_build_hyperplane_rep_refuses_d4_boundary():
         build_hyperplane_rep(make_instance([[60], [30], [20], [10]], 60), seed=0)
 
 
-@pytest.mark.parametrize("spectra, gamma, name", [
-    ([[3], [3, 2, 1], [3, 2, 1]], "9/2", "E7~"),
-    ([[5], [4, 2], [5, 4, 3, 2, 1]], 7, "E8~"),
-])
-def test_build_hyperplane_rep_refuses_undecided_stars(spectra, gamma, name):
-    """Existence in delta is not decided on E7~ and E8~, so instances on
-    their hyperplanes are refused rather than handed to the optimizer."""
+@pytest.mark.parametrize("spectra, gamma", [
+    ([[3], [3, 2, 1], [3, 2, 1]], "9/2"),
+    ([[8], [9, 5], [12, 10, 6, 3, 1]], 14),
+], ids=["E7~", "E8~"])
+def test_build_hyperplane_rep_builds_e7_and_e8_delta(spectra, gamma):
+    """Strictly inside the walls (least margins 1/2 and 1) the optimizer
+    builds delta on E7~ (n0 = 4) and E8~ (n0 = 6), sized by delta's ranks,
+    and the build verifies with commutant 1."""
     inst = make_instance(spectra, gamma)
-    assert on_hyperplane(build_star(inst.branch_lengths), inst)
-    with pytest.raises(FeasibilityError, match=f"not yet decided on {name}"):
+    g = build_star(inst.branch_lengths)
+    delta = classify(g).delta
+    rep = build_hyperplane_rep(inst)
+    assert rep.n0 == delta[g.root]
+    assert rep.generalized_dimension() == n_from_dim(g, delta)
+    assert verify_algebra_rep(rep).overall
+    assert commutant_dimension(rep) == 1
+
+
+def test_build_hyperplane_rep_refuses_e8_walls():
+    """The E8~ instance [[5], [4, 2], [5, 4, 3, 2, 1]], gamma 7, is on the
+    hyperplane and on six walls: it is degenerate and is refused rather
+    than handed to the optimizer, whose builds there pass verify only as
+    numerical false positives, like the D4~ wall's."""
+    inst = make_instance([[5], [4, 2], [5, 4, 3, 2, 1]], 7)
+    g = build_star(inst.branch_lengths)
+    assert on_hyperplane(g, inst)
+    margins = [m for _, m, _ in reps_module.feasibility.delta_check(g, inst).certificate]
+    assert margins.count("0") == 6 and min(map(Q, margins)) == 0
+    with pytest.raises(FeasibilityError, match="degenerate"):
         build_hyperplane_rep(inst)
 
 

@@ -574,9 +574,10 @@ def solve(
     criterion: a nondegenerate dimension with root entry 3 has the chains
     1 < 2 < 3 on every branch, which is delta, so every candidate has root
     entry >= 4.  On the other stars' hyperplanes ``solve`` does not run
-    ``delta_check`` yet, and the certificate says delta is not decided.  Real-root dimensions up to the bound come
-    next.  Off the hyperplane no imaginary-root witness is possible, so the
-    search is exhaustive for the reported window.
+    ``delta_check`` yet, and the certificate says delta is not decided.
+    Real-root dimensions up to the bound come next.  Off the hyperplane no
+    imaginary-root witness is possible, so the search is exhaustive for the
+    reported window.
 
     The candidates are the members b + k*delta, k_lo <= k <= k_hi, of the
     singular series (``_series_table``), k_hi the last one within the

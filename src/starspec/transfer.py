@@ -192,13 +192,13 @@ def n_from_dim(graph: StarGraph, d: GVec) -> GeneralizedDimension:
     """
     if len(d) != graph.n_vertices:
         raise TransferError("dimension/graph mismatch")
-    for v in d:
-        if Fraction(v).denominator != 1 or v < 0:
-            raise TransferError("dimensions must be nonnegative integers")
+    ints = [int(v) for v in d]
+    if ints != list(d) or min(ints) < 0:
+        raise TransferError("dimensions must be nonnegative integers")
     branches: list[tuple[int, ...]] = []
     for path in graph.branches:
         m = len(path)
-        x = [int(d[v]) for v in path[::-1]] + [0]  # inner .. leaf, then zero
+        x = [ints[v] for v in path[::-1]] + [0]  # inner .. leaf, then zero
         ranks = [0] * m
         for t, (lo, hi) in enumerate(_windows(m)):
             diff = x[t] - x[t + 1]
@@ -208,7 +208,7 @@ def n_from_dim(graph: StarGraph, d: GVec) -> GeneralizedDimension:
                 )
             ranks[hi if t % 2 else lo] = diff
         branches.append(tuple(ranks))
-    return GeneralizedDimension(n0=int(d[graph.root]), branches=tuple(branches))
+    return GeneralizedDimension(n0=ints[graph.root], branches=tuple(branches))
 
 
 def nondegenerate_dim(graph: StarGraph, d: GVec) -> bool:

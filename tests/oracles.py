@@ -1,8 +1,9 @@
 """Reference computations that the library does not need.
 
-* One dense SVD of a stacked linear system each, to check the shrinking
-  basis of `starspec.verify.commutant_dimension` and the reflection functors
-  against.  Ranks use the same relative floor as `starspec.verify`.
+* One dense SVD of a stacked linear system each, to check the Gram
+  nullity of `starspec.verify.commutant_dimension` and the reflection
+  functors against.  Ranks count singular values above their own relative
+  floor (`_svd_rank`), not the library's.
 * Exact rational inverse, determinant and transpose of small matrices.
   Inverse and determinant lift the entries to Fraction first: the library's
   integer matrices hold ints, and int / int is a float.
@@ -46,7 +47,13 @@ from starspec.roots import fundamental_roots
 from starspec.transfer import (
     RTOL, char_from_chi, instance_scale, n_from_dim, nondegenerate_dim,
 )
-from starspec.verify import _rank, commutant_dimension, verify_algebra_rep
+from starspec.verify import commutant_dimension, verify_algebra_rep
+
+
+def _svd_rank(system: np.ndarray) -> int:
+    """Numerical rank: the singular values above 1e-8 * max(s_max, 1)."""
+    s = np.linalg.svd(system, compute_uv=False)
+    return int(np.sum(s > 1e-8 * max(s[0] if s.size else 0.0, 1.0)))
 
 
 def stacked_commutant_dimension(rep: AlgebraRep) -> int:
@@ -58,7 +65,7 @@ def stacked_commutant_dimension(rep: AlgebraRep) -> int:
         np.kron(p.T, eye) - np.kron(eye, p)
         for branch in rep.projections for p in branch
     ])
-    return n * n - _rank(np.linalg.svd(system, compute_uv=False))
+    return n * n - _svd_rank(system)
 
 
 def graph_intertwiner_system(
@@ -113,7 +120,7 @@ def hom_dimension(rep1: GraphRep, rep2: GraphRep) -> int:
         return 0
     if system.shape[0] == 0:
         return total
-    return total - _rank(np.linalg.svd(system, compute_uv=False))
+    return total - _svd_rank(system)
 
 
 def vertex_operator(rep: GraphRep, g: int) -> np.ndarray:

@@ -606,15 +606,37 @@ def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch):
 
     rep = _rep_file(capsys, tmp_path)
 
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def failing_eigvalsh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
     code, out, err = run_cli(capsys, "verify", "--rep", str(rep))
     assert code == 3
     assert out == ""
     assert json.loads(err) == {"error": "numerical_failure",
-                               "message": "SVD did not converge"}
+                               "message": "Eigenvalues did not converge"}
+
+
+def test_verify_direct_sum_counts_its_commutant(capsys, tmp_path):
+    """A file holding r + r, the direct sum of a constructed rep with itself,
+    verifies and has commutant dimension 4: the generic combination's
+    eigenvalues come in pairs, so its clusters are 2 x 2 blocks."""
+    rep = _rep_file(capsys, tmp_path)
+    data = json.loads(rep.read_text())
+    n0 = data["n0"]
+
+    def doubled(m):
+        pad = [0.0] * n0
+        return [row + pad for row in m] + [pad + row for row in m]
+
+    data["n0"] = 2 * n0
+    data["projections"] = [[doubled(m) for m in branch]
+                           for branch in data["projections"]]
+    data.pop("metadata", None)
+    rep.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--rep", str(rep))
+    assert (code, err) == (0, "")
+    assert '"overall":true' in out and '"commutant_dimension":4' in out
 
 
 @pytest.mark.parametrize("command", ["construct", "verify"])

@@ -267,17 +267,17 @@ def commutant_dimension(rep: AlgebraRep) -> int:
     a singular value of the stacked R_k lies between about 1e-8 and
     3.2e-7 (the square root of 1e-13) of the largest.
 
-    Raises ValueError when the sum S of the squares of all given entries is
-    not finite: an entry is NaN or infinite, or the squares overflow, and no
-    rank of such values means anything.  Otherwise every Q_k has Frobenius
-    norm at most sqrt(S), A at most k sqrt(S), and every entry of G is at
-    most 4 S in size.
+    Raises ValueError when 4 S is not finite, S the sum of the squares of
+    all given entries: an entry is NaN or infinite, or G could overflow,
+    and no rank of such values means anything.  Otherwise every Q_k has
+    Frobenius norm at most sqrt(S), A at most k sqrt(S), and every entry
+    and eigenvalue of G is at most 4 S in size (each |R_k|^2 <= 4 |Q_k|^2).
     """
     mats = np.array([p for branch in rep.projections for p in branch])
     n = mats.shape[-1]
-    if not np.isfinite(np.vdot(mats, mats)):
+    if not abs(np.vdot(mats, mats)) <= np.finfo(float).max / 4:
         raise ValueError("the matrices have entries that are not finite or "
-                         "whose squares overflow")
+                         "whose commutant equations overflow")
     herm = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= _RANK_TOL
     cluster = np.zeros(n)
     q = mats

@@ -538,12 +538,13 @@ def test_verify_rejects_malformed_matrix(capsys, tmp_path, change):
 
 
 @pytest.mark.parametrize("entry,code", [("NaN", 64), ("Infinity", 64),
-                                        ("1e308", 1)])
+                                        ("1e308", 1), ("1.2e154", 1)])
 def test_verify_non_finite_or_overflowing_entry(capsys, tmp_path, entry, code):
     """NaN and infinities are malformed matrices (exit 64); a finite
     diagonal entry whose products overflow fails checks (exit 1), where
     eigvalsh once failed to converge (exit 3), and has no commutant
-    dimension.  Neither raises."""
+    dimension, also where only the commutant's equations overflow (the
+    square of 1.2e154 is finite, twice it is not).  Neither raises."""
     rep = _rep_file(capsys, tmp_path)
     data = json.loads(rep.read_text())
     data["projections"][0][0][1][1] = "ENTRY"
@@ -600,17 +601,27 @@ def test_verify_reads_pair_files_as_row_files(capsys, tmp_path):
 
 
 def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch):
-    """A LAPACK routine that gives up is a numerical failure (exit 3), not
-    the infeasible code."""
+    """A LAPACK routine that gives up in the commutant is a numerical
+    failure (exit 3), not the infeasible code, although LinAlgError is a
+    ValueError, which gives a null commutant.  Only the commutant's
+    eigensolver fails: the spectrum checks before it run as usual."""
+    import sys
+
     import numpy as np
 
     rep = _rep_file(capsys, tmp_path)
+    eigvalsh = np.linalg.eigvalsh
+    failed = []
 
     def failing_eigvalsh(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name != "commutant_dimension":
+            return eigvalsh(*args, **kwargs)
+        failed.append(True)
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
     code, out, err = run_cli(capsys, "verify", "--rep", str(rep))
+    assert failed == [True]
     assert code == 3
     assert out == ""
     assert json.loads(err) == {"error": "numerical_failure",

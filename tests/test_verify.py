@@ -614,10 +614,12 @@ def test_small_scale_move_is_rejected():
     assert {name for name, _, _ in report.failures()} == {"weighted sum = gamma I"}
 
 
-@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308, 1.2e154])
 def test_commutant_rejects_entries_that_are_not_finite_or_overflow(entry):
     """No rank of NaN, infinite or overflowing values means anything, so
-    the commutant dimension raises instead of counting them."""
+    the commutant dimension raises instead of counting them.  The square of
+    1.2e154 is finite, but twice it, a diagonal entry of the Gram matrix,
+    is not."""
     rep = _construction((1, 3, 3), (5, 3, 5, 7, 3, 5, 7, 10))
     first = rep.projections[0][0].copy()
     first[0, 0] = entry

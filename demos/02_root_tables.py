@@ -8,7 +8,7 @@ on the series; orbits of the simple roots are the raw material for the
 representation theory.
 """
 from starspec import build_star, coxeter_series, fundamental_roots, unit_vector
-from starspec.roots import singular_and_regular_series
+from starspec.coxeter import defect
 
 g = build_star([2, 2, 2])
 
@@ -25,7 +25,10 @@ for label, seed in (("K1 (leaf seed)", 0), ("K2 (inner seed)", 1),
     for base in bases:
         print("     ", list(base))
 
-singular, regular = singular_and_regular_series(g)
+# the defect is linear, so a base and its negative fall on the same side
+bases = fundamental_roots(g, include_negative=True)
+regular = [b for b in bases if defect(g, b) == 0]
+singular = [b for b in bases if defect(g, b) != 0]
 print(f"\nof all {len(singular) + len(regular)} signed series, "
       f"{len(singular)} reduce to a simple root and {len(regular)} are "
       "regular (zero defect):")

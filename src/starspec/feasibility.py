@@ -23,6 +23,13 @@ comes before every candidate.  It then walks the real-root candidates that
 the trace identity leaves, at most one per singular series off the
 hyperplane.
 
+The decision data of a star is one table (``_table``), built once per star
+in one pass over ``roots.fundamental_roots``: delta's ranks, delta's
+walls, and per table root x of nonzero defect a signed row and the two
+singular series x + k*delta and -x + k*delta.  Per instance each row is
+paired with the character once, and that one pairing serves the row's
+wall in ``delta_check`` and both of its series in ``solve``.
+
 Every condition is homogeneous with integer coefficients, so each route
 clears denominators once and sums ints; only certificates print Fractions.
 Each route turns its margins into a status by the one rule of ``_status``.
@@ -34,7 +41,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import lcm as _lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Literal, NamedTuple, Optional
 
 from .coxeter import (
@@ -59,7 +66,7 @@ from .graph import (
     unit_vector,
 )
 from .rational import IMat, Q, mat_vec
-from .roots import fundamental_roots, is_root, singular_and_regular_series
+from .roots import fundamental_roots, is_root
 from .transfer import (
     GeneralizedDimension,
     SpectralInstance,
@@ -124,19 +131,71 @@ def _chi_names(n_spectra: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n_spectra)] + ["gamma"]
 
 
+class _Row(NamedTuple):
+    """One table root x of nonzero defect, by the root y in {x, -x} of
+    positive defect: the signed row eps*y, so that P(y, f) is one dot
+    product with the integer character, and the series y + k*delta and
+    -y + k*delta as (base, k_lo), k_lo the least k of a nondegenerate
+    member."""
+
+    signed: IVec
+    series: tuple[tuple[IVec, int], tuple[IVec, int]]
+
+
+class _Table(NamedTuple):
+    """The decision data of one extended star: delta's ranks (the level row
+    of ``hyperplane`` and the witness of every feasible verdict in delta),
+    the walls of ``delta_walls`` and one row per wall."""
+
+    ranks: GeneralizedDimension
+    walls: tuple[IVec, ...]
+    rows: tuple[_Row, ...]
+
+
 @functools.lru_cache(maxsize=64)
-def _delta(graph: StarGraph) -> tuple[IVec, GeneralizedDimension]:
-    """delta and its ranks, per graph; the ranks are the level row of
-    ``hyperplane`` and the witness of every feasible verdict in delta."""
+def _table(graph: StarGraph) -> _Table:
+    """The star's ``_Table``, built in one pass over
+    ``roots.fundamental_roots``; a star without delta is a
+    ``FeasibilityError``.
+
+    Each table root x of nonzero defect gives one row, by the root y in
+    {x, -x} of positive defect, and one wall: x when y = x, else
+    delta - x = delta + y.  On the hyperplane P(delta, f) = 0, so the
+    wall's margin is P(y, f) either way.
+
+    The singular series are the y + k*delta and -y + k*delta.  Delta
+    strictly increases from each leaf to the root, so every strict chain
+    condition m_prev < m_v (m_prev = 0 before the leaf) on m = b + k*delta
+    is the lower bound k >= floor((b_prev - b_v) / (delta_v - delta_prev))
+    + 1.  A nondegenerate member is positive, and the extending vertex's
+    bound is k >= 1.  The scan bound only cuts each series from above, so
+    the table does not depend on it.
+    """
     delta = classify(graph).delta
     if delta is None:
         raise FeasibilityError("the star has no imaginary root delta")
-    return delta, n_from_dim(graph, delta)
+    eps = [1 if g in graph.odd else -1 for g in range(graph.n_vertices)]
+    leaves = [(path[0], delta[path[0]]) for path in graph.branches]
+    links = [(prev, v, delta[v] - delta[prev]) for path in graph.branches
+             for prev, v in zip(path, path[1:] + (graph.root,))]
+
+    def series(base: IVec) -> tuple[IVec, int]:
+        return base, 1 + max([-base[v] // step for v, step in leaves]
+                             + [(base[prev] - base[v]) // step for prev, v, step in links])
+
+    walls, rows = [], []
+    for x in fundamental_roots(graph):
+        if dfc := defect(graph, x):
+            neg = tuple([-v for v in x])
+            y, z = (x, neg) if dfc > 0 else (neg, x)
+            walls.append(x if dfc > 0 else tuple(map(add, delta, y)))
+            rows.append(_Row(tuple(map(mul, eps, y)), (series(y), series(z))))
+    return _Table(n_from_dim(graph, delta), tuple(walls), tuple(rows))
 
 
 def hyperplane(graph: StarGraph) -> Hyperplane:
     """Trace-identity hyperplane of an extended Dynkin star."""
-    coeffs = list(_delta(graph)[1].flat())
+    coeffs = list(_table(graph).ranks.flat())
     coeffs[-1] = -coeffs[-1]
     return Hyperplane(coefficients=tuple(coeffs))
 
@@ -163,10 +222,9 @@ def on_hyperplane(graph: StarGraph, inst: SpectralInstance) -> bool:
 # Delta on the hyperplane: one rule on every star, displayed as Horn on E6~
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
 def delta_walls(graph: StarGraph) -> tuple[IVec, ...]:
     """The walls of delta: the real roots 0 < beta < delta of positive
-    defect (``coxeter.defect``), as int vectors, cached per graph.
+    defect (``coxeter.defect``), as int vectors, kept in the star's table.
 
     delta has entry 1 at the extending vertex e, so a real root strictly
     below delta has e-entry 0 or 1: it is a root x of the table of
@@ -174,26 +232,25 @@ def delta_walls(graph: StarGraph) -> tuple[IVec, ...]:
     (delta spans the radical of the form), and their defects are opposite,
     since delta has defect 0.  So each table root of nonzero defect gives
     one wall, x or delta - x, and a regular one gives none: 9, 29, 53 and
-    106 walls on D4~, E6~, E7~ and E8~.  A star without delta is a
-    ``FeasibilityError``.
+    106 walls on D4~, E6~, E7~ and E8~, in the order of the table.  A star
+    without delta is a ``FeasibilityError``.
     """
-    delta = _delta(graph)[0]
-    return tuple(x if dfc > 0 else tuple([d - v for d, v in zip(delta, x)])
-                 for x in fundamental_roots(graph) if (dfc := defect(graph, x)))
+    return _table(graph).walls
 
 
 def _delta_margins(graph: StarGraph, inst: SpectralInstance) -> tuple:
     """``delta_check``'s verdict without its certificate, the int margin
-    P(beta, f) of each wall by wall, and the scale of the character.  The
-    character is signed by eps once, so each margin is one dot product."""
-    walls = delta_walls(graph)
+    P(beta, f) of each wall by wall, and the scale of the character.  Each
+    margin is one dot product of the wall's signed row with the integer
+    character (``_table``)."""
+    table = _table(graph)
     _, fint, scale = _scaled_instance(graph, inst)
     if defect(graph, fint):
         raise FeasibilityError("instance is off the hyperplane")
-    signed = [x if g in graph.odd else -x for g, x in enumerate(fint)]
-    margins = {beta: sum(map(mul, beta, signed)) for beta in walls}
+    margins = {beta: sum(map(mul, row.signed, fint))
+               for beta, row in zip(table.walls, table.rows)}
     status = _status(margins.values())
-    ranks = _delta(graph)[1] if status == "feasible" else None
+    ranks = table.ranks if status == "feasible" else None
     return FeasibilityVerdict(status, "delta_walls", ranks), margins, scale
 
 
@@ -531,31 +588,6 @@ def _check_walk(
 # Orchestration
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _series_table(graph: StarGraph) -> tuple[tuple[IVec, int], ...]:
-    """(base, k_lo) per singular series: its members base + k*delta with
-    k >= k_lo are exactly those with nondegenerate chains.
-
-    Delta strictly increases from each leaf to the root, so every strict
-    chain condition m_prev < m_v (m_prev = 0 before the leaf) on
-    m = base + k*delta is the lower bound
-    k >= floor((b_prev - b_v) / (delta_v - delta_prev)) + 1.  A
-    nondegenerate member is positive, and the extending vertex's bound is
-    k >= 1.  The scan bound only cuts each series from above, so the table
-    does not depend on it.
-    """
-    delta = classify(graph).delta
-    root = graph.root
-    leaves = [(path[0], delta[path[0]]) for path in graph.branches]
-    links = [(prev, v, delta[v] - delta[prev]) for path in graph.branches
-             for prev, v in zip(path, path[1:] + (root,))]
-    return tuple(
-        (base, 1 + max([-base[v] // step for v, step in leaves]
-                       + [(base[prev] - base[v]) // step for prev, v, step in links]))
-        for base in singular_and_regular_series(graph)[0]
-    )
-
-
 def check_scan_bound(scan_bound: int) -> None:
     """Raise FeasibilityError on a negative scan bound."""
     if scan_bound < 0:
@@ -580,13 +612,15 @@ def solve(
     reported window.
 
     The candidates are the members b + k*delta, k_lo <= k <= k_hi, of the
-    singular series (``_series_table``), k_hi the last one within the
-    bound; the certificate counts them all.  Only a member with
+    singular series (``_table``), k_hi the last one within the bound; the
+    certificate counts them all.  Only a member with
     P(d, f) = P(b, f) + k*P(delta, f) = 0 can be feasible (the trace
     identity of ``iterative_feasible``), so off the hyperplane one
     ``divmod`` per series finds its one possible member, at any bound.  On
     the hyperplane every member of a series with P(b, f) = 0 is walked up
-    to the bound, and no member of the others.
+    to the bound, and no member of the others.  The series b and -b share
+    one table row, so P(b, f) is one dot product per row and P(-b, f) its
+    negative.
     """
     cls = classify(graph)
     if cls.kind != "ExtendedDynkin":
@@ -608,16 +642,17 @@ def solve(
     delta, root = cls.delta, graph.root
     tested = 0
     members = []
-    for base, k_lo in _series_table(graph):
-        k_hi = (scan_bound - base[root]) // delta[root]
-        tested += max(0, k_hi - k_lo + 1)
-        p_base = pairing(graph, base, fint)
-        if p_delta:
-            k, rest = divmod(-p_base, p_delta)
-            ks = (k,) if rest == 0 and k_lo <= k <= k_hi else ()
-        else:
-            ks = range(k_lo, k_hi + 1) if p_base == 0 else ()
-        members += [tuple([b + k * d for b, d in zip(base, delta)]) for k in ks]
+    for signed, series in _table(graph).rows:
+        p_y = sum(map(mul, signed, fint))
+        for (base, k_lo), p_base in zip(series, (p_y, -p_y)):
+            k_hi = (scan_bound - base[root]) // delta[root]
+            tested += max(0, k_hi - k_lo + 1)
+            if p_delta:
+                k, rest = divmod(-p_base, p_delta)
+                ks = (k,) if rest == 0 and k_lo <= k <= k_hi else ()
+            else:
+                ks = range(k_lo, k_hi + 1) if p_base == 0 else ()
+            members += [tuple([b + k * d for b, d in zip(base, delta)]) for k in ks]
     members.sort(key=lambda v: (v[root], v))
     for d in members:
         verdict = _check_walk(graph, d, fint, scale, False)[0]

@@ -365,15 +365,16 @@ def build_hyperplane_rep(inst: SpectralInstance, seed: int = 0) -> AlgebraRep:
     ``ValueError``), so the output is float64 and deterministic per seed.
     The steps stop below a tenth of verify's bound ``RTOL * s``, after
     ``_MAX_ITERS`` steps, or once a damping past 1e16 stops every step.
-    Existence is checked first, on every extended star, by the walls of
-    ``feasibility.delta_check``: an instance off the hyperplane, not strictly
-    inside the walls or on a star without delta is a ``FeasibilityError``,
-    and the sizes are the ranks of its witness.  A result that fails verify
-    or has commutant above 1 is a ``ConstructionError``.
+    Existence is checked first, on every extended star, by the wall margins
+    of ``feasibility.delta_check``, whose certificate is not formatted: an
+    instance off the hyperplane, not strictly inside the walls or on a star
+    without delta is a ``FeasibilityError``, and the sizes are the ranks of
+    its witness.  A result that fails verify or has commutant above 1 is a
+    ``ConstructionError``.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    verdict = feasibility.delta_check(build_star(inst.branch_lengths), inst)
+    verdict = feasibility._delta_margins(build_star(inst.branch_lengths), inst)[0]
     if not verdict.feasible:
         raise FeasibilityError(f"delta is not feasible: {verdict.status}")
     n0, ranks = verdict.witness_dimension

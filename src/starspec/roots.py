@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .coxeter import coxeter_dim, pairing
+from .coxeter import coxeter_dim
 from .graph import EVEN, ODD, GVec, IVec, StarGraph, classify, tits_form, unit_vector
 
 
@@ -135,24 +135,3 @@ def coxeter_series(graph: StarGraph, seed: GVec) -> tuple[GVec, ...]:
                     nxt.append(img)
         frontier = nxt
     return tuple(sorted(seen))
-
-
-def singular_and_regular_series(graph: StarGraph) -> tuple[set[GVec], set[GVec]]:
-    """Split the series bases, the table and its negatives, into singular
-    (nonzero defect) and regular (zero defect) parts.
-
-    The defect, the pairing with delta, is constant along a series, since
-    delta has defect 0, and linear, so it is taken once per positive base
-    and its negative goes to the same part.  The positive members of a
-    singular series walk down to a simple root; those of a regular series
-    never do.  The singular bases are the symmetry images of the orbits
-    seeded at one vertex of each symmetry class.
-    """
-    delta = classify(graph).delta
-    singular: set[GVec] = set()
-    regular: set[GVec] = set()
-    for base in fundamental_roots(graph):
-        part = regular if pairing(graph, delta, base) == 0 else singular
-        part.add(base)
-        part.add(tuple([-v for v in base]))
-    return singular, regular

@@ -286,8 +286,9 @@ def box_scan_roots(graph, include_negative=False, include_zero=False) -> list:
 
 
 def defect_split(graph) -> tuple[set, set]:
-    """`starspec.roots.singular_and_regular_series` with the defect taken
-    of every base, negatives included."""
+    """The series bases, the roots of `starspec.roots.fundamental_roots`
+    and their negatives, split into singular (nonzero defect) and regular
+    (zero defect) parts by the defect of every base."""
     singular, regular = set(), set()
     for base in fundamental_roots(graph, include_negative=True):
         (regular if defect(graph, base) == 0 else singular).add(base)

@@ -604,13 +604,21 @@ def test_build_hyperplane_rep_d4_delta(seed):
 def test_d4_check_agrees_with_the_optimizer(monkeypatch):
     """Off the wall gamma = a_i the D4~ check and the optimizer agree on
     random hyperplane draws: a feasible one builds, and an infeasible one,
-    the check bypassed, is a ConstructionError."""
-    check = reps_module.feasibility.delta_check
+    the check bypassed, is a ConstructionError.  The guard reads the wall
+    margins' verdict alone and formats no ``delta_check`` certificate."""
+    margins = reps_module.feasibility._delta_margins
     d4 = build_star([1, 1, 1, 1])
     ranks = n_from_dim(d4, classify(d4).delta)
-    monkeypatch.setattr(reps_module.feasibility, "delta_check", lambda graph, inst:
-                        check(graph, inst)._replace(status="feasible",
-                                                    witness_dimension=ranks))
+
+    def bypassed(graph, inst):
+        verdict, *rest = margins(graph, inst)
+        return (verdict._replace(status="feasible", witness_dimension=ranks), *rest)
+
+    def no_certificate(graph, inst):
+        raise AssertionError("the guard formatted delta_check's certificate")
+
+    monkeypatch.setattr(reps_module.feasibility, "_delta_margins", bypassed)
+    monkeypatch.setattr(reps_module.feasibility, "delta_check", no_certificate)
     rng = random.Random(4)
     seen = []
     for _ in range(20):
@@ -619,7 +627,7 @@ def test_d4_check_agrees_with_the_optimizer(monkeypatch):
         if gamma in values:
             continue
         inst = make_instance([[a] for a in values], gamma)
-        status = check(d4, inst).status
+        status = margins(d4, inst)[0].status
         seen.append(status)
         if status == "feasible":
             assert commutant_dimension(build_hyperplane_rep(inst, seed=1)) == 1

@@ -6,15 +6,18 @@ import pytest
 
 from starspec import (
     build_star,
+    classify,
     coxeter_dim,
     coxeter_series,
     fundamental_roots,
     is_root,
+    nondegenerate_dim,
     tits_form,
     unit_vector,
 )
-from starspec.roots import RootError, series_base, singular_and_regular_series
-from starspec.feasibility import solve
+from starspec.coxeter import defect, pairing
+from starspec.roots import RootError, series_base
+from starspec.feasibility import _table, solve
 from starspec.io import instance_from_dict
 
 from conftest import candidates_tested, exhausted_instance
@@ -147,7 +150,7 @@ def test_reflections_preserve_form(e6):
 def test_series_decomposition_counts(e6, e6_class):
     """72 signed series split into 58 functor-reachable and 14 regular ones;
     the three tabulated orbits and branch symmetry cover the reachable part."""
-    singular, regular = singular_and_regular_series(e6)
+    singular, regular = defect_split(e6)
     assert len(singular) + len(regular) == 72
     assert len(singular) == 58
     assert len(regular) == 14
@@ -189,7 +192,7 @@ def test_regular_series_counts(lengths, n_series, n_regular):
     """The regular series are the zero-defect ones: sum r(r-1) over the tube
     ranks, (2,2,2), (3,3,2), (4,3,2) and (5,3,2) on D4~, E6~, E7~, E8~."""
     g = build_star(lengths)
-    singular, regular = singular_and_regular_series(g)
+    singular, regular = defect_split(g)
     assert len(singular) + len(regular) == n_series
     assert len(regular) == n_regular
 
@@ -206,7 +209,7 @@ def test_root_table_sizes(lengths, n_roots, n_singular, n_candidates):
     and 60."""
     g = build_star(lengths)
     assert len(fundamental_roots(g)) == n_roots
-    assert len(singular_and_regular_series(g)[0]) == n_singular
+    assert len(defect_split(g)[0]) == n_singular
     inst = exhausted_instance(lengths)
     assert tuple(candidates_tested(solve(g, inst, scan_bound=b))
                  for b in (12, 20, 60)) == n_candidates
@@ -242,8 +245,43 @@ PERMUTED = [[5, 2, 1], [3, 1, 3], [2, 5, 1]]
 
 @pytest.mark.parametrize("lengths", STARS + PERMUTED)
 def test_singular_split_matches_defect_of_every_base(lengths):
+    """The decision table has one row per table root x of nonzero defect,
+    in the table's order, and its rows hold the series x and -x: together
+    they are the singular part of the defect of every base."""
     g = build_star(lengths)
-    assert singular_and_regular_series(g) == defect_split(g)
+    singular = defect_split(g)[0]
+    rows = _table(g).rows
+    roots = [base for row in rows for base, _ in row.series if min(base) >= 0]
+    assert roots == [x for x in fundamental_roots(g) if x in singular]
+    bases = [base for row in rows for base, _ in row.series]
+    assert len(bases) == len(singular) and set(bases) == singular
+
+
+@pytest.mark.parametrize("lengths", STARS + PERMUTED)
+def test_decision_table_rows(lengths):
+    """Each row's series are y and -y for a y of positive defect, and its
+    signed vector is eps * y, so that one dot product is the pairing
+    P(y, f).  Its wall, at the same index, is y or delta + y, a root with
+    positive defect.  Both k_lo are the least k whose member base + k*delta
+    is positive with strict chains, found by brute force, and the members
+    just above it have strict chains too."""
+    g = build_star(lengths)
+    table = _table(g)
+    delta = classify(g).delta
+    units = [unit_vector(g, i) for i in range(g.n_vertices)]
+    assert len(table.walls) == len(table.rows)
+    for wall, row in zip(table.walls, table.rows):
+        (y, _), (neg, _) = row.series
+        assert defect(g, y) > 0
+        assert neg == tuple(-v for v in y)
+        assert row.signed == tuple(pairing(g, y, u) for u in units)
+        assert wall in (y, tuple(d + v for d, v in zip(delta, y)))
+        assert defect(g, wall) > 0
+        for base, k_lo in row.series:
+            members = [tuple(b + k * d for b, d in zip(base, delta))
+                       for k in range(k_lo + 5)]
+            strict = [min(m) > 0 and nondegenerate_dim(g, m) for m in members]
+            assert strict == [False] * k_lo + [True] * 5, (base, k_lo)
 
 
 @pytest.mark.parametrize("lengths", STARS + PERMUTED)
@@ -271,7 +309,7 @@ def test_candidate_count_far_past_the_tables():
 
 
 def test_regular_series_orbit_sizes(e6):
-    _, regular = singular_and_regular_series(e6)
+    _, regular = defect_split(e6)
     left = set(regular)
     sizes = []
     while left:
